@@ -102,7 +102,7 @@ def cmd_operators(args, out):
 
 def cmd_zeta(args, out):
     cx = _load_complex(args.complex)
-    b = zeta_bundle(cx, jobs=args.jobs)
+    b = zeta_bundle(cx)
     zf = zeta_functions(cx, b)
     selection = {
         "vertex": [("dvertex", b.dvertex)],
@@ -127,7 +127,7 @@ def cmd_zeta(args, out):
 
 def cmd_check_identity(args, out):
     cx = _load_complex(args.complex)
-    ok, residual = check_main_identity(cx, jobs=args.jobs)
+    ok, residual = check_main_identity(cx)
     out.emit("identity", "pass" if ok else "fail")
     if not ok:
         out.emit("residual", residual.format())
@@ -279,10 +279,24 @@ def cmd_graph(args, out):
 # ----------------------------------------------------------------------
 
 
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser():
+    positive = _int_at_least(1)
+    nonnegative = _int_at_least(0)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "records"], default="text")
-    common.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for DFS enumerations"
+    )
 
     p = argparse.ArgumentParser(
         prog="a2zeta",
@@ -333,7 +347,7 @@ def build_parser():
     )
     s.add_argument("kind", choices=["geodesics", "galleries"])
     s.add_argument("complex")
-    s.add_argument("--length", type=int, required=True)
+    s.add_argument("--length", type=positive, required=True)
     s.add_argument("--boundary-check", action="store_true")
     s.set_defaults(func=cmd_enumerate)
 
@@ -341,7 +355,7 @@ def build_parser():
     bld = s.add_subparsers(dest="building_cmd", required=True)
     c = bld.add_parser("ball", parents=[common])
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--radius", type=int, required=True)
+    c.add_argument("--radius", type=nonnegative, required=True)
     c.add_argument("--adjacency", action="store_true")
     c.set_defaults(func=cmd_building)
     c = bld.add_parser("relpos", parents=[common])
@@ -356,12 +370,12 @@ def build_parser():
     c = bld.add_parser("tamagawa", parents=[common])
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--degree", type=int, required=True)
-    c.add_argument("--radius", type=int, required=True)
+    c.add_argument("--radius", type=nonnegative, required=True)
     c.set_defaults(func=cmd_building)
     c = bld.add_parser("geodesic", parents=[common])
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--length", type=int, required=True)
-    c.add_argument("--radius", type=int, required=True)
+    c.add_argument("--length", type=positive, required=True)
+    c.add_argument("--radius", type=nonnegative, required=True)
     c.set_defaults(func=cmd_building)
 
     s = sub.add_parser("satake", help="symmetric-function recursion checks")
@@ -403,7 +417,7 @@ def main(argv=None):
     out = Emitter(records=args.format == "records")
     try:
         return args.func(args, out)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except ValidationFailure as exc:

@@ -44,7 +44,7 @@ def _chamber_successors(cx):
     return [sorted(row) for row in succ]
 
 
-def _count_closed(succ, length, starts, budget):
+def count_closed(succ, length, starts, budget):
     """Closed successor walks of the given length, grouped by start element."""
     visited = 0
     total = 0
@@ -66,7 +66,7 @@ def _count_closed(succ, length, starts, budget):
 
 def _count_chunk(args):
     succ, length, starts, budget = args
-    return _count_closed(succ, length, starts, budget)
+    return count_closed(succ, length, starts, budget)
 
 
 def _count(succ, length, budget, jobs):
@@ -83,7 +83,7 @@ def _count(succ, length, budget, jobs):
                 )
             )
         return sum(parts)
-    return _count_closed(succ, length, starts, budget)
+    return count_closed(succ, length, starts, budget)
 
 
 def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET, jobs=1):

@@ -20,7 +20,8 @@ class _Lines:
         ]
         self.pos = 0
 
-    def next(self, expect=None):
+    def next(self, expect=None, nfields=None):
+        """The next record; with expect, its keyword and its nfields values are checked."""
         if self.pos >= len(self.rows):
             raise ParseError(self.rows[-1][0] + 1 if self.rows else 1, "unexpected end of file")
         lineno, row = self.rows[self.pos]
@@ -28,6 +29,8 @@ class _Lines:
         toks = row.split()
         if expect is not None and toks[0] != expect:
             raise ParseError(lineno, f"expected {expect!r}, got {toks[0]!r}")
+        if nfields is not None and len(toks) != nfields + 1:
+            raise ParseError(lineno, f"{expect!r} line needs {nfields} values, got {len(toks) - 1}")
         return lineno, toks
 
     def done(self):
@@ -46,24 +49,24 @@ def parse_complex(text):
     lineno, toks = lines.next()
     if toks != ["a2complex", "v1"]:
         raise ParseError(lineno, "expected header 'a2complex v1'")
-    lineno, toks = lines.next("q")
+    lineno, toks = lines.next("q", 1)
     q = _int(lineno, toks[1], "q")
     if q < 2:
         raise ParseError(lineno, f"q must be >= 2, got {q}")
-    lineno, toks = lines.next("vertices")
+    lineno, toks = lines.next("vertices", 1)
     nv = _int(lineno, toks[1], "vertex count")
     types = [None] * nv
     for _ in range(nv):
-        lineno, toks = lines.next("type")
+        lineno, toks = lines.next("type", 2)
         vid = _int(lineno, toks[1], "vertex id")
         if not 0 <= vid < nv or types[vid] is not None:
             raise ParseError(lineno, f"bad or repeated vertex id {vid}")
         types[vid] = _int(lineno, toks[2], "type")
-    lineno, toks = lines.next("edges")
+    lineno, toks = lines.next("edges", 1)
     ne = _int(lineno, toks[1], "edge count")
     edges = [None] * ne
     for _ in range(ne):
-        lineno, toks = lines.next("edge")
+        lineno, toks = lines.next("edge", 3)
         eid = _int(lineno, toks[1], "edge id")
         if not 0 <= eid < ne or edges[eid] is not None:
             raise ParseError(lineno, f"bad or repeated edge id {eid}")
@@ -71,13 +74,11 @@ def parse_complex(text):
             _int(lineno, toks[2], "src"),
             _int(lineno, toks[3], "dst"),
         )
-    lineno, toks = lines.next("chambers")
+    lineno, toks = lines.next("chambers", 1)
     nc = _int(lineno, toks[1], "chamber count")
     chambers = []
     for _ in range(nc):
-        lineno, toks = lines.next("chamber")
-        if len(toks) != 4:
-            raise ParseError(lineno, "chamber needs three edge ids")
+        lineno, toks = lines.next("chamber", 3)
         chambers.append(tuple(_int(lineno, t, "edge id") for t in toks[1:]))
     if not lines.done():
         raise ParseError(lines.rows[lines.pos][0], "trailing content")
@@ -102,22 +103,20 @@ def parse_presentation(text):
     lineno, toks = lines.next()
     if toks != ["trianglepres", "v1"]:
         raise ParseError(lineno, "expected header 'trianglepres v1'")
-    lineno, toks = lines.next("q")
+    lineno, toks = lines.next("q", 1)
     q = _int(lineno, toks[1], "q")
     plane = build_plane(q)
     n = plane.n
     lam = [None] * n
     for _ in range(n):
-        lineno, toks = lines.next("lambda")
+        lineno, toks = lines.next("lambda", 2)
         p = _int(lineno, toks[1], "point id")
         if not 0 <= p < n or lam[p] is not None:
             raise ParseError(lineno, f"bad or repeated point id {p}")
         lam[p] = _int(lineno, toks[2], "line id")
     triples = set()
     while not lines.done():
-        lineno, toks = lines.next("triple")
-        if len(toks) != 4:
-            raise ParseError(lineno, "triple needs three point ids")
+        lineno, toks = lines.next("triple", 3)
         triples.add(tuple(_int(lineno, t, "point id") for t in toks[1:]))
     return TrianglePresentation(plane, tuple(lam), frozenset(triples))
 
@@ -136,13 +135,11 @@ def parse_graph(text):
     lineno, toks = lines.next()
     if toks != ["graph", "v1"]:
         raise ParseError(lineno, "expected header 'graph v1'")
-    lineno, toks = lines.next("vertices")
+    lineno, toks = lines.next("vertices", 1)
     n = _int(lineno, toks[1], "vertex count")
     edges = []
     while not lines.done():
-        lineno, toks = lines.next("edge")
-        if len(toks) != 3:
-            raise ParseError(lineno, "edge needs two endpoints")
+        lineno, toks = lines.next("edge", 2)
         u = _int(lineno, toks[1], "endpoint")
         v = _int(lineno, toks[2], "endpoint")
         if not (0 <= u < n and 0 <= v < n):

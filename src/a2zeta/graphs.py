@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import A2ZetaError, DegreeTooLow, NotRegular, ResourceLimit
-from .operators import SparseOperator, identity_matrix
-from .polyint import IntPoly, PolyMatrix, RationalFunction, det_poly
+from .errors import A2ZetaError, DegreeTooLow, NotRegular
+from .enumeration import count_closed
+from .operators import SparseOperator
+from .polyint import IntPoly, RationalFunction, det_i_minus_pencil
 
 
 @dataclass(frozen=True)
@@ -102,24 +103,9 @@ def ihara_zeta(graph):
         raise DegreeTooLow("graph must be connected")
     if min(graph.degrees()) < 2:
         raise DegreeTooLow("graph must have minimum degree 2")
-    ae = edge_adjacency(graph)
-    hashimoto_den = det_poly(
-        PolyMatrix.from_int_pencil(
-            (identity_matrix(ae.dim), 0, 1), (ae.to_dense(), 1, -1)
-        )
-    )
-    a = graph.adjacency()
-    qmat = [
-        [graph.degrees()[i] - 1 if i == j else 0 for j in range(graph.n)]
-        for i in range(graph.n)
-    ]
-    bass_den = det_poly(
-        PolyMatrix.from_int_pencil(
-            (identity_matrix(graph.n), 0, 1),
-            (a, 1, -1),
-            (qmat, 2, 1),
-        )
-    )
+    hashimoto_den = det_i_minus_pencil([edge_adjacency(graph).to_dense()])
+    valency_minus_one = np.diag(np.array(graph.degrees(), dtype=np.int64) - 1)
+    bass_den = det_i_minus_pencil([graph.adjacency(), -valency_minus_one])
     chi = graph.n - graph.m  # Euler characteristic, <= 0 here
     one_minus_u2 = IntPoly((1, 0, -1))
     edge_form = RationalFunction(IntPoly.const(1), hashimoto_den)
@@ -143,22 +129,7 @@ def count_closed_walks(graph, length, budget=10_000_000):
     succ = [
         [j for j in by_src.get(v, ()) if j != (i ^ 1)] for i, (_, v) in enumerate(de)
     ]
-    total = 0
-    visited = 0
-    for start in range(len(de)):
-        stack = [(start, 1)]
-        while stack:
-            cur, depth = stack.pop()
-            visited += 1
-            if visited > budget:
-                raise ResourceLimit(f"DFS budget of {budget} nodes exceeded")
-            if depth == length:
-                if start in succ[cur]:
-                    total += 1
-                continue
-            for nxt in succ[cur]:
-                stack.append((nxt, depth + 1))
-    return total
+    return count_closed(succ, length, range(len(de)), budget)
 
 
 @dataclass

@@ -1,15 +1,17 @@
 """Exact polynomial linear algebra over the integers.
 
 IntPoly is a tuple of arbitrary-precision integer coefficients indexed by
-degree, with no trailing zeros (canonical form; () is zero).  PolyMatrix
-determinants are computed two ways: evaluation at the fixed integer points
-0, 1, -1, 2, -2, ... followed by exact interpolation, and fraction-free
-Bareiss elimination directly over Z[u].  Dimensions up to 12 always run
-both and cross-check.  Series carry exact Fraction coefficients to a
-recorded truncation order.
+degree, with no trailing zeros (canonical form; () is zero).  Every
+polynomial determinant is det(I - B1 u - ... - Bd u^d) of integer matrices,
+computed by det_i_minus_pencil as a reversed characteristic polynomial
+modulo primes and rebuilt by CRT from a proven coefficient bound.  Series
+carry exact Fraction coefficients to a recorded truncation order.
 """
 
 from fractions import Fraction
+from math import comb, isqrt
+
+import numpy as np
 
 from .errors import A2ZetaError
 
@@ -287,131 +289,98 @@ def bareiss_det_int(rows):
     return sign * m[n - 1][n - 1]
 
 
-class PolyMatrix:
-    """Square matrix with IntPoly entries."""
+def det_i_minus_pencil(blocks):
+    """det(I - B1 u - ... - Bd u^d) for square integer matrices B1..Bd, exactly.
 
-    def __init__(self, entries):
-        self.entries = [[e if isinstance(e, IntPoly) else IntPoly.const(e) for e in row] for row in entries]
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise A2ZetaError("PolyMatrix must be square")
-        self.n = n
-
-    @classmethod
-    def from_int_pencil(cls, *terms):
-        """Sum of degree-shifted integer matrices: terms are (matrix, degree, scale)."""
-        n = len(terms[0][0])
-        entries = [[IntPoly() for _ in range(n)] for _ in range(n)]
-        for mat, deg, scale in terms:
-            for i in range(n):
-                for j in range(n):
-                    v = mat[i][j] * scale
-                    if v:
-                        entries[i][j] = entries[i][j] + IntPoly.monomial(deg, v)
-        return cls(entries)
-
-    def max_entry_degree(self):
-        return max((e.degree for row in self.entries for e in row), default=-1)
-
-    def eval_int(self, x):
-        return [[e.eval_int(x) for e in row] for row in self.entries]
-
-    def det_interpolation(self, jobs=1):
-        d = max(self.max_entry_degree(), 0)
-        npts = self.n * d + 1
-        xs = evaluation_points(npts)
-        evaluated = [self.eval_int(x) for x in xs]
-        if jobs > 1 and self.n >= 16:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                ys = list(pool.map(bareiss_det_int, evaluated))
-        else:
-            ys = [bareiss_det_int(m) for m in evaluated]
-        return interpolate_integer(xs, ys)
-
-    def det_fraction_free(self):
-        """Bareiss elimination directly over Z[u]."""
-        n = self.n
-        if n == 0:
-            return ONE
-        m = [row[:] for row in self.entries]
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                pivot = next(
-                    (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-                )
-                if pivot is None:
-                    return ZERO
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divexact(prev)
-                m[i][k] = ZERO
-            prev = m[k][k]
-        return m[n - 1][n - 1] * sign
-
-
-def evaluation_points(npts):
-    """The fixed sequence 0, 1, -1, 2, -2, ..."""
-    pts = [0]
-    k = 1
-    while len(pts) < npts:
-        pts.append(k)
-        if len(pts) < npts:
-            pts.append(-k)
-        k += 1
-    return pts[:npts]
-
-
-def interpolate_integer(xs, ys):
-    """Exact interpolation through integer points; result must be integral."""
-    # Newton divided differences over Fractions, then expand.
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * n
-    poly[0] = coef[n - 1]
-    deg = 0
-    for i in range(n - 2, -1, -1):
-        # poly <- poly * (u - xs[i]) + coef[i]
-        for j in range(deg, -1, -1):
-            poly[j + 1] += poly[j]
-            poly[j] *= -xs[i]
-        deg += 1
-        poly[0] += coef[i]
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise A2ZetaError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return IntPoly(out)
-
-
-CROSSCHECK_DIM = 12
-
-
-def det_poly(matrix, jobs=1):
-    """Exact determinant of a PolyMatrix.
-
-    Uses evaluation plus interpolation; dimensions up to 12 also run
-    fraction-free elimination and assert agreement.  jobs > 1 evaluates
-    the points on a process pool; the interpolation is a deterministic
-    reduce, so the result is independent of scheduling.
+    With C the block companion matrix of the pencil, det(I - u C) equals
+    the pencil determinant, and it is the reversed characteristic
+    polynomial of C: its u^k coefficient is (-1)^k e_k(eigenvalues of C).
+    That polynomial is computed modulo primes p with N p^2 < 2^63
+    (N = dim C) and rebuilt by CRT to symmetric residues.  Every eigenvalue
+    has modulus at most rho, the largest absolute row sum of C, so
+    |e_k| <= C(N, k) rho^k, and primes are taken until their product
+    exceeds twice that bound: the result is exact by proof.  Entries must
+    fit in int64.
     """
-    if not isinstance(matrix, PolyMatrix):
-        matrix = PolyMatrix(matrix)
-    det = matrix.det_interpolation(jobs=jobs)
-    if matrix.n <= CROSSCHECK_DIM:
-        other = matrix.det_fraction_free()
-        if det != other:
-            raise A2ZetaError("determinant cross-check failed")
-    return det
+    c = _block_companion(blocks)
+    n = len(c)
+    if n == 0:
+        return ONE
+    rho = max(sum(abs(x) for x in row) for row in c.tolist())
+    bound = max(comb(n, k) * rho**k for k in range(n + 1))
+    coeffs, modulus = [0] * (n + 1), 1
+    for p in _primes_descending(isqrt((2**63 - 1) // (n + 1))):
+        residues = _charpoly_mod(c, p)[::-1].tolist()
+        inv = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((r - x) * inv % p) for x, r in zip(coeffs, residues)]
+        modulus *= p
+        if modulus > 2 * bound:
+            break
+    half = modulus // 2
+    return IntPoly([x - modulus if x > half else x for x in coeffs])
+
+
+def _block_companion(blocks):
+    """The dn x dn matrix [[B1 ... Bd], [I 0 ... 0], ..., [0 ... I 0]]; B1 when d = 1."""
+    if not len(blocks[0]):
+        return np.zeros((0, 0), dtype=np.int64)
+    top = np.hstack([np.asarray(b, dtype=np.int64) for b in blocks])
+    n, dn = top.shape
+    c = np.zeros((dn, dn), dtype=np.int64)
+    c[:n] = top
+    c[n:, :-n] = np.eye(dn - n, dtype=np.int64)
+    return c
+
+
+def _charpoly_mod(c, p):
+    """Coefficients of det(X I - C) mod p, lowest degree first.
+
+    C is brought to upper Hessenberg form H by similarity transforms, then
+    (Cohen, GTM 138, Algorithm 2.2.9) the leading minors' polynomials obey
+        p_m = X p_{m-1} - sum_{k<m} H[k, m-1] H[k+1, k] ... H[m-1, m-2] p_k,
+    evaluated with the coefficient rows of p_0..p_{m-1} as one array.  Each
+    dot product sums at most N terms below p^2, which the caller keeps
+    below 2^63.
+    """
+    h = c % p
+    n = len(h)
+    for m in range(n - 2):
+        nz = np.flatnonzero(h[m + 1 :, m])
+        if not nz.size:
+            continue
+        i = m + 1 + nz[0]
+        if i != m + 1:
+            h[[m + 1, i]] = h[[i, m + 1]]
+            h[:, [m + 1, i]] = h[:, [i, m + 1]]
+        u = h[m + 2 :, m] * pow(int(h[m + 1, m]), -1, p) % p
+        h[m + 2 :] = (h[m + 2 :] - np.outer(u, h[m + 1])) % p
+        h[:, m + 1] = (h[:, m + 1] + h[:, m + 2 :] @ u) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    t = np.zeros(n, dtype=np.int64)  # t[k] = H[k+1, k] ... H[m-1, m-2]
+    for m in range(1, n + 1):
+        t[m - 1] = 1
+        w = h[:m, m - 1] * t[:m] % p
+        polys[m, 1 : m + 1] = polys[m - 1, :m]
+        polys[m, :m] = (polys[m, :m] - w @ polys[:m, :m]) % p
+        if m < n:
+            t[:m] = t[:m] * h[m, m - 1] % p
+    return polys[n]
+
+
+def _primes_descending(limit):
+    """Primes p <= limit, largest first, for 61 < limit < 4759123141.
+
+    Miller-Rabin with bases 2, 7, 61 is deterministic in that range.
+    """
+    for n in range((limit - 1) | 1, 61, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+        d = (n - 1) >> s
+        if all(
+            pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+            for b in (2, 7, 61)
+        ):
+            yield n
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,7 @@ by source type makes the operator block-cyclic, and
 
     det(I - L u) = det(I - u^3 M),   M = product of the three blocks,
 
-which shrinks a 3n x 3n polynomial determinant to an n x n one.  The
-direct determinant is kept as a cross-check path.
+which shrinks a 3n x 3n polynomial determinant to an n x n one.
 """
 
 from dataclasses import dataclass
@@ -40,10 +39,9 @@ from .operators import (
 )
 from .polyint import (
     IntPoly,
-    PolyMatrix,
     RationalFunction,
     Series,
-    det_poly,
+    det_i_minus_pencil,
     poly_log_derivative,
     series_log_derivative,
 )
@@ -93,14 +91,9 @@ def cyclic_block_product(op, type_of, shift):
     return m
 
 
-def det_i_minus_u3(m, sign=1, jobs=1):
+def det_i_minus_u3(m, sign=1):
     """det(I - sign * u^3 * M) for an integer matrix M, exactly."""
-    n = len(m)
-    pencil = PolyMatrix.from_int_pencil(
-        (identity_matrix(n), 0, 1), (m, 1, -sign)
-    )
-    p = det_poly(pencil, jobs=jobs)
-    return p.substitute_power(3)
+    return det_i_minus_pencil([sign * np.asarray(m, dtype=np.int64)]).substitute_power(3)
 
 
 # ----------------------------------------------------------------------
@@ -124,59 +117,40 @@ class ZetaBundle:
             raise A2ZetaError("deg PE2 != 2 deg PE")
 
 
-def vertex_determinant(cx, A1=None, A2=None, jobs=1):
+def vertex_determinant(cx, A1=None, A2=None):
     """det(I - A1 u + q A2 u^2 - q^3 u^3 I), exact."""
     if A1 is None:
         A1, A2 = vertex_hecke(cx)
     q = cx.q
-    n = cx.n_vertices
-    pencil = PolyMatrix.from_int_pencil(
-        (identity_matrix(n), 0, 1),
-        (A1.to_dense(), 1, -1),
-        (A2.to_dense(), 2, q),
-        (identity_matrix(n), 3, -(q**3)),
+    return det_i_minus_pencil(
+        [
+            A1.to_dense(),
+            -q * np.array(A2.to_dense(), dtype=np.int64),
+            q**3 * np.eye(cx.n_vertices, dtype=np.int64),
+        ]
     )
-    return det_poly(pencil, jobs=jobs)
 
 
-def zeta_bundle(cx, use_blocks=True, jobs=1):
+def zeta_bundle(cx):
     """All four exact polynomials and the Euler characteristic."""
     require_valid(cx)
     A1, A2 = vertex_hecke(cx)
     LE = edge_operator(cx)
     LB = chamber_operator(cx)
-    dvertex = vertex_determinant(cx, A1, A2, jobs=jobs)
-    if use_blocks:
-        me = cyclic_block_product(LE, lambda e: edge_source_type(cx, e), 1)
-        pe = det_i_minus_u3(me, sign=1, jobs=jobs)
-        mb = cyclic_block_product(
-            LB, lambda i: source_type_of_directed_chamber(cx, i), 2
-        )
-        pb = det_i_minus_u3(mb, sign=-1, jobs=jobs)
-    else:
-        n = LE.dim
-        pe = det_poly(
-            PolyMatrix.from_int_pencil(
-                (identity_matrix(n), 0, 1), (LE.to_dense(), 1, -1)
-            ),
-            jobs=jobs,
-        )
-        n = LB.dim
-        pb = det_poly(
-            PolyMatrix.from_int_pencil(
-                (identity_matrix(n), 0, 1), (LB.to_dense(), 1, 1)
-            ),
-            jobs=jobs,
-        )
+    dvertex = vertex_determinant(cx, A1, A2)
+    me = cyclic_block_product(LE, lambda e: edge_source_type(cx, e), 1)
+    pe = det_i_minus_u3(me, sign=1)
+    mb = cyclic_block_product(LB, lambda i: source_type_of_directed_chamber(cx, i), 2)
+    pb = det_i_minus_u3(mb, sign=-1)
     pe2 = pe.substitute_power(2)
     return ZetaBundle(
         q=cx.q, chi=euler_characteristic(cx), dvertex=dvertex, pb=pb, pe=pe, pe2=pe2
     )
 
 
-def check_main_identity(cx, bundle=None, jobs=1):
+def check_main_identity(cx, bundle=None):
     """(1-u^3)^chi PE PE2 == Dvertex PB; returns (passed, residual)."""
-    b = bundle if bundle is not None else zeta_bundle(cx, jobs=jobs)
+    b = bundle if bundle is not None else zeta_bundle(cx)
     lhs = (one_minus_cube() ** b.chi) * b.pe * b.pe2
     rhs = b.dvertex * b.pb
     residual = lhs - rhs

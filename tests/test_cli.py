@@ -1,12 +1,21 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import a2zeta
 from a2zeta.fileio import serialize_graph
 from a2zeta.graphs import complete_graph
 from conftest import bundled_text
+
+# The CLI subprocess imports the same package as the tests, installed or not.
+PACKAGE_ROOT = str(Path(a2zeta.__file__).resolve().parent.parent)
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args):
@@ -14,6 +23,7 @@ def run_cli(*args):
         [sys.executable, "-m", "a2zeta.cli", *args],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -76,6 +86,20 @@ def test_usage_error_exit_2():
     assert code == 2
     code, _, err = run_cli("validate", "/nonexistent/file.cx3")
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["directory", "bare_q_line", "length_zero"])
+def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
+    bare_q = tmp_path / "bare_q.cx3"
+    bare_q.write_text("a2complex v1\nq\n")
+    argv = {
+        "directory": ["validate", str(tmp_path)],
+        "bare_q_line": ["validate", str(bare_q)],
+        "length_zero": ["enumerate", "galleries", cx_path, "--length", "0"],
+    }[case]
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert "Traceback" not in err
 
 
 def test_satake_cli():

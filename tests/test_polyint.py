@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from a2zeta.errors import A2ZetaError
 from a2zeta.polyint import (
     IntPoly,
-    PolyMatrix,
     RationalFunction,
     Series,
     bareiss_det_int,
-    det_poly,
-    evaluation_points,
+    det_i_minus_pencil,
     newton_power_sums,
     parse_poly_line,
     poly_log_derivative,
@@ -21,40 +21,94 @@ from a2zeta.polyint import (
 
 U = IntPoly.monomial(1)
 ONE = IntPoly.const(1)
+ZERO = IntPoly()
 
 
-def pencil_i_minus_xu(x):
-    n = len(x)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return PolyMatrix.from_int_pencil((eye, 0, 1), (x, 1, -1))
+def det_over_zu(entries):
+    """Reference: fraction-free Bareiss elimination directly over Z[u]."""
+    n = len(entries)
+    if n == 0:
+        return ONE
+    m = [row[:] for row in entries]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot is None:
+                return ZERO
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divexact(prev)
+            m[i][k] = ZERO
+        prev = m[k][k]
+    return m[n - 1][n - 1] * sign
+
+
+def pencil_entries(blocks):
+    """I - B1 u - ... - Bd u^d as a matrix of IntPoly entries."""
+    n = len(blocks[0])
+    return [
+        [
+            IntPoly([int(i == j)] + [-b[i][j] for b in blocks])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def pencil_at(blocks, x):
+    """I - B1 x - ... - Bd x^d as an integer matrix."""
+    n = len(blocks[0])
+    return [
+        [int(i == j) - sum(b[i][j] * x ** (k + 1) for k, b in enumerate(blocks)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def pencils(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 8))
+    row = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    return [draw(st.lists(row, min_size=n, max_size=n)) for _ in range(d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils())
+@example([[]])
+@example([[[0] * 4 for _ in range(4)]] * 3)
+def test_pencil_matches_integer_and_zu_oracles(blocks):
+    got = det_i_minus_pencil(blocks)
+    dn = len(blocks) * len(blocks[0])
+    assert got.degree <= dn and got[0] == 1
+    # a polynomial of degree <= dn is fixed by its values at dn + 1 points
+    for x in range(-(dn // 2), dn - dn // 2 + 1):
+        assert got.eval_int(x) == bareiss_det_int(pencil_at(blocks, x))
+    assert got == det_over_zu(pencil_entries(blocks))
+
+
+@pytest.mark.parametrize("n", [30, 1, 2, 3])
+def test_pencil_at_the_coefficient_bound(n):
+    """M = +-rho I attains |e_k| = C(N, k) rho^k, the bound the primes cover."""
+    for rho in [2**40] if n == 30 else [2**j for j in range(63)]:
+        for sign in (1, -1):
+            m = [[sign * rho * (i == j) for j in range(n)] for i in range(n)]
+            assert det_i_minus_pencil([m]) == IntPoly((1, -sign * rho)) ** n
 
 
 def test_det_zero_matrix_pencil_is_one():
-    assert det_poly(pencil_i_minus_xu([[0, 0], [0, 0]])) == ONE
+    assert det_i_minus_pencil([[[0, 0], [0, 0]]]) == ONE
 
 
 def test_det_k4_pencil_degree_and_constant_term():
     a = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
-    eye = [[int(i == j) for j in range(4)] for i in range(4)]
-    m = PolyMatrix.from_int_pencil((eye, 0, 1), (a, 1, -1), (eye, 2, 2))
-    det = m.det_fraction_free()  # the oracle route
-    assert det == det_poly(m)
+    minus_two = [[-2 * (i == j) for j in range(4)] for i in range(4)]
+    det = det_i_minus_pencil([a, minus_two])
+    assert det == det_over_zu(pencil_entries([a, minus_two]))
     assert det.degree == 8 and det[0] == 1
-
-
-def test_interpolation_matches_fraction_free_randomized():
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        entries = [
-            [
-                IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        m = PolyMatrix(entries)
-        assert m.det_interpolation() == m.det_fraction_free()
 
 
 def test_block_determinant_multiplicativity():
@@ -70,12 +124,8 @@ def test_block_determinant_multiplicativity():
             [y[i - nx][j - nx] if j >= nx else 0 for j in range(nx + ny)]
             for i in range(nx, nx + ny)
         ]
-        lhs = det_poly(pencil_i_minus_xu(x)) * det_poly(pencil_i_minus_xu(y))
-        assert lhs == det_poly(pencil_i_minus_xu(blk))
-
-
-def test_evaluation_points_sequence():
-    assert evaluation_points(6) == [0, 1, -1, 2, -2, 3]
+        lhs = det_i_minus_pencil([x]) * det_i_minus_pencil([y])
+        assert lhs == det_i_minus_pencil([blk])
 
 
 def test_bareiss_int_known_values():

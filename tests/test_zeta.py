@@ -1,14 +1,15 @@
 import pytest
 
 from a2zeta.errors import A2ZetaError
-from a2zeta.operators import chamber_operator, identity_matrix, vertex_hecke
+from a2zeta.operators import chamber_operator, edge_operator, identity_matrix, vertex_hecke
+from a2zeta.planes import build_plane
 from a2zeta.polyint import (
     IntPoly,
-    PolyMatrix,
     RationalFunction,
-    det_poly,
+    det_i_minus_pencil,
     series_log_derivative,
 )
+from a2zeta.presentations import complex_from_presentation, search_triangle_presentations
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
@@ -43,19 +44,19 @@ def test_constant_terms(bundle):
         assert p[0] == 1
 
 
-def test_block_reduction_matches_direct_determinants(bundled_cx, bundle):
-    direct = zeta_bundle(bundled_cx, use_blocks=False)
-    assert direct.pe == bundle.pe
-    assert direct.pb == bundle.pb
+@pytest.fixture(scope="module")
+def q4_cx():
+    tp = search_triangle_presentations(build_plane(4), limit=1, seed=0)[0]
+    return complex_from_presentation(tp)
 
 
-def test_parallel_determinants_identical(bundled_cx, bundle):
-    parallel = zeta_bundle(bundled_cx, use_blocks=False, jobs=2)
-    assert (parallel.dvertex, parallel.pb, parallel.pe) == (
-        bundle.dvertex,
-        bundle.pb,
-        bundle.pe,
-    )
+def test_block_reduction_matches_direct_determinants(corpus, q4_cx):
+    """PE = det(I - LE u) and PB = det(I + LB u) on the full operators."""
+    for cx in corpus + [q4_cx]:
+        b = zeta_bundle(cx)
+        assert b.pe == det_i_minus_pencil([edge_operator(cx).to_dense()])
+        lb = chamber_operator(cx).to_dense()
+        assert b.pb == det_i_minus_pencil([[[-v for v in row] for row in lb]])
 
 
 def test_main_identity_pass(bundled_cx, bundle):
@@ -68,12 +69,10 @@ def test_main_identity_fails_under_perturbation(bundled_cx, bundle):
     entries = dict(lb.entries)
     entries.pop(sorted(entries)[0])
     n = lb.dim
-    dense = [[0] * n for _ in range(n)]
+    minus_dense = [[0] * n for _ in range(n)]
     for (r, c), v in entries.items():
-        dense[r][c] = v
-    pb = det_poly(
-        PolyMatrix.from_int_pencil((identity_matrix(n), 0, 1), (dense, 1, 1))
-    )
+        minus_dense[r][c] = -v
+    pb = det_i_minus_pencil([minus_dense])
     lhs = one_minus_cube() ** bundle.chi * bundle.pe * bundle.pe2
     assert not (lhs - bundle.dvertex * pb).is_zero()
 
@@ -132,8 +131,6 @@ def test_zeta_functions_identities(bundled_cx, bundle):
 
 
 def test_z1_log_derivative_counts(bundled_cx, bundle):
-    from a2zeta.operators import edge_operator
-
     zf = zeta_functions(bundled_cx, bundle)
     series = series_log_derivative(zf["Z1"], 6)
     le = edge_operator(bundled_cx)
