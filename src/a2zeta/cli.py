@@ -339,7 +339,7 @@ def build_parser():
     c.set_defaults(func=cmd_check_ramanujan)
     c = chk.add_parser("section9", parents=[common])
     c.add_argument("complex")
-    c.add_argument("--degree", type=int, required=True)
+    c.add_argument("--degree", type=nonnegative, required=True)
     c.set_defaults(func=cmd_check_series)
 
     s = sub.add_parser(
@@ -369,7 +369,7 @@ def build_parser():
     c.set_defaults(func=cmd_building)
     c = bld.add_parser("tamagawa", parents=[common])
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--degree", type=int, required=True)
+    c.add_argument("--degree", type=nonnegative, required=True)
     c.add_argument("--radius", type=nonnegative, required=True)
     c.set_defaults(func=cmd_building)
     c = bld.add_parser("geodesic", parents=[common])
@@ -382,14 +382,14 @@ def build_parser():
     sat = s.add_subparsers(dest="satake_cmd", required=True)
     c = sat.add_parser("verify", parents=[common])
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--degree", type=int, required=True)
+    c.add_argument("--degree", type=nonnegative, required=True)
     c.set_defaults(func=cmd_satake)
 
     s = sub.add_parser("tp", help="triangle presentation search and build")
     tps = s.add_subparsers(dest="tp_cmd", required=True)
     c = tps.add_parser("search", parents=[common])
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--limit", type=int, default=1)
+    c.add_argument("--limit", type=nonnegative, default=1)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
     c.set_defaults(func=cmd_tp)

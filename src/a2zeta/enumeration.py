@@ -71,8 +71,6 @@ def _count_chunk(args):
 
 def _count(succ, length, budget, jobs):
     starts = list(range(len(succ)))
-    if length == 1:
-        return sum(1 for e in starts if e in succ[e])
     if jobs and jobs > 1:
         chunks = [starts[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -101,7 +99,7 @@ def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET, jobs=1):
 def count_galleries(cx, length, budget=DEFAULT_BUDGET, jobs=1):
     """Based tailless type-1 closed galleries of the given length (>= 3)."""
     if length < 3:
-        raise ValueError("gallery length must be >= 3")
+        raise NotAGallery("gallery length must be >= 3")
     return _count(_chamber_successors(cx), length, budget, jobs)
 
 

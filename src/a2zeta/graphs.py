@@ -40,10 +40,10 @@ class Graph:
         return deg
 
     def adjacency(self):
-        a = [[0] * self.n for _ in range(self.n)]
+        a = np.zeros((self.n, self.n), dtype=np.int64)
         for u, v in self.edges:
-            a[u][v] += 1
-            a[v][u] += 1
+            a[u, v] += 1
+            a[v, u] += 1
         return a
 
     def is_connected(self):
@@ -104,8 +104,9 @@ def ihara_zeta(graph):
     if min(graph.degrees()) < 2:
         raise DegreeTooLow("graph must have minimum degree 2")
     hashimoto_den = det_i_minus_pencil([edge_adjacency(graph).to_dense()])
-    valency_minus_one = np.diag(np.array(graph.degrees(), dtype=np.int64) - 1)
-    bass_den = det_i_minus_pencil([graph.adjacency(), -valency_minus_one])
+    a = graph.adjacency()
+    # the valencies are the row sums of A, so -(D - I) = diag(1 - rowsum)
+    bass_den = det_i_minus_pencil([a, np.diag(1 - a.sum(axis=1))])
     chi = graph.n - graph.m  # Euler characteristic, <= 0 here
     one_minus_u2 = IntPoly((1, 0, -1))
     edge_form = RationalFunction(IntPoly.const(1), hashimoto_den)
@@ -152,7 +153,7 @@ def ramanujan_graph_check(graph, tol=1e-9):
         raise NotRegular(f"degrees {sorted(set(degs))} are not constant")
     k = degs[0]
     q = k - 1
-    eig = sorted(np.linalg.eigvalsh(np.array(graph.adjacency(), dtype=float)))
+    eig = sorted(np.linalg.eigvalsh(graph.adjacency()))
     trivial, nontrivial = [], list(eig)
     for target in (float(k), float(-k)):
         hits = [x for x in nontrivial if abs(x - target) <= tol]

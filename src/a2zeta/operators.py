@@ -2,7 +2,9 @@
 
 All matrices are multiplicity-aware integer matrices over deterministic
 index orders: vertices and type-1 edges by their ids, directed chambers in
-(chamber, slot) order, i.e. index 3*chamber + slot.
+(chamber, slot) order, i.e. index 3*chamber + slot.  Their dense views are
+int64 numpy arrays, which hold any multiplicity; products whose entries can
+grow are taken in object dtype, whose entries are Python ints.
 
 Neighbor rules on a validated complex:
 
@@ -13,6 +15,8 @@ Neighbor rules on a validated complex:
   LB[(C,e)][(C',e')]  1 when C' != C shares the edge following e in C's
              cycle, and e' is the edge following that shared edge in C'.
 """
+
+import numpy as np
 
 from .complexes import directed_chambers
 from .errors import A2ZetaError
@@ -43,18 +47,14 @@ class SparseOperator:
         )
 
     def to_dense(self):
-        m = [[0] * self.dim for _ in range(self.dim)]
+        m = np.zeros((self.dim, self.dim), dtype=np.int64)
         for (r, c), v in self.entries.items():
-            m[r][c] = v
+            m[r, c] = v
         return m
 
     def trace_power(self, n):
-        """Tr A^n by repeated sparse-times-dense multiplication."""
-        dense = self.to_dense()
-        acc = dense
-        for _ in range(n - 1):
-            acc = mat_mul(acc, dense)
-        return sum(acc[i][i] for i in range(self.dim))
+        """Tr A^n, exactly: the power is taken over Python ints."""
+        return int(np.linalg.matrix_power(self.to_dense().astype(object), n).trace())
 
     def __eq__(self, other):
         return (
@@ -70,22 +70,6 @@ class SparseOperator:
         for (r, c) in sorted(self.entries):
             lines.append(f"{r} {c} {self.entries[(r, c)]}")
         return "\n".join(lines) + "\n"
-
-
-def mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a
-    ]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def identity_matrix(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def vertex_hecke(cx):

@@ -30,9 +30,6 @@ class ProjectivePlane:
         """Point x line boolean matrix."""
         return [[p in L for L in self.lines] for p in range(self.n)]
 
-    def lines_through(self, p):
-        return [j for j, L in enumerate(self.lines) if p in L]
-
 
 def _normalized_triples(F):
     q = F.q

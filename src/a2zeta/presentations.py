@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .complexes import TypedComplex, require_valid
 from .errors import PresentationInvalid
 from .gf import GF
-from .planes import ProjectivePlane, build_plane
+from .planes import ProjectivePlane
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,3 @@ def complex_from_presentation(tp):
     require_valid(cx)
     return cx
 
-
-def bundled_presentation(q=2):
-    """The golden presentation: first search hit at seed 0."""
-    plane = build_plane(q)
-    found = search_triangle_presentations(plane, limit=1, seed=0)
-    if not found:
-        raise PresentationInvalid(f"no presentation found for q={q}")
-    return found[0]

@@ -31,8 +31,6 @@ from .errors import A2ZetaError, RootFindingFailure
 from .operators import (
     chamber_operator,
     edge_operator,
-    identity_matrix,
-    mat_mul,
     source_type_of_directed_chamber,
     edge_source_type,
     vertex_hecke,
@@ -63,37 +61,26 @@ def cyclic_block_product(op, type_of, shift):
 
     The operator must map type t to type t + shift (mod 3).  Returns the
     square integer matrix M with det(I - u Op) = det(I - u^3 M), namely the
-    product B[0]B[shift]B[2*shift] of the blocks starting from type 0.
+    product B[0]B[shift]B[2*shift] of the blocks starting from type 0, as an
+    object array of Python ints.
     """
-    idx_by_type = [[], [], []]
-    for i in range(op.dim):
-        idx_by_type[type_of(i)].append(i)
-    sizes = [len(ix) for ix in idx_by_type]
-    if len(set(sizes)) != 1:
+    types = np.array([type_of(i) for i in range(op.dim)], dtype=np.int64)
+    idx = [np.flatnonzero(types == t) for t in range(3)]
+    if len({len(ix) for ix in idx}) != 1:
         raise A2ZetaError("type classes have unequal sizes")
-    pos = {}
-    for t in range(3):
-        for k, i in enumerate(idx_by_type[t]):
-            pos[i] = (t, k)
-    n = sizes[0]
-    blocks = {t: [[0] * n for _ in range(n)] for t in range(3)}
-    for (r, c), v in op.entries.items():
-        tr, kr = pos[r]
-        tc, kc = pos[c]
-        if tc != (tr + shift) % 3:
-            raise A2ZetaError("operator does not shift types uniformly")
-        blocks[tr][kr][kc] = v
-    m = blocks[0]
-    t = shift % 3
-    for _ in range(2):
-        m = mat_mul(m, blocks[t])
-        t = (t + shift) % 3
-    return m
+    dense = op.to_dense()
+    if dense[(types[:, None] + shift) % 3 != types].any():
+        raise A2ZetaError("operator does not shift types uniformly")
+
+    def block(t):
+        return dense[np.ix_(idx[t], idx[(t + shift) % 3])].astype(object)
+
+    return block(0) @ block(shift % 3) @ block(2 * shift % 3)
 
 
 def det_i_minus_u3(m, sign=1):
     """det(I - sign * u^3 * M) for an integer matrix M, exactly."""
-    return det_i_minus_pencil([sign * np.asarray(m, dtype=np.int64)]).substitute_power(3)
+    return det_i_minus_pencil([sign * np.asarray(m)]).substitute_power(3)
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +112,7 @@ def vertex_determinant(cx, A1=None, A2=None):
     return det_i_minus_pencil(
         [
             A1.to_dense(),
-            -q * np.array(A2.to_dense(), dtype=np.int64),
+            -q * A2.to_dense(),
             q**3 * np.eye(cx.n_vertices, dtype=np.int64),
         ]
     )
@@ -190,8 +177,7 @@ class HeckeSeriesTable:
         return self.aggregates[k]
 
     def trace(self, k):
-        m = self.aggregates[k]
-        return sum(m[i][i] for i in range(len(m)))
+        return int(self.aggregates[k].trace())
 
 
 def hecke_series(cx, order):
@@ -202,29 +188,17 @@ def hecke_series(cx, order):
     and the aggregate of degree k is S_k - S_{k-3}.
     """
     require_valid(cx)
-    A1m, A2m = (op.to_dense() for op in vertex_hecke(cx))
+    A1m, A2m = (op.to_dense().astype(object) for op in vertex_hecke(cx))
     q = cx.q
-    n = cx.n_vertices
-    s = [identity_matrix(n)]
+    s = [np.identity(cx.n_vertices, dtype=object)]
     for k in range(1, order + 1):
-        acc = mat_mul(A1m, s[k - 1])
+        acc = A1m @ s[k - 1]
         if k >= 2:
-            m2 = mat_mul(A2m, s[k - 2])
-            acc = [[a - q * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, m2)]
+            acc = acc - q * (A2m @ s[k - 2])
         if k >= 3:
-            acc = [
-                [a + q**3 * b for a, b in zip(ra, rb)]
-                for ra, rb in zip(acc, s[k - 3])
-            ]
+            acc = acc + q**3 * s[k - 3]
         s.append(acc)
-    aggregates = []
-    for k in range(order + 1):
-        if k >= 3:
-            aggregates.append(
-                [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(s[k], s[k - 3])]
-            )
-        else:
-            aggregates.append([row[:] for row in s[k]])
+    aggregates = [s[k] - s[k - 3] if k >= 3 else s[k] for k in range(order + 1)]
     return HeckeSeriesTable(aggregates)
 
 

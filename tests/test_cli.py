@@ -88,7 +88,20 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
-@pytest.mark.parametrize("case", ["directory", "bare_q_line", "length_zero"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "directory",
+        "bare_q_line",
+        "length_zero",
+        "gallery_length_1",
+        "gallery_length_2",
+        "section9_negative_degree",
+        "tamagawa_negative_degree",
+        "satake_negative_degree",
+        "search_negative_limit",
+    ],
+)
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     bare_q = tmp_path / "bare_q.cx3"
     bare_q.write_text("a2complex v1\nq\n")
@@ -96,6 +109,14 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "directory": ["validate", str(tmp_path)],
         "bare_q_line": ["validate", str(bare_q)],
         "length_zero": ["enumerate", "galleries", cx_path, "--length", "0"],
+        "gallery_length_1": ["enumerate", "galleries", cx_path, "--length", "1"],
+        "gallery_length_2": ["enumerate", "galleries", cx_path, "--length", "2"],
+        "section9_negative_degree": ["check", "section9", cx_path, "--degree", "-1"],
+        "tamagawa_negative_degree": [
+            "building", "tamagawa", "--q", "2", "--degree", "-1", "--radius", "1"
+        ],
+        "satake_negative_degree": ["satake", "verify", "--q", "2", "--degree", "-1"],
+        "search_negative_limit": ["tp", "search", "--q", "2", "--limit", "-1"],
     }[case]
     code, _, err = run_cli(*argv)
     assert code == 2

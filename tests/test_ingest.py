@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from a2zeta.complexes import validate
@@ -98,7 +99,7 @@ def test_complex_from_presentation_structure(bundled_cx):
     a1, _ = vertex_hecke(bundled_cx)
     dense = a1.to_dense()
     # every type-1 edge goes i -> i+1 with the full multiplicity 7
-    assert dense == [[0, 7, 0], [0, 0, 7], [7, 0, 0]]
+    assert np.array_equal(dense, [[0, 7, 0], [0, 0, 7], [7, 0, 0]])
 
 
 def test_search_results_all_validate():

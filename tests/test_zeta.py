@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from a2zeta.complexes import TypedComplex
 from a2zeta.errors import A2ZetaError
-from a2zeta.operators import chamber_operator, edge_operator, identity_matrix, vertex_hecke
+from a2zeta.operators import SparseOperator, chamber_operator, edge_operator, vertex_hecke
 from a2zeta.planes import build_plane
 from a2zeta.polyint import (
     IntPoly,
@@ -13,6 +17,7 @@ from a2zeta.presentations import complex_from_presentation, search_triangle_pres
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
+    cyclic_block_product,
     hecke_series,
     one_minus_cube,
     ramanujan_check,
@@ -55,8 +60,49 @@ def test_block_reduction_matches_direct_determinants(corpus, q4_cx):
     for cx in corpus + [q4_cx]:
         b = zeta_bundle(cx)
         assert b.pe == det_i_minus_pencil([edge_operator(cx).to_dense()])
-        lb = chamber_operator(cx).to_dense()
-        assert b.pb == det_i_minus_pencil([[[-v for v in row] for row in lb]])
+        assert b.pb == det_i_minus_pencil([-chamber_operator(cx).to_dense()])
+
+
+def relabeled(cx, rnd):
+    """cx with its vertex, edge and chamber ids permuted at random."""
+    pv = rnd.sample(range(cx.n_vertices), cx.n_vertices)
+    pe = rnd.sample(range(cx.n_edges), cx.n_edges)
+    types = [None] * cx.n_vertices
+    for v, t in enumerate(cx.vertex_types):
+        types[pv[v]] = t
+    edges = [None] * cx.n_edges
+    for e, (s, d) in enumerate(cx.edges):
+        edges[pe[e]] = (pv[s], pv[d])
+    chambers = [tuple(pe[e] for e in tri) for tri in cx.chambers]
+    rnd.shuffle(chambers)
+    return TypedComplex(cx.q, types, edges, chambers)
+
+
+@pytest.fixture(scope="module")
+def q2_q3_bundles(bundled_cx, q3_cx):
+    return [(cx, zeta_bundle(cx)) for cx in (bundled_cx, q3_cx)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_polynomials_invariant_under_relabeling(q2_q3_bundles, rnd):
+    # the bundle's equality compares Dvertex, PE, PE2 and PB (and q, chi)
+    for cx, want in q2_q3_bundles:
+        assert zeta_bundle(relabeled(cx, rnd)) == want
+
+
+@pytest.mark.parametrize(
+    "types, entries",
+    [
+        ((0, 1, 2, 2), {}),  # type classes of sizes 1, 1 and 2
+        ((0, 1, 2), {(0, 1): 1, (1, 1): 1}),  # 1 -> 1 does not shift by 1
+    ],
+    ids=["unequal_classes", "wrong_shift"],
+)
+def test_cyclic_block_product_rejects_bad_operators(types, entries):
+    op = SparseOperator("test", len(types), entries)
+    with pytest.raises(A2ZetaError):
+        cyclic_block_product(op, types.__getitem__, 1)
 
 
 def test_main_identity_pass(bundled_cx, bundle):
@@ -93,17 +139,15 @@ def test_trivial_factor_divisibility(corpus):
 def test_hecke_series_low_degrees(bundled_cx):
     table = hecke_series(bundled_cx, 9)
     a1, a2 = vertex_hecke(bundled_cx)
-    assert table.aggregate(0) == identity_matrix(3)
-    assert table.aggregate(1) == a1.to_dense()
+    assert np.array_equal(table.aggregate(0), np.identity(3))
+    assert np.array_equal(table.aggregate(1), a1.to_dense())
     for k in range(10):
         assert all(v >= 0 for row in table.aggregate(k) for v in row)
 
 
 def test_hecke_operators_commute(bundled_cx):
-    from a2zeta.operators import mat_mul
-
     a1, a2 = (op.to_dense() for op in vertex_hecke(bundled_cx))
-    assert mat_mul(a1, a2) == mat_mul(a2, a1)
+    assert np.array_equal(a1 @ a2, a2 @ a1)
 
 
 def test_series_identity(bundled_cx, bundle):
