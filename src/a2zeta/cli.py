@@ -22,7 +22,7 @@ from .enumeration import (
     count_galleries,
     count_type1_geodesics,
     enumerate_galleries,
-    gallery_boundary,
+    gallery_boundaries,
 )
 from .errors import A2ZetaError, ValidationFailure
 from .gf import GF, parse_poly
@@ -166,21 +166,15 @@ def cmd_check_series(args, out):
 def cmd_enumerate(args, out):
     cx = _load_complex(args.complex)
     if args.kind == "geodesics":
-        count = count_type1_geodesics(cx, args.length, jobs=args.jobs)
-        out.emit("geodesics", count)
+        out.emit("geodesics", count_type1_geodesics(cx, args.length))
         return PASS
-    count = count_galleries(cx, args.length, jobs=args.jobs)
-    out.emit("galleries", count)
-    if args.boundary_check:
-        ok = True
-        for g in enumerate_galleries(cx, args.length):
-            cycles = gallery_boundary(cx, g)
-            want = 2 if args.length % 2 == 0 else 1
-            if len(cycles) != want:
-                ok = False
-                break
-        out.emit("boundary_check", "pass" if ok else "fail")
-        return PASS if ok else FAIL
+    if not args.boundary_check:
+        out.emit("galleries", count_galleries(cx, args.length))
+        return PASS
+    galleries = enumerate_galleries(cx, args.length)
+    out.emit("galleries", len(galleries))
+    gallery_boundaries(cx, galleries)  # raises NotAGallery on a broken boundary
+    out.emit("boundary_check", "pass")
     return PASS
 
 
@@ -295,7 +289,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "records"], default="text")
     common.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for DFS enumerations"
+        "--jobs", type=positive, default=1, help="accepted for compatibility; no effect"
     )
 
     p = argparse.ArgumentParser(
@@ -381,7 +375,7 @@ def build_parser():
     s = sub.add_parser("satake", help="symmetric-function recursion checks")
     sat = s.add_subparsers(dest="satake_cmd", required=True)
     c = sat.add_parser("verify", parents=[common])
-    c.add_argument("--q", type=int, required=True)
+    c.add_argument("--q", type=_int_at_least(2), required=True)
     c.add_argument("--degree", type=nonnegative, required=True)
     c.set_defaults(func=cmd_satake)
 

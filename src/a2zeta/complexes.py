@@ -273,6 +273,8 @@ def _check_links(cx):
             for slot, e in enumerate(tri):
                 if cx.edge_src(e) == v:
                     pairs.append((e, tri[(slot + 2) % 3]))
+        if any(cx.edge_dst(b) != v for _, b in pairs):
+            return Check("link_condition", False, f"vertex {v}: chamber not chained")
         if len(pairs) != len(set(pairs)):
             return Check("link_condition", False, f"vertex {v}: repeated pairing")
         deg_out = Counter(p[0] for p in pairs)

@@ -6,10 +6,10 @@ the operator matrices) and counts by depth-first search, so an agreement
 with a matrix trace is a genuine two-route check.
 
 Counts are of based objects: the starting edge or chamber is distinguished,
-matching what a trace counts.  Budgets cap the number of DFS node visits.
+matching what a trace counts.  One walker, closed_walks, does every search
+(graphs.count_closed_walks uses it too): the counts count its walks and
+enumerate_galleries lists them.  A budget caps its DFS node visits.
 """
-
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import NotAGallery, ResourceLimit
 
@@ -44,121 +44,98 @@ def _chamber_successors(cx):
     return [sorted(row) for row in succ]
 
 
-def count_closed(succ, length, starts, budget):
-    """Closed successor walks of the given length, grouped by start element."""
+def closed_walks(succ, length, budget):
+    """Every based closed successor walk of the given length, as a tuple.
+
+    A walk (v_1, ..., v_n) steps from each v_i to an entry of succ[v_i], and
+    closes when v_1 is in succ[v_n].  Walks come start by start, in the
+    order of the successor lists.  Each node of the DFS tree, leaves
+    included, is one visit; ResourceLimit is raised once the visits exceed
+    budget.  The last step is taken inside its parent's successor loop, so
+    a leaf costs one membership test and no stack entry.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    closes = [set() for _ in succ]  # closes[s]: the v with s in succ[v]
+    for v, row in enumerate(succ):
+        for s in row:
+            closes[s].add(v)
     visited = 0
-    total = 0
-    for start in starts:
-        stack = [(start, 1)]
+    for start in range(len(succ)):
+        ends = closes[start]
+        stack = [()]
         while stack:
-            cur, depth = stack.pop()
-            visited += 1
+            path = stack.pop()
+            nexts = succ[path[-1]] if path else (start,)
+            visited += len(nexts)
             if visited > budget:
                 raise ResourceLimit(f"DFS budget of {budget} nodes exceeded")
-            if depth == length:
-                if start in succ[cur]:
-                    total += 1
-                continue
-            for nxt in succ[cur]:
-                stack.append((nxt, depth + 1))
-    return total
+            if len(path) == length - 1:
+                for nxt in nexts:
+                    if nxt in ends:
+                        yield path + (nxt,)
+            else:
+                for nxt in reversed(nexts):
+                    stack.append(path + (nxt,))
 
 
-def _count_chunk(args):
-    succ, length, starts, budget = args
-    return count_closed(succ, length, starts, budget)
-
-
-def _count(succ, length, budget, jobs):
-    starts = list(range(len(succ)))
-    if jobs and jobs > 1:
-        chunks = [starts[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _count_chunk,
-                    [(succ, length, chunk, budget) for chunk in chunks],
-                )
-            )
-        return sum(parts)
-    return count_closed(succ, length, starts, budget)
-
-
-def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET, jobs=1):
+def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET):
     """Based tailless type-1 closed geodesics of the given length.
 
     Closed edge sequences (e_1, ..., e_n) chained head to tail, every
     consecutive pair (wrap-around included) avoiding a common chamber.
     Equals Tr LE^n, but computed without any matrix arithmetic.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return _count(_edge_successors(cx), length, budget, jobs)
+    return sum(1 for _ in closed_walks(_edge_successors(cx), length, budget))
 
 
-def count_galleries(cx, length, budget=DEFAULT_BUDGET, jobs=1):
-    """Based tailless type-1 closed galleries of the given length (>= 3)."""
+def _gallery_walks(cx, length, budget):
     if length < 3:
         raise NotAGallery("gallery length must be >= 3")
-    return _count(_chamber_successors(cx), length, budget, jobs)
+    return closed_walks(_chamber_successors(cx), length, budget)
+
+
+def count_galleries(cx, length, budget=DEFAULT_BUDGET):
+    """Based tailless type-1 closed galleries of the given length (>= 3)."""
+    return sum(1 for _ in _gallery_walks(cx, length, budget))
 
 
 def enumerate_galleries(cx, length, budget=DEFAULT_BUDGET):
     """All based closed galleries as tuples of directed-chamber indices."""
-    succ = _chamber_successors(cx)
-    out = []
-    visited = 0
-    for start in range(len(succ)):
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            visited += 1
-            if visited > budget:
-                raise ResourceLimit(f"DFS budget of {budget} nodes exceeded")
-            if len(path) == length:
-                if start in succ[path[-1]]:
-                    out.append(path)
-                continue
-            for nxt in succ[path[-1]]:
-                stack.append(path + (nxt,))
-    return out
+    return list(_gallery_walks(cx, length, budget))
 
 
-def gallery_boundary(cx, gallery):
-    """Boundary edge cycle(s) of a closed gallery.
+def gallery_boundaries(cx, galleries):
+    """Boundary edge cycle(s) of each closed gallery, in the given order.
 
     For a closed gallery of length 3m the distinguished edges taken every
     other chamber form two edge cycles of length 3m/2 when 3m is even and a
     single cycle of length 3m when 3m is odd.  Each returned cycle is
     verified to be closed under the tailless edge-adjacency rule.
     """
-    L = len(gallery)
-    if L < 3 or L % 3 != 0:
-        raise NotAGallery(f"length {L} is not a positive multiple of 3")
     succ = _chamber_successors(cx)
-    for a, b in zip(gallery, gallery[1:] + gallery[:1]):
-        if b not in succ[a]:
-            raise NotAGallery(f"{a} -> {b} is not a chamber adjacency")
-    edges = []
-    for idx in gallery:
-        cid, slot = divmod(idx, 3)
-        edges.append(cx.chambers[cid][slot])
-
-    cycles = []
-    if L % 2 == 0:
-        for offset in (0, 1):
-            cycles.append(tuple(edges[(offset + 2 * j) % L] for j in range(L // 2)))
-    else:
-        cycles.append(tuple(edges[(2 * j) % L] for j in range(L)))
-
     esucc = _edge_successors(cx)
-    for cyc in cycles:
-        for e, f in zip(cyc, cyc[1:] + cyc[:1]):
-            if f not in esucc[e]:
-                raise NotAGallery(
-                    f"boundary pair {e} -> {f} violates the edge adjacency rule"
-                )
-    return cycles
+    out = []
+    for gallery in galleries:
+        L = len(gallery)
+        if L < 3 or L % 3 != 0:
+            raise NotAGallery(f"length {L} is not a positive multiple of 3")
+        for a, b in zip(gallery, gallery[1:] + gallery[:1]):
+            if b not in succ[a]:
+                raise NotAGallery(f"{a} -> {b} is not a chamber adjacency")
+        edges = [cx.chambers[idx // 3][idx % 3] for idx in gallery]
+        if L % 2 == 0:
+            cycles = [edges[offset::2] for offset in (0, 1)]
+        else:
+            cycles = [(edges + edges)[::2]]
+        for cyc in cycles:
+            for e, f in zip(cyc, cyc[1:] + cyc[:1]):
+                if f not in esucc[e]:
+                    raise NotAGallery(
+                        f"boundary pair {e} -> {f} violates the edge adjacency rule"
+                    )
+        out.append([tuple(cyc) for cyc in cycles])
+    return out
 
 
 def shift_equivalence_classes(galleries):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import A2ZetaError, DegreeTooLow, NotRegular
-from .enumeration import count_closed
+from .enumeration import closed_walks
 from .operators import SparseOperator
 from .polyint import IntPoly, RationalFunction, det_i_minus_pencil
 
@@ -121,8 +121,6 @@ def count_closed_walks(graph, length, budget=10_000_000):
 
     Based count over directed edges; equals Tr Ae^n without using matrices.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
     de = directed_edges(graph)
     by_src = {}
     for i, (s, _) in enumerate(de):
@@ -130,7 +128,7 @@ def count_closed_walks(graph, length, budget=10_000_000):
     succ = [
         [j for j in by_src.get(v, ()) if j != (i ^ 1)] for i, (_, v) in enumerate(de)
     ]
-    return count_closed(succ, length, range(len(de)), budget)
+    return sum(1 for _ in closed_walks(succ, length, budget))
 
 
 @dataclass

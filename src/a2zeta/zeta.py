@@ -41,7 +41,6 @@ from .polyint import (
     Series,
     det_i_minus_pencil,
     poly_log_derivative,
-    series_log_derivative,
 )
 
 ONE = IntPoly.const(1)
@@ -62,20 +61,22 @@ def cyclic_block_product(op, type_of, shift):
     The operator must map type t to type t + shift (mod 3).  Returns the
     square integer matrix M with det(I - u Op) = det(I - u^3 M), namely the
     product B[0]B[shift]B[2*shift] of the blocks starting from type 0, as an
-    object array of Python ints.
+    object array of Python ints.  Block t holds the rows of type t; an index
+    keeps its order within its type class.
     """
-    types = np.array([type_of(i) for i in range(op.dim)], dtype=np.int64)
-    idx = [np.flatnonzero(types == t) for t in range(3)]
-    if len({len(ix) for ix in idx}) != 1:
+    types = [type_of(i) for i in range(op.dim)]
+    pos, sizes = [], [0, 0, 0]
+    for t in types:
+        pos.append(sizes[t])
+        sizes[t] += 1
+    if len(set(sizes)) != 1:
         raise A2ZetaError("type classes have unequal sizes")
-    dense = op.to_dense()
-    if dense[(types[:, None] + shift) % 3 != types].any():
-        raise A2ZetaError("operator does not shift types uniformly")
-
-    def block(t):
-        return dense[np.ix_(idx[t], idx[(t + shift) % 3])].astype(object)
-
-    return block(0) @ block(shift % 3) @ block(2 * shift % 3)
+    blocks = np.zeros((3, sizes[0], sizes[0]), dtype=object)
+    for (r, c), v in op.entries.items():
+        if types[c] != (types[r] + shift) % 3:
+            raise A2ZetaError("operator does not shift types uniformly")
+        blocks[types[r], pos[r], pos[c]] = v
+    return blocks[0] @ blocks[shift % 3] @ blocks[2 * shift % 3]
 
 
 def det_i_minus_u3(m, sign=1):
@@ -159,29 +160,12 @@ def zeta_functions(cx, bundle=None):
 # Hecke series on the quotient
 
 
-class HeckeSeriesTable:
-    """Aggregate Hecke matrices by algebraic length.
-
-    aggregate(k) is the sum over n + 2m = k of the type-(n, m) counting
-    matrices; individual summands beyond degree 1 are not reconstructed.
-    """
-
-    def __init__(self, aggregates):
-        self.aggregates = aggregates
-
-    @property
-    def order(self):
-        return len(self.aggregates) - 1
-
-    def aggregate(self, k):
-        return self.aggregates[k]
-
-    def trace(self, k):
-        return int(self.aggregates[k].trace())
-
-
 def hecke_series(cx, order):
     """Coefficients of (1 - u^3)(I - A1 u + q A2 u^2 - q^3 u^3 I)^{-1}.
+
+    Returns the aggregate Hecke matrices for k = 0..order: aggregate k is the
+    sum over n + 2m = k of the type-(n, m) counting matrices; individual
+    summands beyond degree 1 are not reconstructed.
 
     The inverse-series coefficients S_k satisfy
         S_k = A1 S_{k-1} - q A2 S_{k-2} + q^3 S_{k-3} + [k = 0] I,
@@ -198,8 +182,7 @@ def hecke_series(cx, order):
         if k >= 3:
             acc = acc + q**3 * s[k - 3]
         s.append(acc)
-    aggregates = [s[k] - s[k - 3] if k >= 3 else s[k] for k in range(order + 1)]
-    return HeckeSeriesTable(aggregates)
+    return [s[k] - s[k - 3] if k >= 3 else s[k] for k in range(order + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +227,7 @@ def check_series_identity(cx, order, bundle=None):
     table = hecke_series(cx, order)
     # the (0, 0) term is excluded from the counting series
     trace_series = Series(
-        [0] + [table.trace(k) for k in range(1, order + 1)], order
+        [0] + [int(table[k].trace()) for k in range(1, order + 1)], order
     )
     weight = Series.from_poly(one_minus_cube(q * q), order) * Series.from_poly(
         one_minus_cube(), order

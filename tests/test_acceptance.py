@@ -15,7 +15,7 @@ from a2zeta.enumeration import (
     count_galleries,
     count_type1_geodesics,
     enumerate_galleries,
-    gallery_boundary,
+    gallery_boundaries,
 )
 from a2zeta.graphs import (
     complete_graph,
@@ -126,8 +126,7 @@ def test_criterion_07_boundary_structure(bundled_cx):
     for length, cycle_count in ((6, 2), (9, 1)):
         galleries = enumerate_galleries(bundled_cx, length)
         assert galleries
-        for g in galleries:
-            cycles = gallery_boundary(bundled_cx, g)
+        for cycles in gallery_boundaries(bundled_cx, galleries):
             assert len(cycles) == cycle_count
             want = length // 2 if length % 2 == 0 else length
             assert all(len(c) == want for c in cycles)

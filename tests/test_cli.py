@@ -1,13 +1,20 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import a2zeta
-from a2zeta.fileio import serialize_graph
-from a2zeta.graphs import complete_graph
+from a2zeta import cli
+from a2zeta.errors import A2ZetaError
+from a2zeta.fileio import parse_complex, parse_graph, parse_presentation, serialize_graph
+from a2zeta.graphs import complete_graph, petersen_graph
 from conftest import bundled_text
 
 # The CLI subprocess imports the same package as the tests, installed or not.
@@ -100,6 +107,10 @@ def test_usage_error_exit_2():
         "tamagawa_negative_degree",
         "satake_negative_degree",
         "search_negative_limit",
+        "satake_q_0",
+        "satake_q_1",
+        "jobs_0",
+        "jobs_negative",
     ],
 )
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
@@ -117,6 +128,10 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         ],
         "satake_negative_degree": ["satake", "verify", "--q", "2", "--degree", "-1"],
         "search_negative_limit": ["tp", "search", "--q", "2", "--limit", "-1"],
+        "satake_q_0": ["satake", "verify", "--q", "0", "--degree", "2"],
+        "satake_q_1": ["satake", "verify", "--q", "1", "--degree", "2"],
+        "jobs_0": ["enumerate", "geodesics", cx_path, "--length", "3", "--jobs", "0"],
+        "jobs_negative": ["enumerate", "geodesics", cx_path, "--length", "3", "--jobs", "-3"],
     }[case]
     code, _, err = run_cli(*argv)
     assert code == 2
@@ -191,3 +206,63 @@ def test_tp_build_round_trip(tmp_path):
     code, out, _ = run_cli("tp", "build", str(tp_file), "--out", str(tmp_path / "c.cx3"))
     assert code == 0
     assert (tmp_path / "c.cx3").read_text() == bundled_text("bundled_q2.cx3")
+
+
+@st.composite
+def mutated(draw, text):
+    """text after one to three line deletions, truncations or token swaps."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "truncate", "swap"]))
+        if kind == "delete":
+            lines = text.splitlines(keepends=True)
+            if lines:
+                del lines[draw(st.integers(0, len(lines) - 1))]
+            text = "".join(lines)
+        elif kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        else:
+            toks = re.split(r"(\s+)", text)
+            words = [i for i, tok in enumerate(toks) if tok and not tok.isspace()]
+            if words:
+                i, j = draw(st.sampled_from(words)), draw(st.sampled_from(words))
+                toks[i], toks[j] = toks[j], toks[i]
+            text = "".join(toks)
+    return text
+
+
+FUZZ_INPUTS = {
+    "validate": (["validate"], bundled_text("bundled_q2.cx3"), parse_complex),
+    "check_identity": (["check", "identity"], bundled_text("bundled_q2.cx3"), parse_complex),
+    "tp_build": (["tp", "build"], bundled_text("bundled_q2.tp"), parse_presentation),
+    "graph_zeta": (["graph", "zeta"], serialize_graph(petersen_graph()), parse_graph),
+}
+
+
+def parses(parse, text):
+    try:
+        parse(text)
+    except A2ZetaError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_INPUTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_input_keeps_exit_code_contract(command, fuzz_dir, data):
+    """A damaged input file never escapes cli.main as an exception, always
+    exits 0, 1 or 2, and exits 1 (a failed check) only when it parses."""
+    argv, text, parse = FUZZ_INPUTS[command]
+    text = data.draw(mutated(text))
+    path = fuzz_dir / "input"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert parses(parse, text)

@@ -44,6 +44,16 @@ def test_deleted_chamber_fails_chamber_count(bundled_cx):
     assert "edge_in_q_plus_1_chambers" in failing
 
 
+def test_unchained_chambers_fail_link_condition(bundled_cx):
+    # edge 2 now ends at vertex 2 and edge 20 starts at vertex 1, so the
+    # chambers through them no longer close up: a failed check, not a crash
+    edges = list(bundled_cx.edges)
+    edges[2], edges[20] = (0, 2), (1, 0)
+    cx = TypedComplex(bundled_cx.q, bundled_cx.vertex_types, edges, bundled_cx.chambers)
+    failing = {c.name for c in validate(cx) if not c.passed}
+    assert {"chamber_chaining", "link_condition"} <= failing
+
+
 def test_self_loop_violates_type_increment():
     # single vertex with q^2+q+1 self-loops in and out
     cx = TypedComplex(2, [0], [(0, 0)] * 7, [])

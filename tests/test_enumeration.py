@@ -1,10 +1,11 @@
 import pytest
 
 from a2zeta.enumeration import (
+    closed_walks,
     count_galleries,
     count_type1_geodesics,
     enumerate_galleries,
-    gallery_boundary,
+    gallery_boundaries,
     shift_equivalence_classes,
 )
 from a2zeta.errors import NotAGallery, ResourceLimit
@@ -28,20 +29,37 @@ def test_gallery_counts_match_traces(bundled_cx):
         assert count_galleries(bundled_cx, length) == lb.trace_power(length)
 
 
-def test_jobs_parallel_agrees(bundled_cx):
-    assert count_type1_geodesics(bundled_cx, 6, jobs=2) == count_type1_geodesics(
-        bundled_cx, 6
-    )
-
-
 def test_resource_limit(bundled_cx):
     with pytest.raises(ResourceLimit):
         count_type1_geodesics(bundled_cx, 9, budget=100)
 
 
+@pytest.mark.parametrize(
+    "succ, length, walks, visits",
+    [
+        # directed triangle K3: Tr (J - I)^3 = 6, DFS tree 1 + 2 + 4 per start
+        ([[1, 2], [0, 2], [0, 1]], 3, 6, 21),
+        # a loop at 0 and 0 <-> 1: the single node is its own leaf at length 1
+        ([[0, 1], [0]], 1, 1, 2),
+        ([[0, 1], [0]], 4, 7, 18),
+    ],
+    ids=["k3_length3", "loop_length1", "loop_length4"],
+)
+def test_closed_walks_and_budget(succ, length, walks, visits):
+    """Every yielded walk is closed, and each DFS node, leaves included,
+    is one visit: a budget of exactly the tree size passes, one less raises."""
+    found = list(closed_walks(succ, length, visits))
+    assert len(found) == len(set(found)) == walks
+    for w in found:
+        assert len(w) == length
+        assert all(b in succ[a] for a, b in zip(w, w[1:] + w[:1]))
+    with pytest.raises(ResourceLimit):
+        list(closed_walks(succ, length, visits - 1))
+
+
 def test_boundary_of_length6_galleries(bundled_cx):
-    for g in enumerate_galleries(bundled_cx, 6):
-        cycles = gallery_boundary(bundled_cx, g)
+    galleries = enumerate_galleries(bundled_cx, 6)
+    for cycles in gallery_boundaries(bundled_cx, galleries):
         assert len(cycles) == 2
         assert all(len(c) == 3 for c in cycles)
 
@@ -49,30 +67,30 @@ def test_boundary_of_length6_galleries(bundled_cx):
 def test_boundary_of_length9_galleries(bundled_cx):
     galleries = enumerate_galleries(bundled_cx, 9)
     assert galleries  # ramified classes exist on the bundled complex
-    for g in galleries[:200]:
-        cycles = gallery_boundary(bundled_cx, g)
+    for cycles in gallery_boundaries(bundled_cx, galleries[:200]):
         assert len(cycles) == 1
         assert len(cycles[0]) == 9
 
 
 def test_boundary_shift_consistency(bundled_cx):
-    for g in enumerate_galleries(bundled_cx, 6)[:20]:
-        shifted = g[1:] + g[:1]
-        orig = gallery_boundary(bundled_cx, g)
-        moved = gallery_boundary(bundled_cx, shifted)
+    def rotations(c):
+        return {tuple(c[(i + k) % len(c)] for i in range(len(c))) for k in range(len(c))}
 
-        def rotations(c):
-            return {tuple(c[(i + k) % len(c)] for i in range(len(c))) for k in range(len(c))}
-
+    galleries = enumerate_galleries(bundled_cx, 6)[:20]
+    shifted = [g[1:] + g[:1] for g in galleries]
+    for orig, moved in zip(
+        gallery_boundaries(bundled_cx, galleries),
+        gallery_boundaries(bundled_cx, shifted),
+    ):
         for cyc in moved:
             assert any(tuple(cyc) in rotations(c) for c in orig)
 
 
 def test_not_a_gallery_errors(bundled_cx):
     with pytest.raises(NotAGallery):
-        gallery_boundary(bundled_cx, (0, 1, 2, 3))  # length not multiple of 3
+        gallery_boundaries(bundled_cx, [(0, 1, 2, 3)])  # length not multiple of 3
     with pytest.raises(NotAGallery):
-        gallery_boundary(bundled_cx, (0, 0, 0))  # not an adjacency chain
+        gallery_boundaries(bundled_cx, [(0, 0, 0)])  # not an adjacency chain
 
 
 def test_shift_classes_divide_length(bundled_cx):

@@ -139,10 +139,10 @@ def test_trivial_factor_divisibility(corpus):
 def test_hecke_series_low_degrees(bundled_cx):
     table = hecke_series(bundled_cx, 9)
     a1, a2 = vertex_hecke(bundled_cx)
-    assert np.array_equal(table.aggregate(0), np.identity(3))
-    assert np.array_equal(table.aggregate(1), a1.to_dense())
+    assert np.array_equal(table[0], np.identity(3))
+    assert np.array_equal(table[1], a1.to_dense())
     for k in range(10):
-        assert all(v >= 0 for row in table.aggregate(k) for v in row)
+        assert all(v >= 0 for row in table[k] for v in row)
 
 
 def test_hecke_operators_commute(bundled_cx):
@@ -228,7 +228,7 @@ def test_trivial_zero_matcher_on_cube_factor_alone():
 def test_hecke_aggregates_nonnegative_q3(q3_cx):
     table = hecke_series(q3_cx, 6)
     for k in range(7):
-        assert all(v >= 0 for row in table.aggregate(k) for v in row)
+        assert all(v >= 0 for row in table[k] for v in row)
 
 
 def test_z2_pole_exponents_in_3z(bundle):
