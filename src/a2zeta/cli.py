@@ -25,7 +25,7 @@ from .enumeration import (
     gallery_boundaries,
 )
 from .errors import A2ZetaError, ValidationFailure
-from .gf import GF, parse_poly
+from .gf import GF
 from .graphs import ihara_zeta, ramanujan_graph_check
 from .operators import chamber_operator, edge_operator, vertex_hecke
 from .planes import build_plane
@@ -62,15 +62,7 @@ def _load_graph(path):
 
 
 def _read_matrix(path, field):
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(tuple(parse_poly(field, tok) for tok in line.split()))
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise A2ZetaError(f"{path}: expected a 3x3 matrix, one row per line")
-    return tuple(rows)
+    return fileio.parse_matrix(Path(path).read_text(), field)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Line-oriented file formats: complexes, presentations, graphs.
+"""Line-oriented file formats: complexes, presentations, graphs, matrices.
 
 All formats are UTF-8 text with one record per line and ids consecutive
 from 0, so serialize-then-parse is the identity and files are diffable.
@@ -6,6 +6,7 @@ from 0, so serialize-then-parse is the identity and files are diffable.
 
 from .complexes import TypedComplex
 from .errors import ParseError
+from .gf import parse_poly
 from .graphs import Graph
 from .planes import build_plane
 from .presentations import TrianglePresentation
@@ -153,3 +154,17 @@ def serialize_graph(g):
     for u, v in g.edges:
         out.append(f"edge {u} {v}")
     return "\n".join(out) + "\n"
+
+
+def parse_matrix(text, F):
+    """A 3x3 matrix of polynomials in t over the field F, one row per line."""
+    lines = _Lines(text)
+    rows = []
+    for _ in range(3):
+        lineno, toks = lines.next()
+        if len(toks) != 3:
+            raise ParseError(lineno, f"a matrix row needs 3 entries, got {len(toks)}")
+        rows.append(tuple(parse_poly(F, tok, lineno) for tok in toks))
+    if not lines.done():
+        raise ParseError(lines.rows[lines.pos][0], "trailing content")
+    return tuple(rows)

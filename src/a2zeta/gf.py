@@ -17,7 +17,7 @@ model the ring F_q[t] with t the uniformizer of F_q((t)).
 
 from fractions import Fraction
 
-from .errors import UnsupportedOrder
+from .errors import ParseError, UnsupportedOrder
 
 _MODULUS = {4: (2, 2, (1, 1)), 8: (2, 3, (1, 1, 0)), 9: (3, 2, (1, 0))}
 
@@ -180,6 +180,8 @@ def pmod_tpow(a, k):
 def punit_inverse(F, u, n):
     """Inverse of a unit u (u[0] != 0) in F_q[[t]] modulo t^n."""
     inv0 = F.inv(u[0])
+    if len(u) == 1:
+        return (inv0,)
     out = [inv0] + [0] * (n - 1)
     for i in range(1, n):
         s = 0
@@ -198,8 +200,11 @@ def pfloordiv_tpow(a, k):
     return ptrim(a[k:])
 
 
-def parse_poly(F, text):
-    """Parse a polynomial in t such as '1+t^2+2t' over GF(q)."""
+def parse_poly(F, text, line=1):
+    """Parse a polynomial in t such as '1+t^2+2t' over GF(q).
+
+    A malformed term raises ParseError, reported at the given line.
+    """
     text = text.replace(" ", "").replace("-", "+-")
     coeffs = {}
     for term in text.split("+"):
@@ -208,12 +213,15 @@ def parse_poly(F, text):
         neg = term.startswith("-")
         if neg:
             term = term[1:]
-        if "t" in term:
-            head, _, tail = term.partition("t")
-            c = int(head) if head else 1
-            e = int(tail[1:]) if tail.startswith("^") else (1 if not tail else int(tail))
-        else:
-            c, e = int(term), 0
+        try:
+            if "t" in term:
+                head, _, tail = term.partition("t")
+                c = int(head) if head else 1
+                e = int(tail[1:]) if tail.startswith("^") else (1 if not tail else int(tail))
+            else:
+                c, e = int(term), 0
+        except ValueError:
+            raise ParseError(line, f"bad polynomial term {term!r}") from None
         c %= F.q  # literal coefficients are element ids
         if neg:
             c = F.neg(c)

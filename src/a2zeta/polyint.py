@@ -296,25 +296,27 @@ def det_i_minus_pencil(blocks):
     the pencil determinant, and it is the reversed characteristic
     polynomial of C: its u^k coefficient is (-1)^k e_k(eigenvalues of C).
     That polynomial is computed modulo primes p with N p^2 < 2^63
-    (N = dim C) and rebuilt by CRT to symmetric residues.  Every eigenvalue
-    has modulus at most rho, the largest absolute row sum of C, so
-    |e_k| <= C(N, k) rho^k, and primes are taken until their product
-    exceeds twice that bound: the result is exact by proof.  Entries must
-    fit in int64.
+    (N = dim C) and rebuilt by CRT to symmetric residues.  e_k is the sum
+    of the C(N, k) principal k x k minors of C, and by Hadamard's
+    inequality each minor is at most the product of its rows' 2-norms,
+    each at most sqrt(r) with r the largest squared row 2-norm of C.  So
+    |e_k| <= C(N, k) r^(k/2), and primes are taken until their product m
+    has m^2 > 4 C(N, k)^2 r^k for every k: m exceeds 2 |e_k|, and the result
+    is exact by proof, with no square root taken.  Entries must fit in int64.
     """
     c = _block_companion(blocks)
     n = len(c)
     if n == 0:
         return ONE
-    rho = max(sum(abs(x) for x in row) for row in c.tolist())
-    bound = max(comb(n, k) * rho**k for k in range(n + 1))
+    r = max(sum(x * x for x in row) for row in c.tolist())
+    bound = max(comb(n, k) ** 2 * r**k for k in range(n + 1))
     coeffs, modulus = [0] * (n + 1), 1
     for p in _primes_descending(isqrt((2**63 - 1) // (n + 1))):
         residues = _charpoly_mod(c, p)[::-1].tolist()
         inv = pow(modulus, -1, p)
-        coeffs = [x + modulus * ((r - x) * inv % p) for x, r in zip(coeffs, residues)]
+        coeffs = [x + modulus * ((y - x) * inv % p) for x, y in zip(coeffs, residues)]
         modulus *= p
-        if modulus > 2 * bound:
+        if modulus**2 > 4 * bound:
             break
     half = modulus // 2
     return IntPoly([x - modulus if x > half else x for x in coeffs])
@@ -353,7 +355,8 @@ def _charpoly_mod(c, p):
             h[[m + 1, i]] = h[[i, m + 1]]
             h[:, [m + 1, i]] = h[:, [i, m + 1]]
         u = h[m + 2 :, m] * pow(int(h[m + 1, m]), -1, p) % p
-        h[m + 2 :] = (h[m + 2 :] - np.outer(u, h[m + 1])) % p
+        # rows m+1 and below are already zero left of column m
+        h[m + 2 :, m:] = (h[m + 2 :, m:] - np.outer(u, h[m + 1, m:])) % p
         h[:, m + 1] = (h[:, m + 1] + h[:, m + 2 :] @ u) % p
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1

@@ -61,8 +61,11 @@ def cyclic_block_product(op, type_of, shift):
     The operator must map type t to type t + shift (mod 3).  Returns the
     square integer matrix M with det(I - u Op) = det(I - u^3 M), namely the
     product B[0]B[shift]B[2*shift] of the blocks starting from type 0, as an
-    object array of Python ints.  Block t holds the rows of type t; an index
-    keeps its order within its type class.
+    int64 array.  Block t holds the rows of type t; an index keeps its order
+    within its type class.  Multiplicities are nonnegative, so the product of
+    the three blocks' largest row sums, each taken at least 1, bounds every
+    block entry, every entry of the product and every partial sum on the
+    way; the blocks are multiplied in int64 only while it is below 2^63.
     """
     types = [type_of(i) for i in range(op.dim)]
     pos, sizes = [], [0, 0, 0]
@@ -71,7 +74,12 @@ def cyclic_block_product(op, type_of, shift):
         sizes[t] += 1
     if len(set(sizes)) != 1:
         raise A2ZetaError("type classes have unequal sizes")
-    blocks = np.zeros((3, sizes[0], sizes[0]), dtype=object)
+    largest = [1, 1, 1]
+    for t, s in zip(types, op.row_sums()):
+        largest[t] = max(largest[t], s)
+    if largest[0] * largest[1] * largest[2] >= 2**63:
+        raise A2ZetaError("block product may overflow int64")
+    blocks = np.zeros((3, sizes[0], sizes[0]), dtype=np.int64)
     for (r, c), v in op.entries.items():
         if types[c] != (types[r] + shift) % 3:
             raise A2ZetaError("operator does not shift types uniformly")

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import a2zeta
 from a2zeta import cli
 from a2zeta.errors import A2ZetaError
-from a2zeta.fileio import parse_complex, parse_graph, parse_presentation, serialize_graph
+from a2zeta.fileio import (
+    parse_complex,
+    parse_graph,
+    parse_matrix,
+    parse_presentation,
+    serialize_graph,
+)
+from a2zeta.gf import GF
 from a2zeta.graphs import complete_graph, petersen_graph
 from conftest import bundled_text
 
@@ -111,11 +118,17 @@ def test_usage_error_exit_2():
         "satake_q_1",
         "jobs_0",
         "jobs_negative",
+        "relpos_bad_exponent",
+        "lcan_bad_term",
     ],
 )
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     bare_q = tmp_path / "bare_q.cx3"
     bare_q.write_text("a2complex v1\nq\n")
+    bad_exponent = tmp_path / "bad_exponent.mat"
+    bad_exponent.write_text("1 0 0\n0 t^ 0\n0 0 1\n")
+    bad_term = tmp_path / "bad_term.mat"
+    bad_term.write_text("1 0 0\n0 1 0\n0 0 x\n")
     argv = {
         "directory": ["validate", str(tmp_path)],
         "bare_q_line": ["validate", str(bare_q)],
@@ -132,6 +145,11 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "satake_q_1": ["satake", "verify", "--q", "1", "--degree", "2"],
         "jobs_0": ["enumerate", "geodesics", cx_path, "--length", "3", "--jobs", "0"],
         "jobs_negative": ["enumerate", "geodesics", cx_path, "--length", "3", "--jobs", "-3"],
+        "relpos_bad_exponent": [
+            "building", "relpos", "--q", "2",
+            "--left", str(bad_exponent), "--right", str(bad_exponent),
+        ],
+        "lcan_bad_term": ["building", "lcan", "--q", "2", "--matrix", str(bad_term)],
     }[case]
     code, _, err = run_cli(*argv)
     assert code == 2
@@ -235,6 +253,11 @@ FUZZ_INPUTS = {
     "check_identity": (["check", "identity"], bundled_text("bundled_q2.cx3"), parse_complex),
     "tp_build": (["tp", "build"], bundled_text("bundled_q2.tp"), parse_presentation),
     "graph_zeta": (["graph", "zeta"], serialize_graph(petersen_graph()), parse_graph),
+    "building_lcan": (
+        ["building", "lcan", "--q", "3", "--matrix"],
+        "1+t 2t^2 0\n0 t 1+2t\nt^3 0 1\n",
+        lambda text: parse_matrix(text, GF(3)),
+    ),
 }
 
 

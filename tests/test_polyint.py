@@ -99,6 +99,26 @@ def test_pencil_at_the_coefficient_bound(n):
             assert det_i_minus_pencil([m]) == IntPoly((1, -sign * rho)) ** n
 
 
+def sylvester_hadamard(n):
+    """The n x n Sylvester Hadamard matrix, n a power of 2."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_pencil_at_the_hadamard_bound(n):
+    """s H_n has H_n^2 = n I, so det(I - u s H_n) = (1 - n s^2 u^2)^(n/2); its
+    top coefficient meets Hadamard's bound (n s^2)^(n/2), the bound the
+    primes cover."""
+    h = sylvester_hadamard(n)
+    for j in range(63):
+        s = 2**j
+        m = [[s * x for x in row] for row in h]
+        assert det_i_minus_pencil([m]) == IntPoly((1, 0, -n * s * s)) ** (n // 2)
+
+
 def test_det_zero_matrix_pencil_is_one():
     assert det_i_minus_pencil([[[0, 0], [0, 0]]]) == ONE
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,23 @@ def q4_cx():
     return complex_from_presentation(tp)
 
 
+# sha256 of the coefficient strings of the exact polynomials of the seed-0
+# q=5 search-built complex (PB has degree 558).
+Q5_DIGESTS = {
+    "dvertex": "3630a73e61c1edf49aaf48571d8cb8132b239244d5c9db94a3843d25c58567c2",
+    "pe": "fe6c2d1b5eb10e1d74d6cd91d49ba0f5a68593d4e6e1f777679c1a6136c6dd11",
+    "pb": "f31881389e5b1e82df6a72ceb97b238eef9123f621acaa135fa07ce6aa327b50",
+}
+
+
+def test_q5_polynomials_pinned():
+    tp = search_triangle_presentations(build_plane(5), limit=1, seed=0)[0]
+    b = zeta_bundle(complex_from_presentation(tp))
+    for name, want in Q5_DIGESTS.items():
+        text = " ".join(map(str, getattr(b, name).coeffs))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
 def test_block_reduction_matches_direct_determinants(corpus, q4_cx):
     """PE = det(I - LE u) and PB = det(I + LB u) on the full operators."""
     for cx in corpus + [q4_cx]:
@@ -96,8 +115,10 @@ def test_polynomials_invariant_under_relabeling(q2_q3_bundles, rnd):
     [
         ((0, 1, 2, 2), {}),  # type classes of sizes 1, 1 and 2
         ((0, 1, 2), {(0, 1): 1, (1, 1): 1}),  # 1 -> 1 does not shift by 1
+        # the product of the largest row sums reaches 2^63
+        ((0, 1, 2), {(0, 1): 2**21, (1, 2): 2**21, (2, 0): 2**21}),
     ],
-    ids=["unequal_classes", "wrong_shift"],
+    ids=["unequal_classes", "wrong_shift", "overflowing_multiplicities"],
 )
 def test_cyclic_block_product_rejects_bad_operators(types, entries):
     op = SparseOperator("test", len(types), entries)
