@@ -16,8 +16,9 @@ The Hecke recursion checker exploits that the composed-operator kernel
 K(x, base) is constant on relative-position classes: the group acts
 transitively on ordered vertex pairs of fixed relative position (that is
 what the double-coset decomposition says), so evaluating one vertex per
-class verifies the identity everywhere.  A full-ball evaluation is kept as
-a cross-check path.
+class verifies the identity everywhere.  The geodesic criterion reads the
+(n, 0) sphere off one breadth-first ball on the same LocalBuilding that
+its path search uses.
 """
 
 from dataclasses import dataclass
@@ -307,9 +308,8 @@ class Ball:
 DEFAULT_VERTEX_CAP = 2_000_000
 
 
-def ball(q, r, cap=DEFAULT_VERTEX_CAP):
-    """Breadth-first closure of the origin under both neighbor maps."""
-    B = LocalBuilding(q)
+def ball(B, r, cap=DEFAULT_VERTEX_CAP):
+    """Breadth-first closure of the origin of B under both neighbor maps."""
     base = B.origin()
     vertices = [base]
     index = {base: 0}
@@ -342,7 +342,7 @@ def ball(q, r, cap=DEFAULT_VERTEX_CAP):
             nbr1[i], nbr2[i] = ids
         frontier = next_frontier
     return Ball(
-        q=q, radius=r, vertices=vertices, index=index, sphere=sphere, nbr1=nbr1, nbr2=nbr2
+        q=B.q, radius=r, vertices=vertices, index=index, sphere=sphere, nbr1=nbr1, nbr2=nbr2
     )
 
 
@@ -415,27 +415,6 @@ def verify_tamagawa(q, degree, r):
     return True
 
 
-def verify_tamagawa_full(q, degree, r, cap=DEFAULT_VERTEX_CAP):
-    """Same identity evaluated at every vertex of the ball (cross-check path)."""
-    if r < degree + 1:
-        raise BallTooSmall(f"need r >= degree+1 = {degree + 1}, got {r}")
-    B = LocalBuilding(q)
-    bl = ball(q, r, cap=cap)
-    base = bl.vertices[0]
-    h = _delta_image(B, base)
-    for x in bl.vertices:
-        total = IntPoly()
-        for y, val in h.items():
-            pos = B.relative_position(x, y)
-            if pos.lA <= degree:
-                total = total + IntPoly.monomial(pos.lA) * val
-        total = IntPoly(total.coeffs[: degree + 1])
-        want = IntPoly((1, 0, 0, -1)[: degree + 1]) if x == base else IntPoly()
-        if total != want:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # geodesic criterion
 
@@ -446,7 +425,8 @@ def verify_geodesic_criterion(q, n, r):
     Enumerates every length-n type-1 path from the origin whose consecutive
     edges avoid completing a chamber (the new endpoint must not be adjacent
     to the previous vertex), and asserts that the endpoints are exactly the
-    vertices at relative position (n, 0), each reached by exactly one path.
+    vertices at relative position (n, 0), given by sphere_n0 on the same
+    building, each reached by exactly one path.
     """
     if r < n:
         raise BallTooSmall(f"need r >= n = {n}, got {r}")
@@ -463,15 +443,30 @@ def verify_geodesic_criterion(q, n, r):
         for w in B.neighbors(cur, 1):
             if length == 0 or w not in blocked:
                 stack.append((cur, w, length + 1))
-    bl = ball(q, n)
-    sphere_n0 = [
-        v
-        for v, s in zip(bl.vertices, bl.sphere)
-        if s == n and B.relative_position(base, v) == RelativePosition(n, 0)
-    ]
-    return sorted(endpoint_count.values()) == [1] * len(sphere_n0) and set(
+    endpoints = sphere_n0(B, n)
+    return sorted(endpoint_count.values()) == [1] * len(endpoints) and set(
         endpoint_count
-    ) == set(sphere_n0)
+    ) == endpoints
+
+
+def sphere_n0(B, n):
+    """The set of vertices at relative position (n, 0) from the origin of B.
+
+    A type-1 step from position (k - 1, 0) lands at (k, 0) exactly when it
+    moves one step away from the origin, so sphere (k, 0) is the set of
+    type-1 neighbors of sphere (k - 1, 0) at distance k.  One BFS of radius
+    n - 1 gives the distances; a neighbor outside that ball is at distance n.
+    """
+    bl = ball(B, n - 1)
+
+    def distance(w):
+        j = bl.index.get(w)
+        return n if j is None else bl.sphere[j]
+
+    sphere = {B.origin()}
+    for k in range(1, n + 1):
+        sphere = {w for v in sphere for w in B.neighbors(v, 1) if distance(w) == k}
+    return sphere
 
 
 # ----------------------------------------------------------------------

@@ -172,7 +172,7 @@ def cmd_enumerate(args, out):
 
 def cmd_building(args, out):
     if args.building_cmd == "ball":
-        bl = ball(args.q, args.radius)
+        bl = ball(LocalBuilding(args.q), args.radius)
         for s, size in enumerate(bl.sphere_sizes()):
             out.emit(f"sphere.{s}", size)
         if args.adjacency:

@@ -263,16 +263,19 @@ def validate(cx):
 def _check_links(cx):
     q = cx.q
     m = q * q + q + 1
+    out_edges = [[] for _ in range(cx.n_vertices)]
+    in_edges = [[] for _ in range(cx.n_vertices)]
+    for e, (s, d) in enumerate(cx.edges):
+        out_edges[s].append(e)
+        in_edges[d].append(e)
+    # one link edge per chamber containing v, pairing the chamber's
+    # out-edge at v with its in-edge at v
+    link_pairs = [[] for _ in range(cx.n_vertices)]
+    for tri in cx.chambers:
+        for slot, e in enumerate(tri):
+            link_pairs[cx.edge_src(e)].append((e, tri[(slot + 2) % 3]))
     for v in range(cx.n_vertices):
-        outs = [e for e in range(cx.n_edges) if cx.edge_src(e) == v]
-        ins = [e for e in range(cx.n_edges) if cx.edge_dst(e) == v]
-        # one link edge per chamber containing v, pairing the chamber's
-        # out-edge at v with its in-edge at v
-        pairs = []
-        for tri in cx.chambers:
-            for slot, e in enumerate(tri):
-                if cx.edge_src(e) == v:
-                    pairs.append((e, tri[(slot + 2) % 3]))
+        outs, ins, pairs = out_edges[v], in_edges[v], link_pairs[v]
         if any(cx.edge_dst(b) != v for _, b in pairs):
             return Check("link_condition", False, f"vertex {v}: chamber not chained")
         if len(pairs) != len(set(pairs)):

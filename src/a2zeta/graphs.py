@@ -146,6 +146,8 @@ class GraphSpectrumReport:
 
 def ramanujan_graph_check(graph, tol=1e-9):
     """Spectral expander test for a (q+1)-regular graph."""
+    if not 0 < tol <= 1e-3:
+        raise A2ZetaError("tol must be in (0, 1e-3]")
     degs = graph.degrees()
     if len(set(degs)) != 1:
         raise NotRegular(f"degrees {sorted(set(degs))} are not constant")

@@ -5,7 +5,9 @@ degree, with no trailing zeros (canonical form; () is zero).  Every
 polynomial determinant is det(I - B1 u - ... - Bd u^d) of integer matrices,
 computed by det_i_minus_pencil as a reversed characteristic polynomial
 modulo primes and rebuilt by CRT from a proven coefficient bound.  Series
-carry exact Fraction coefficients to a recorded truncation order.
+is the one truncated power series type: generic in its coefficient ring, it
+carries exact Fraction coefficients for the zeta identities and SymPoly
+coefficients for the Satake-side recursion checks.
 """
 
 from fractions import Fraction
@@ -130,24 +132,10 @@ class IntPoly:
             raise A2ZetaError("inexact polynomial division")
         return IntPoly(q)
 
-    def divides(self, other):
-        """True if self divides other exactly (over Q, checked over Z)."""
-        try:
-            other.divexact(self)
-            return True
-        except A2ZetaError:
-            return False
-
     # -- calculus and substitution
 
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_int(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def substitute_power(self, k):
         """p(u) -> p(u^k)."""
@@ -245,48 +233,13 @@ class IntPoly:
         return f"poly {self.degree}: {body}"
 
 
-def parse_poly_line(text):
-    head, _, body = text.partition(":")
-    if not head.startswith("poly"):
-        raise A2ZetaError(f"not a poly line: {text!r}")
-    coeffs = [int(tok) for tok in body.split()]
-    return IntPoly(coeffs)
-
-
 ZERO = IntPoly()
 ONE = IntPoly.const(1)
 U = IntPoly.monomial(1)
 
 
 # ----------------------------------------------------------------------
-# integer and polynomial determinants
-
-
-def bareiss_det_int(rows):
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+# polynomial determinants
 
 
 def det_i_minus_pencil(blocks):
@@ -444,19 +397,29 @@ class RationalFunction:
 
 
 class Series:
-    """Truncated power series with exact Fraction coefficients."""
+    """Truncated power series over a commutative ring, to a recorded order.
+
+    The ring is that of the coefficients: anything with +, -, *, == and
+    1 / unit, such as Fraction or satake.SymPoly.  Python ints are lifted
+    to Fraction, so integer input stays exact under inversion.  The zero
+    of the ring is taken from the coefficients themselves.
+    """
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order):
-        c = [Fraction(x) for x in coeffs[: order + 1]]
-        c += [Fraction(0)] * (order + 1 - len(c))
-        self.coeffs = c
+        c = [Fraction(x) if isinstance(x, int) else x for x in coeffs[: order + 1]]
+        zero = c[0] * 0 if c else Fraction(0)
+        self.coeffs = c + [zero] * (order + 1 - len(c))
         self.order = order
 
     @classmethod
     def from_poly(cls, p, order):
-        return cls([Fraction(c) for c in p.coeffs], order)
+        return cls(p.coeffs, order)
+
+    @property
+    def zero(self):
+        return self.coeffs[0] * 0
 
     def __eq__(self, other):
         n = min(self.order, other.order)
@@ -474,28 +437,36 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs], self.order)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
+        zero = self.zero
+        out = [zero] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
+            if a != zero:
                 for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    if b:
+                    if b != zero:
                         out[i + j] += a * b
         return Series(out, n)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.coeffs[0] == 0:
+        zero = self.zero
+        if self.coeffs[0] == zero:
             raise ZeroDivisionError("series has no inverse: zero constant term")
         inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * self.order
+        out = [inv0]
         for k in range(1, self.order + 1):
-            s = sum(self.coeffs[j] * out[k - j] for j in range(1, k + 1))
-            out[k] = -inv0 * s
+            s = sum((self.coeffs[j] * out[k - j] for j in range(1, k + 1)), zero)
+            out.append(-inv0 * s)
         return Series(out, self.order)
 
+    def log_derivative(self):
+        """u d/du log of the series, for a unit constant term."""
+        u_d = Series([k * c for k, c in enumerate(self.coeffs)], self.order)
+        return u_d * self.inverse()
+
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        zero = self.zero
+        return all(c == zero for c in self.coeffs)
 
     def integer_coeffs(self):
         """Coefficients as ints; raises if any is not integral."""
@@ -514,31 +485,4 @@ def poly_log_derivative(p, order):
     """u d/du log p as a Series, requiring p(0) != 0."""
     if p[0] == 0:
         raise A2ZetaError("log derivative needs a nonzero constant term")
-    ps = Series.from_poly(p, order)
-    dp = Series.from_poly(p.derivative(), order)
-    u = Series([0, 1], order)
-    return u * dp * ps.inverse()
-
-
-def series_log_derivative(rf, order):
-    """u d/du log(num/den) as a Series with exact coefficients."""
-    return poly_log_derivative(rf.num, order) - poly_log_derivative(rf.den, order)
-
-
-def rational_series(rf, order):
-    """Power series expansion of a rational function."""
-    num = Series.from_poly(rf.num, order)
-    den = Series.from_poly(rf.den, order)
-    return num * den.inverse()
-
-
-def newton_power_sums(p, order):
-    """Power sums Tr X^n, 1 <= n <= order, from p = det(I - X u).
-
-    The coefficient of u^n in -u p'/p is the n-th power sum; p must have
-    constant term 1.
-    """
-    if p[0] != 1:
-        raise A2ZetaError("newton_power_sums expects constant term 1")
-    series = poly_log_derivative(p, order)
-    return [-c for c in series.integer_coeffs()][1:]
+    return Series.from_poly(p, order).log_derivative()

@@ -4,7 +4,8 @@ SymPoly models the ring of Laurent polynomials in z1, z2, z3 modulo
 z1 z2 z3 = 1: a monomial z1^a z2^b z3^c is stored under the exponent key
 (a - c, b - c).  The transform identities under test are finite families of
 coefficient equalities at a concrete integer q, decidable exactly with
-Fraction coefficients.
+Fraction coefficients.  The generating series are polyint.Series, the one
+truncated power series type, here with SymPoly coefficients.
 
 One display in the source derivation carries a sign slip: the constant side
 of the degree-aggregation identity must be -(q-1)(q^2-1) u^3/(1-u^3) for
@@ -13,6 +14,8 @@ recomputes both sides independently, which is how the slip shows up).
 """
 
 from fractions import Fraction
+
+from .polyint import Series
 
 
 class SymPoly:
@@ -62,6 +65,13 @@ class SymPoly:
         return SymPoly(out)
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        """other / self for a scalar other; self must be a unit c z^k."""
+        if len(self.terms) != 1:
+            raise ZeroDivisionError(f"{self!r} is not a unit")
+        ((i, j), v), = self.terms.items()
+        return SymPoly({(-i, -j): Fraction(other) / v})
 
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.terms == other.terms
@@ -150,48 +160,6 @@ def transform_Tk0(q, k):
     )
 
 
-# ----------------------------------------------------------------------
-# series with SymPoly coefficients (plain lists, index = degree)
-
-
-def series_mul(a, b, order):
-    out = [ZERO] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
-def series_sub(a, b):
-    n = min(len(a), len(b))
-    return [x - y for x, y in zip(a[:n], b[:n])]
-
-
-def series_inverse(a, order):
-    inv0 = a[0]
-    assert inv0 == ONE, "series inversion implemented for constant term 1"
-    out = [ONE] + [ZERO] * order
-    for k in range(1, order + 1):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if j < len(a) and not a[j].is_zero():
-                acc = acc + a[j] * out[k - j]
-        out[k] = -acc
-    return out
-
-
-def geometric_u3(order, ratio=1):
-    """1/(1 - ratio*u^3) as a scalar SymPoly series."""
-    out = [ZERO] * (order + 1)
-    acc = 1
-    for k in range(0, order + 1, 3):
-        out[k] = SymPoly.scalar(acc)
-        acc *= ratio
-    return out
-
-
 def verify_sigma3_identity(order):
     """sum s_k3 u^k == u^3/(1-u^3) (1 + sum_{k>=1}(s_k1 + s_k2) u^k), to order."""
     residuals = []
@@ -221,40 +189,24 @@ def verify_recursion_42(q, order):
     with residuals the termwise A-C differences.
     """
     n = order
-    tk0 = [ZERO] + [transform_Tk0(q, k) for k in range(1, n + 1)]
-    tk = [ZERO] + [transform_Tk(q, k) for k in range(1, n + 1)]
-    one_minus_q2u3 = [ONE, ZERO, ZERO, SymPoly.scalar(-q * q)] + [ZERO] * max(0, n - 3)
-    a = series_sub(
-        [q * x for x in tk0],
-        series_mul(
-            series_mul([(q - 1) * x for x in tk], one_minus_q2u3, n),
-            geometric_u3(n),
-            n,
-        ),
-    )
 
-    b = [ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        b[k] = (q**k) * sigma(k, 1)
+    def series(coeffs):
+        return Series(coeffs, n)
+
+    tk0 = series([ZERO] + [transform_Tk0(q, k) for k in range(1, n + 1)])
+    tk = series([ZERO] + [transform_Tk(q, k) for k in range(1, n + 1)])
+    u3 = series([ZERO, ZERO, ZERO, ONE])
+    one_over_1_minus_u3 = (series([ONE]) - u3).inverse()
+    a = q * tk0 - (q - 1) * tk * (series([ONE]) - q * q * u3) * one_over_1_minus_u3
+
     three_r = (q + 1) * (q - 1) ** 2
-    for k in range(3, n + 1, 3):
-        b[k] = b[k] - SymPoly.scalar(three_r)
+    cube_term = three_r * u3 * one_over_1_minus_u3
+    b = series([ZERO] + [(q**k) * sigma(k, 1) for k in range(1, n + 1)]) - cube_term
 
-    # C: expand prod (1 - q z_i u) = 1 - qA1-image u + q^2 e2 u^2 - q^3 u^3
-    p = [
-        ONE,
-        -q * sigma(1, 1),
-        (q * q) * sigma(2, 2),
-        SymPoly.scalar(-(q**3)),
-    ] + [ZERO] * max(0, n - 3)
-    dp = [((i + 1) * p[i + 1]) for i in range(len(p) - 1)]
-    u_dp = [ZERO] + dp[:n]
-    c_prod = series_mul(u_dp, series_inverse(p, n), n)  # u P'/P
-    c = [-x for x in c_prod]
-    for k in range(3, n + 1, 3):
-        c[k] = c[k] - SymPoly.scalar(three_r)
+    # C: prod (1 - q z_i u) = 1 - qA1-image u + q^2 e2 u^2 - q^3 u^3
+    p = series([ONE, -q * sigma(1, 1), (q * q) * sigma(2, 2), SymPoly.scalar(-(q**3))])
+    c = -1 * (p.log_derivative() + cube_term)
 
-    res_ab = series_sub(a, b)
-    res_ac = series_sub(a, c)
-    passed = all(r.is_zero() for r in res_ab) and all(r.is_zero() for r in res_ac)
-    return passed, res_ac
+    res_ac = a - c
+    passed = (a - b).is_zero() and res_ac.is_zero()
+    return passed, res_ac.coeffs

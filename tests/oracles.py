@@ -1,0 +1,134 @@
+"""Independent oracles the tests check the program against.
+
+None of these is on a production path: each one recomputes, by a plainer
+or slower route, something the program computes another way.
+"""
+
+from a2zeta.building import (
+    DEFAULT_VERTEX_CAP,
+    LocalBuilding,
+    RelativePosition,
+    _delta_image,
+    ball,
+)
+from a2zeta.errors import A2ZetaError, BallTooSmall
+from a2zeta.polyint import IntPoly, Series, poly_log_derivative
+
+
+# ----------------------------------------------------------------------
+# integer polynomials
+
+
+def eval_int(p, x):
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def divides(p, other):
+    """True if p divides other exactly (over Q, checked over Z)."""
+    try:
+        other.divexact(p)
+        return True
+    except A2ZetaError:
+        return False
+
+
+def parse_poly_line(text):
+    head, _, body = text.partition(":")
+    if not head.startswith("poly"):
+        raise A2ZetaError(f"not a poly line: {text!r}")
+    coeffs = [int(tok) for tok in body.split()]
+    return IntPoly(coeffs)
+
+
+def bareiss_det_int(rows):
+    """Exact determinant of a square integer matrix (fraction-free)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pkk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i = m[i]
+            row_k = m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pkk
+    return sign * m[n - 1][n - 1]
+
+
+# ----------------------------------------------------------------------
+# series
+
+
+def series_log_derivative(rf, order):
+    """u d/du log(num/den) as a Series with exact coefficients."""
+    return poly_log_derivative(rf.num, order) - poly_log_derivative(rf.den, order)
+
+
+def rational_series(rf, order):
+    """Power series expansion of a rational function."""
+    num = Series.from_poly(rf.num, order)
+    den = Series.from_poly(rf.den, order)
+    return num * den.inverse()
+
+
+def newton_power_sums(p, order):
+    """Power sums Tr X^n, 1 <= n <= order, from p = det(I - X u).
+
+    The coefficient of u^n in -u p'/p is the n-th power sum; p must have
+    constant term 1.
+    """
+    if p[0] != 1:
+        raise A2ZetaError("newton_power_sums expects constant term 1")
+    series = poly_log_derivative(p, order)
+    return [-c for c in series.integer_coeffs()][1:]
+
+
+# ----------------------------------------------------------------------
+# building
+
+
+def verify_tamagawa_full(q, degree, r, cap=DEFAULT_VERTEX_CAP):
+    """Same identity evaluated at every vertex of the ball (cross-check path)."""
+    if r < degree + 1:
+        raise BallTooSmall(f"need r >= degree+1 = {degree + 1}, got {r}")
+    B = LocalBuilding(q)
+    bl = ball(B, r, cap=cap)
+    base = bl.vertices[0]
+    h = _delta_image(B, base)
+    for x in bl.vertices:
+        total = IntPoly()
+        for y, val in h.items():
+            pos = B.relative_position(x, y)
+            if pos.lA <= degree:
+                total = total + IntPoly.monomial(pos.lA) * val
+        total = IntPoly(total.coeffs[: degree + 1])
+        want = IntPoly((1, 0, 0, -1)[: degree + 1]) if x == base else IntPoly()
+        if total != want:
+            return False
+    return True
+
+
+def sphere_n0_by_relative_position(B, n):
+    """Sphere n of a full ball, filtered to relative position (n, 0)."""
+    bl = ball(B, n)
+    base = bl.vertices[0]
+    return {
+        v
+        for v, s in zip(bl.vertices, bl.sphere)
+        if s == n and B.relative_position(base, v) == RelativePosition(n, 0)
+    }

@@ -27,7 +27,6 @@ from a2zeta.graphs import (
     random_regular_graph,
 )
 from a2zeta.operators import chamber_operator, edge_operator
-from a2zeta.polyint import newton_power_sums, series_log_derivative
 from a2zeta.satake import (
     sigma,
     transform_a1,
@@ -43,6 +42,7 @@ from a2zeta.zeta import (
     zeta_bundle,
     zeta_functions,
 )
+from oracles import divides, newton_power_sums, series_log_derivative
 
 
 def report(number, name, passed=True):
@@ -139,7 +139,7 @@ def test_criterion_08_trivial_factor_divisibility(corpus):
         q = cx.q
         b = zeta_bundle(cx)
         product = one_minus_cube(1) * one_minus_cube(q**3) * one_minus_cube(q**6)
-        assert product.divides(b.dvertex)
+        assert divides(product, b.dvertex)
     report(8, "vertex determinant divisible by its trivial factors")
 
 

@@ -11,12 +11,13 @@ from a2zeta.building import (
     _mat_mul,
     ball,
     canonical_algebraic_length,
+    sphere_n0,
     verify_geodesic_criterion,
     verify_tamagawa,
-    verify_tamagawa_full,
 )
 from a2zeta.errors import BallTooSmall, ResourceLimit, SingularInput
 from a2zeta.gf import GF, ptrim, pval
+from oracles import sphere_n0_by_relative_position, verify_tamagawa_full
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ def test_neighbors_match_hecke_spheres(b2):
 
 
 def test_ball_counts_and_sphere_relpos(b2):
-    bl = ball(2, 1)
+    bl = ball(b2, 1)
     assert bl.sphere_sizes() == [1, 14]
     for v, s in zip(bl.vertices, bl.sphere):
         if s == 1:
@@ -76,7 +77,7 @@ def test_ball_counts_and_sphere_relpos(b2):
 
 
 def test_ball_sphere_type_symmetry(b2):
-    bl = ball(2, 2)
+    bl = ball(b2, 2)
     base = bl.vertices[0]
     counts = {}
     for v in bl.vertices:
@@ -88,7 +89,7 @@ def test_ball_sphere_type_symmetry(b2):
 
 def test_ball_link_is_projective_plane(b2):
     """Chambers at the origin pair out- and in-edges like PG(2, q)."""
-    bl = ball(2, 1)
+    bl = ball(b2, 1)
     base = bl.vertices[0]
     outs = b2.neighbors(base, 1)
     # chamber through (base, v): third vertex adjacent to both, type 2 from base
@@ -111,7 +112,7 @@ def test_ball_link_is_projective_plane(b2):
 
 def test_ball_resource_limit():
     with pytest.raises(ResourceLimit):
-        ball(2, 3, cap=10)
+        ball(LocalBuilding(2), 3, cap=10)
 
 
 def test_canonicalize_idempotent_and_coset_invariant(b2):
@@ -164,6 +165,18 @@ def test_geodesic_criterion_small():
     assert verify_geodesic_criterion(2, 2, 4)
     with pytest.raises(BallTooSmall):
         verify_geodesic_criterion(2, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "q, n, size",
+    [(2, 1, 7), (2, 2, 28), (2, 3, 112), (2, 4, 448), (3, 1, 13), (3, 2, 117), (3, 3, 1053)],
+)
+def test_sphere_n0_matches_relative_position_filter(q, n, size):
+    """The BFS-derived (n, 0) sphere equals the relative-position filter."""
+    B = LocalBuilding(q)
+    got = sphere_n0(B, n)
+    assert got == sphere_n0_by_relative_position(B, n)
+    assert len(got) == size == (q * q + q + 1) * q ** (2 * (n - 1))
 
 
 def test_chamber_violating_step_lands_adjacent(b2):

@@ -120,6 +120,10 @@ def test_usage_error_exit_2():
         "jobs_negative",
         "relpos_bad_exponent",
         "lcan_bad_term",
+        "graph_tol_zero",
+        "graph_tol_negative",
+        "graph_tol_nan",
+        "graph_tol_inf",
     ],
 )
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
@@ -129,6 +133,8 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     bad_exponent.write_text("1 0 0\n0 t^ 0\n0 0 1\n")
     bad_term = tmp_path / "bad_term.mat"
     bad_term.write_text("1 0 0\n0 1 0\n0 0 x\n")
+    petersen = tmp_path / "petersen.graph"
+    petersen.write_text(serialize_graph(petersen_graph()))
     argv = {
         "directory": ["validate", str(tmp_path)],
         "bare_q_line": ["validate", str(bare_q)],
@@ -150,6 +156,10 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
             "--left", str(bad_exponent), "--right", str(bad_exponent),
         ],
         "lcan_bad_term": ["building", "lcan", "--q", "2", "--matrix", str(bad_term)],
+        "graph_tol_zero": ["graph", "check", str(petersen), "--tol", "0"],
+        "graph_tol_negative": ["graph", "check", str(petersen), "--tol", "-1"],
+        "graph_tol_nan": ["graph", "check", str(petersen), "--tol", "nan"],
+        "graph_tol_inf": ["graph", "check", str(petersen), "--tol", "inf"],
     }[case]
     code, _, err = run_cli(*argv)
     assert code == 2

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from a2zeta.polyint import Series
 from a2zeta.satake import (
     ONE,
+    ZERO,
     SymPoly,
-    series_mul,
     sigma,
     transform_a1,
     transform_a2,
@@ -37,16 +38,33 @@ def test_transform_values_match_displayed_forms():
 def test_pencil_factorization():
     # 1 - psi(A1) u + q psi(A2) u^2 - q^3 u^3 == prod_i (1 - q z_i u)
     for q in (2, 3):
-        lhs = [
-            ONE,
-            -1 * transform_a1(q),
-            q * transform_a2(q),
-            SymPoly.scalar(-(q**3)),
-        ]
-        rhs = [ONE]
+        lhs = Series(
+            [
+                ONE,
+                -1 * transform_a1(q),
+                q * transform_a2(q),
+                SymPoly.scalar(-(q**3)),
+            ],
+            3,
+        )
+        rhs = Series([ONE], 3)
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            rhs = series_mul(rhs, [ONE, -q * SymPoly.monomial(*e)], 3)
-        assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
+            rhs = rhs * Series([ONE, -q * SymPoly.monomial(*e)], 3)
+        assert all((a - b).is_zero() for a, b in zip(lhs.coeffs, rhs.coeffs))
+
+
+def test_sympoly_series_inverse():
+    one = Series([ONE], 7)
+    s = Series([ONE, -2 * sigma(1, 1), 4 * sigma(2, 2), SymPoly.scalar(-8)], 7)
+    assert (s * s.inverse()).coeffs == [ONE] + [ZERO] * 7
+    # a unit constant term that is not a scalar: c z^k inverts to z^-k / c
+    unit = SymPoly.monomial(2, 0, 1, Fraction(3, 5))
+    t = Series([unit, sigma(2, 1), sigma(3, 3)], 7)
+    assert t * t.inverse() == one
+    with pytest.raises(ZeroDivisionError):
+        Series([ZERO, ONE], 7).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Series([sigma(1, 1), ONE], 7).inverse()
 
 
 def test_all_outputs_are_symmetric():
