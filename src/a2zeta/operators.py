@@ -53,8 +53,19 @@ class SparseOperator:
         return m
 
     def trace_power(self, n):
-        """Tr A^n, exactly: the power is taken over Python ints."""
-        return int(np.linalg.matrix_power(self.to_dense().astype(object), n).trace())
+        """Tr A^n, exactly.
+
+        Multiplicities are nonnegative, so with rho the largest row sum,
+        taken at least 1, every entry of A^j is at most rho^j, and every
+        partial sum in a product A^i A^j is at most rho^(i+j).  The powers
+        that matrix_power forms stay below rho^n, so they are taken in int64
+        when rho^n < 2^63 and over Python ints otherwise.  The diagonal is
+        summed over Python ints.
+        """
+        rho = max([1] + self.row_sums())
+        dtype = np.int64 if rho**n < 2**63 else object
+        power = np.linalg.matrix_power(self.to_dense().astype(dtype), n)
+        return sum(int(x) for x in power.diagonal())
 
     def __eq__(self, other):
         return (

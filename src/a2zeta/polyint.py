@@ -4,14 +4,19 @@ IntPoly is a tuple of arbitrary-precision integer coefficients indexed by
 degree, with no trailing zeros (canonical form; () is zero).  Every
 polynomial determinant is det(I - B1 u - ... - Bd u^d) of integer matrices,
 computed by det_i_minus_pencil as a reversed characteristic polynomial
-modulo primes and rebuilt by CRT from a proven coefficient bound.  Series
+modulo primes and rebuilt by CRT from a proven coefficient bound.  Given a
+free permutation action of Z/n that the matrices commute with, the primes
+are taken = 1 (mod n) and each residue is the product of n small
+characteristic polynomials, one per character of Z/n: the discrete
+Fourier transform is invertible mod such p, so the residue is the same
+and exactness rests on the same bound and CRT.  Series
 is the one truncated power series type: generic in its coefficient ring, it
 carries exact Fraction coefficients for the zeta identities and SymPoly
 coefficients for the Satake-side recursion checks.
 """
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import numpy as np
 
@@ -242,7 +247,7 @@ U = IntPoly.monomial(1)
 # polynomial determinants
 
 
-def det_i_minus_pencil(blocks):
+def det_i_minus_pencil(blocks, action=None):
     """det(I - B1 u - ... - Bd u^d) for square integer matrices B1..Bd, exactly.
 
     With C the block companion matrix of the pencil, det(I - u C) equals
@@ -256,23 +261,111 @@ def det_i_minus_pencil(blocks):
     |e_k| <= C(N, k) r^(k/2), and primes are taken until their product m
     has m^2 > 4 C(N, k)^2 r^k for every k: m exceeds 2 |e_k|, and the result
     is exact by proof, with no square root taken.  Entries must fit in int64.
+
+    action is an optional permutation sigma of range(dim Bi), given as its
+    image list, that generates a free action of Z/n: every orbit has n
+    elements and every Bi satisfies Bi[sigma][:, sigma] == Bi, checked
+    here (A2ZetaError otherwise).  The default is the trivial group, n = 1.
+    Acting on each companion block, sigma splits C's index set into k = N/n
+    orbits rep_a, sigma rep_a, ..., and C is determined by the orbit blocks
+    G_g[a, b] = C[rep_a, sigma^g rep_b].  For a prime p = 1 (mod n) with zeta a
+    primitive n-th root of unity mod p, the discrete Fourier transform over
+    Z/n, invertible mod p, makes C similar mod p to the block diagonal of
+    the character blocks M_j = sum_g zeta^(jg) G_g, j = 0..n-1, so
+        charpoly(C) = prod_j charpoly(M_j)  (mod p).
+    The k-square characteristic polynomials of all n characters and of
+    many primes at once come from one batched Hessenberg pass, and their
+    product mod p is the same residue as above; the bound, the CRT and so
+    the proof of exactness do not change.  Every sum of products of
+    residues, in M_j, the Hessenberg pass or the product, has at most N + 1
+    terms below p^2, so int64 holds it.  With n = 1 there is one block,
+    M_0 = C.
     """
     c = _block_companion(blocks)
-    n = len(c)
-    if n == 0:
+    size = len(c)
+    if size == 0:
         return ONE
+    orbits = _orbit_table(c, action, len(blocks))
+    k, n = orbits.shape
+    # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b], flattened over (a, b)
+    g_blocks = c[orbits[None, :, 0, None], orbits.T[:, None, :]].reshape(n, k * k)
     r = max(sum(x * x for x in row) for row in c.tolist())
-    bound = max(comb(n, k) ** 2 * r**k for k in range(n + 1))
-    coeffs, modulus = [0] * (n + 1), 1
-    for p in _primes_descending(isqrt((2**63 - 1) // (n + 1))):
-        residues = _charpoly_mod(c, p)[::-1].tolist()
-        inv = pow(modulus, -1, p)
-        coeffs = [x + modulus * ((y - x) * inv % p) for x, y in zip(coeffs, residues)]
+    bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
+    primes, modulus = [], 1
+    for p in _primes_descending(isqrt((2**63 - 1) // (size + 1)), n):
+        primes.append(p)
         modulus *= p
         if modulus**2 > 4 * bound:
             break
+    exponents = np.outer(np.arange(n), np.arange(n)) % n
+    coeffs, crt_mod = [0] * (size + 1), 1
+    # primes go through the batched pass together, a stack of at most
+    # _BATCH_ENTRIES matrix entries at a time
+    per_pass = max(1, _BATCH_ENTRIES // (n * k * k))
+    for start in range(0, len(primes), per_pass):
+        chunk = primes[start : start + per_pass]
+        mods = np.array(chunk, dtype=np.int64)[:, None, None]
+        powers = []
+        for p in chunk:
+            zeta = _root_of_unity(n, p)
+            powers.append([pow(zeta, e, p) for e in range(n)])
+        m = np.array(powers, dtype=np.int64)[:, exponents] @ (g_blocks % mods) % mods
+        factors = _charpoly_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
+        for p, row in zip(chunk, factors.reshape(len(chunk), n, k + 1)):
+            charpoly = row[0]
+            for f in row[1:]:
+                charpoly = np.convolve(charpoly, f) % p
+            inv = pow(crt_mod, -1, p)
+            coeffs = [
+                x + crt_mod * ((y - x) * inv % p)
+                for x, y in zip(coeffs, charpoly[::-1].tolist())
+            ]
+            crt_mod *= p
     half = modulus // 2
     return IntPoly([x - modulus if x > half else x for x in coeffs])
+
+
+_BATCH_ENTRIES = 2**18
+
+
+def _orbit_table(c, action, d):
+    """The orbits of the action on the companion's index set, one row each.
+
+    Row a is rep_a, sigma rep_a, ..., sigma^(n-1) rep_a; sigma acts alike on
+    each of the d companion blocks.  Raises A2ZetaError unless sigma is a
+    permutation, C[sigma][:, sigma] == C, and every orbit has n elements.
+    """
+    size = len(c)
+    if action is None:
+        return np.arange(size)[:, None]
+    base = size // d
+    sigma = np.asarray(action, dtype=np.int64)
+    if not np.array_equal(np.sort(sigma), np.arange(base)):
+        raise A2ZetaError("action is not a permutation of the index set")
+    sigma = (sigma + base * np.arange(d)[:, None]).ravel()
+    if not np.array_equal(c[sigma][:, sigma], c):
+        raise A2ZetaError("matrix does not commute with the action")
+    step, seen, orbits = sigma.tolist(), [False] * size, []
+    for i in range(size):
+        if not seen[i]:
+            orbit = [i]
+            while step[orbit[-1]] != i:
+                orbit.append(step[orbit[-1]])
+            for j in orbit:
+                seen[j] = True
+            orbits.append(orbit)
+    n = lcm(*map(len, orbits))
+    if any(len(orbit) < n for orbit in orbits):
+        raise A2ZetaError(f"action is not free: an orbit is shorter than {n}")
+    return np.array(orbits)
+
+
+def _root_of_unity(n, p):
+    """A primitive n-th root of unity modulo a prime p = 1 (mod n)."""
+    for x in range(2, p):
+        z = pow(x, (p - 1) // n, p)
+        if all(pow(z, n // e, p) != 1 for e in range(2, n + 1) if n % e == 0):
+            return z
 
 
 def _block_companion(blocks):
@@ -287,56 +380,63 @@ def _block_companion(blocks):
     return c
 
 
-def _charpoly_mod(c, p):
-    """Coefficients of det(X I - C) mod p, lowest degree first.
+def _charpoly_mod(stack, mods):
+    """Coefficients of det(X I - M) mod p, lowest degree first, for each M.
 
-    C is brought to upper Hessenberg form H by similarity transforms, then
-    (Cohen, GTM 138, Algorithm 2.2.9) the leading minors' polynomials obey
+    stack is a (b, k, k) array of residues, overwritten here, and mods a
+    (b, 1, 1) array of primes: stack[j] is reduced mod mods[j], and row j of
+    the result belongs to it.  Each M is brought to upper Hessenberg form H
+    by similarity transforms, all b at once, then (Cohen, GTM 138,
+    Algorithm 2.2.9) the leading minors' polynomials obey
         p_m = X p_{m-1} - sum_{k<m} H[k, m-1] H[k+1, k] ... H[m-1, m-2] p_k,
     evaluated with the coefficient rows of p_0..p_{m-1} as one array.  Each
-    dot product sums at most N terms below p^2, which the caller keeps
+    dot product sums at most k terms below p^2, which the caller keeps
     below 2^63.
     """
-    h = c % p
-    n = len(h)
-    for m in range(n - 2):
-        nz = np.flatnonzero(h[m + 1 :, m])
-        if not nz.size:
-            continue
-        i = m + 1 + nz[0]
-        if i != m + 1:
-            h[[m + 1, i]] = h[[i, m + 1]]
-            h[:, [m + 1, i]] = h[:, [i, m + 1]]
-        u = h[m + 2 :, m] * pow(int(h[m + 1, m]), -1, p) % p
+    h = stack
+    b, k, _ = h.shape
+    primes, rows = mods.ravel().tolist(), mods[:, 0]
+    for m in range(k - 2):
+        pivots = h[:, m + 1, m].tolist()
+        if 0 in pivots:
+            # pivot row: the first with a nonzero entry below the diagonal
+            i = m + 1 + np.argmax(h[:, m + 1 :, m] != 0, axis=1)
+            s = np.flatnonzero(i != m + 1)
+            i = i[s]
+            h[s, m + 1], h[s, i] = h[s, i], h[s, m + 1]
+            h[s, :, m + 1], h[s, :, i] = h[s, :, i], h[s, :, m + 1]
+            pivots = h[:, m + 1, m].tolist()
+        inv = np.array([[[pow(x, -1, p) if x else 0]] for x, p in zip(pivots, primes)])
+        u = h[:, m + 2 :, m, None] * inv % mods
         # rows m+1 and below are already zero left of column m
-        h[m + 2 :, m:] = (h[m + 2 :, m:] - np.outer(u, h[m + 1, m:])) % p
-        h[:, m + 1] = (h[:, m + 1] + h[:, m + 2 :] @ u) % p
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    t = np.zeros(n, dtype=np.int64)  # t[k] = H[k+1, k] ... H[m-1, m-2]
-    for m in range(1, n + 1):
-        t[m - 1] = 1
-        w = h[:m, m - 1] * t[:m] % p
-        polys[m, 1 : m + 1] = polys[m - 1, :m]
-        polys[m, :m] = (polys[m, :m] - w @ polys[:m, :m]) % p
-        if m < n:
-            t[:m] = t[:m] * h[m, m - 1] % p
-    return polys[n]
+        h[:, m + 2 :, m:] = (h[:, m + 2 :, m:] - u * h[:, m + 1, None, m:]) % mods
+        h[:, :, m + 1] = (h[:, :, m + 1] + (h[:, :, m + 2 :] @ u)[:, :, 0]) % rows
+    polys = np.zeros((b, k + 1, k + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    t = np.ones((b, 1, k), dtype=np.int64)  # t[:, 0, j] = H[j+1, j] ... H[m-1, m-2]
+    for m in range(1, k + 1):
+        w = h[:, None, :m, m - 1] * t[:, :, :m] % mods
+        polys[:, m, 1 : m + 1] = polys[:, m - 1, :m]
+        polys[:, m, :m] = (polys[:, m, :m] - (w @ polys[:, :m, :m])[:, 0]) % rows
+        if m < k:
+            t[:, :, :m] = t[:, :, :m] * h[:, m, None, m - 1, None] % mods
+    return polys[:, k]
 
 
-def _primes_descending(limit):
-    """Primes p <= limit, largest first, for 61 < limit < 4759123141.
+def _primes_descending(limit, n=1):
+    """Primes p = 1 (mod n), p <= limit, largest first, for 61 < limit < 4759123141.
 
-    Miller-Rabin with bases 2, 7, 61 is deterministic in that range.
+    Only the candidates = 1 (mod 2n) are tested, by Miller-Rabin with bases
+    2, 7, 61, which is deterministic in that range.
     """
-    for n in range((limit - 1) | 1, 61, -2):
-        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
-        d = (n - 1) >> s
+    for x in range(limit - (limit - 1) % (2 * n), 61, -2 * n):
+        s = ((x - 1) & (1 - x)).bit_length() - 1  # x - 1 = 2^s d, d odd
+        d = (x - 1) >> s
         if all(
-            pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+            pow(b, d, x) == 1 or any(pow(b, d << r, x) == x - 1 for r in range(s))
             for b in (2, 7, 61)
         ):
-            yield n
+            yield x
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,10 @@ search space desk-scale at every supported q.
 import random
 from dataclasses import dataclass
 
-from .complexes import TypedComplex, require_valid
-from .errors import PresentationInvalid
+from .complexes import TypedComplex, _least_rotation, require_valid
+from .errors import PresentationInvalid, UnsupportedOrder
 from .gf import GF
-from .planes import ProjectivePlane
+from .planes import ProjectivePlane, build_plane
 
 
 @dataclass(frozen=True)
@@ -271,3 +271,32 @@ def complex_from_presentation(tp):
     require_valid(cx)
     return cx
 
+
+def singer_action(cx):
+    """The Singer shift of PG(2, q) as a permutation of cx's edges, or None.
+
+    complex_from_presentation gives point x at slot i the edge i*n + x, and
+    search_triangle_presentations builds triple sets closed under the shift
+    orbit[i] -> orbit[i+1] of _singer_orbit.  So on a 3-vertex complex with
+    3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x).  It
+    is returned only if it keeps every edge's endpoints and maps the chamber
+    set onto itself, that is only if it is an automorphism, which then acts
+    freely with every orbit of length n.  Otherwise, and for a q that
+    build_plane does not support, the result is None, the trivial group.
+    """
+    q = cx.q
+    n = q * q + q + 1
+    if cx.n_vertices != 3 or cx.n_edges != 3 * n:
+        return None
+    try:
+        orbit, _ = _singer_orbit(build_plane(q))
+    except UnsupportedOrder:
+        return None
+    shift = [0] * n
+    for i, x in enumerate(orbit):
+        shift[x] = orbit[(i + 1) % n]
+    sigma = [slot * n + shift[x] for slot in range(3) for x in range(n)]
+    if any(cx.edges[s] != cx.edges[e] for e, s in enumerate(sigma)):
+        return None
+    image = sorted(_least_rotation(tuple(sigma[e] for e in tri)) for tri in cx.chambers)
+    return sigma if image == sorted(cx.chambers) else None

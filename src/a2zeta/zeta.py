@@ -19,6 +19,22 @@ by source type makes the operator block-cyclic, and
     det(I - L u) = det(I - u^3 M),   M = product of the three blocks,
 
 which shrinks a 3n x 3n polynomial determinant to an n x n one.
+
+A search-built complex also carries the Singer shift of PG(2, q), a free
+action of Z/n, n = q^2 + q + 1, on its edges and chambers
+(presentations.singer_action).  It commutes with LE and LB, so it acts
+freely on the type-0 rows of ME and MB, and det_i_minus_pencil factors
+each determinant over the n characters of Z/n, as in the Artin
+L-function factorization of Stark-Terras: modulo a prime p = 1 (mod n),
+det(I - v M) = prod_j det(I - v M_j) with every M_j only 1-square for ME
+and (q+1)-square for MB.  The residues are the same as without the action
+and the prime count comes from the same Hadamard bound, so the result is
+exact by the same proof.  A complex without the action (relabeled, or not
+built from a presentation) takes the trivial group, n = 1.
+
+The PB and PE root histograms of ramanujan_check label the roots of a
+squarefree factor that fails its numerical certificate as unclassified;
+only Dvertex decides the verdict.
 """
 
 from dataclasses import dataclass
@@ -26,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import euler_characteristic, require_valid
+from .complexes import _least_rotation, euler_characteristic, require_valid
 from .errors import A2ZetaError, RootFindingFailure
 from .operators import (
     chamber_operator,
@@ -42,6 +58,7 @@ from .polyint import (
     det_i_minus_pencil,
     poly_log_derivative,
 )
+from .presentations import singer_action
 
 ONE = IntPoly.const(1)
 
@@ -87,9 +104,35 @@ def cyclic_block_product(op, type_of, shift):
     return blocks[0] @ blocks[shift % 3] @ blocks[2 * shift % 3]
 
 
-def det_i_minus_u3(m, sign=1):
-    """det(I - sign * u^3 * M) for an integer matrix M, exactly."""
-    return det_i_minus_pencil([sign * np.asarray(m)]).substitute_power(3)
+def det_i_minus_u3(m, sign=1, action=None):
+    """det(I - sign * u^3 * M) for an integer matrix M, exactly.
+
+    action is an optional free permutation action on M's index set, as in
+    det_i_minus_pencil, which factors the determinant over its characters.
+    """
+    return det_i_minus_pencil([sign * np.asarray(m)], action).substitute_power(3)
+
+
+def _on_type0(images, types):
+    """A permutation of an index set, restricted to its type-0 indices.
+
+    Indices are renumbered by their position in the type-0 class, the order
+    that cyclic_block_product gives the rows of its product.
+    """
+    zero = [i for i, t in enumerate(types) if t == 0]
+    pos = {i: a for a, i in enumerate(zero)}
+    return [pos[images[i]] for i in zero]
+
+
+def _directed_chamber_images(cx, sigma):
+    """Directed chamber 3*C + slot -> its image under an edge automorphism sigma."""
+    where = {tri: cid for cid, tri in enumerate(cx.chambers)}
+    images = []
+    for tri in cx.chambers:
+        image = tuple(sigma[e] for e in tri)
+        cid = where[_least_rotation(image)]
+        images.extend(3 * cid + cx.chambers[cid].index(e) for e in image)
+    return images
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +177,18 @@ def zeta_bundle(cx):
     LE = edge_operator(cx)
     LB = chamber_operator(cx)
     dvertex = vertex_determinant(cx, A1, A2)
-    me = cyclic_block_product(LE, lambda e: edge_source_type(cx, e), 1)
-    pe = det_i_minus_u3(me, sign=1)
-    mb = cyclic_block_product(LB, lambda i: source_type_of_directed_chamber(cx, i), 2)
-    pb = det_i_minus_u3(mb, sign=-1)
+    edge_types = [edge_source_type(cx, e) for e in range(LE.dim)]
+    chamber_types = [source_type_of_directed_chamber(cx, i) for i in range(LB.dim)]
+    sigma = singer_action(cx)
+    if sigma is None:
+        act_e = act_b = None
+    else:
+        act_e = _on_type0(sigma, edge_types)
+        act_b = _on_type0(_directed_chamber_images(cx, sigma), chamber_types)
+    me = cyclic_block_product(LE, edge_types.__getitem__, 1)
+    pe = det_i_minus_u3(me, 1, act_e)
+    mb = cyclic_block_product(LB, chamber_types.__getitem__, 2)
+    pb = det_i_minus_u3(mb, -1, act_b)
     pe2 = pe.substitute_power(2)
     return ZetaBundle(
         q=cx.q, chi=euler_characteristic(cx), dvertex=dvertex, pb=pb, pe=pe, pe2=pe2
@@ -281,47 +332,65 @@ class RamanujanReport:
         return self.verdict == "RAMANUJAN"
 
 
-def poly_roots_certified(p, tol):
-    """Roots of an IntPoly in double precision with a residual certificate."""
-    if p.degree < 1:
-        return []
+def _approx_roots(p):
+    """Double-precision roots of an IntPoly, each with its relative residual.
+
+    The residual is |p(r)| / sum |c_i| |r|^i with p scaled to unit maximum
+    coefficient; it is infinite where that denominator is 0 or not finite.
+    """
     scale = max(abs(c) for c in p.coeffs)
     coeffs = [c / scale for c in p.coeffs]
-    roots = np.roots(list(reversed(coeffs)))
     out = []
-    for r in roots:
+    for r in np.roots(list(reversed(coeffs))):
         val = 0.0
         mag = 0.0
         for c in reversed(coeffs):
             val = val * r + c
             mag = mag * abs(r) + abs(c)
-        if not np.isfinite(mag) or mag == 0 or abs(val) / mag > tol:
-            raise RootFindingFailure(f"root {r} has relative residual {abs(val)/mag}")
-        out.append(complex(r))
-    return sorted(out, key=lambda z: (abs(z), z.real, z.imag))
+        ok = np.isfinite(mag) and mag != 0
+        out.append((complex(r), abs(val) / mag if ok else float("inf")))
+    return out
 
 
-def roots_via_cube(p, tol):
-    """Roots of a polynomial in u^3, computed on the degree/3 compression.
+def _rooted_factors(p):
+    """(factor, multiplicity, approximate roots) for p in u^3, rooted in v = u^3.
 
     Rooting det polynomials directly in u is badly conditioned once the
     degree grows, and repeated roots smear by eps^(1/multiplicity); so the
     compression in v = u^3 is split into exact squarefree factors first and
-    only simple roots ever reach the numerical solver.  Each v-root then
-    expands to its three cube roots.
+    only simple roots ever reach the numerical solver.
     """
-    g = _compress_cube(p)
-    vroots = []
-    for factor, mult in g.squarefree_decomposition():
-        vroots.extend(poly_roots_certified(factor, tol) * mult)
+    return [
+        (factor, mult, _approx_roots(factor))
+        for factor, mult in _compress_cube(p).squarefree_decomposition()
+    ]
+
+
+def _cube_roots(factors, tol):
+    """(u-root, certified) for the rooted factors of a polynomial in u^3.
+
+    A factor is certified when every one of its roots has relative residual
+    at most tol.  Each v-root expands to its three cube roots; the result is
+    sorted by root.
+    """
     out = []
-    for v in vroots:
-        r = abs(v) ** (1.0 / 3.0)
-        theta = np.angle(v) / 3.0
-        for k in range(3):
-            a = theta + 2.0 * np.pi * k / 3.0
-            out.append(complex(r * np.cos(a), r * np.sin(a)))
-    return sorted(out, key=lambda z: (abs(z), z.real, z.imag))
+    for _, mult, found in factors:
+        certified = all(residual <= tol for _, residual in found)
+        for v, _ in found * mult:
+            r = abs(v) ** (1.0 / 3.0)
+            theta = np.angle(v) / 3.0
+            for k in range(3):
+                a = theta + 2.0 * np.pi * k / 3.0
+                out.append((complex(r * np.cos(a), r * np.sin(a)), certified))
+    return sorted(out, key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
+
+
+def roots_via_cube(p, tol):
+    """Roots of a polynomial in u^3; RootFindingFailure unless all certified."""
+    pairs = _cube_roots(_rooted_factors(p), tol)
+    if not all(certified for _, certified in pairs):
+        raise RootFindingFailure(f"a root has relative residual above {tol}")
+    return [z for z, _ in pairs]
 
 
 def _match_and_remove(roots, targets, tol):
@@ -342,18 +411,19 @@ def _match_and_remove(roots, targets, tol):
     return matched, remaining, surplus
 
 
-def _rational_reciprocal_roots(p):
-    """Exact roots of p of the form v = ±1/d with d a positive integer.
+def _rational_reciprocal_roots(factors):
+    """Exact roots v = ±1/d, d a positive integer, of the rooted factors.
 
-    p has constant term 1, so these are all its rational roots.  Candidates
-    come from the certified numerical roots of the squarefree factors and
-    are then confirmed by exact integer evaluation, so the returned values
-    (Fractions, with multiplicity) are proven roots.
+    The polynomial has constant term 1, so these are all its rational
+    roots.  Candidates come from the numerical roots of the squarefree
+    factors, certified or not, and are then confirmed by exact integer
+    evaluation, so the returned values (Fractions, with multiplicity) are
+    proven roots.
     """
     found = []
-    for factor, mult in p.squarefree_decomposition():
+    for factor, mult, roots in factors:
         deg = factor.degree
-        for r in poly_roots_certified(factor, 1e-6):
+        for r, _ in roots:
             if abs(r.imag) > 1e-9 or abs(r.real) < 1e-12:
                 continue
             recip = 1.0 / r.real
@@ -406,42 +476,41 @@ def ramanujan_check(cx, tol=1e-6, bundle=None):
         label = "ramanujan" if abs(abs(r) - 1.0 / q) <= tol else "exceptional"
         records.append(RootRecord(r, abs(r), label))
 
-    pb_factors = _exact_factor_moduli(b.pb)
-    pb_roots = [
-        RootRecord(
-            r,
-            abs(r),
-            _nearest_label(abs(r), [1.0, q**-0.5, q**-0.25] + pb_factors, tol),
-        )
-        for r in roots_via_cube(b.pb, tol)
-    ]
-    pe_reference = _exact_factor_moduli(b.pe)
-    pe_roots = [
-        RootRecord(
-            r,
-            abs(r),
-            _nearest_label(abs(r), [1.0 / q, q**-0.5] + pe_reference, tol),
-        )
-        for r in roots_via_cube(b.pe, tol)
-    ]
+    pb_factors = _rooted_factors(b.pb)
+    pe_factors = _rooted_factors(b.pe)
+    pb_reference = [1.0, q**-0.5, q**-0.25] + _exact_factor_moduli(pb_factors)
+    pe_reference = _exact_factor_moduli(pe_factors)
     return RamanujanReport(
         verdict=verdict,
         tol=tol,
         vertex_roots=records,
         surplus_trivial=surplus,
-        pb_roots=pb_roots,
-        pe_roots=pe_roots,
+        pb_roots=_histogram(pb_factors, pb_reference, tol),
+        pe_roots=_histogram(pe_factors, [1.0 / q, q**-0.5] + pe_reference, tol),
         pe_reference_moduli=pe_reference,
     )
 
 
-def _exact_factor_moduli(p):
+def _histogram(factors, references, tol):
+    """Root records of the rooted factors, labeled by nearest reference modulus.
+
+    The roots of a squarefree factor that fails its certificate are labeled
+    unclassified: the histograms never decide the verdict.
+    """
+    records = []
+    for r, certified in _cube_roots(factors, tol):
+        label = _nearest_label(abs(r), references, tol) if certified else "unclassified"
+        records.append(RootRecord(r, abs(r), label))
+    return records
+
+
+def _exact_factor_moduli(factors):
     """Moduli contributed by exact (1 - c u^3) factors, c = ±integer reciprocal.
 
     These are the u^3-cyclotomic-type factors; their root moduli are exact
     reference values for the histograms.
     """
-    exact = _rational_reciprocal_roots(_compress_cube(p))
+    exact = _rational_reciprocal_roots(factors)
     return sorted({abs(float(v)) ** (1.0 / 3.0) for v in exact})
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from a2zeta.enumeration import count_galleries
 from a2zeta.operators import (
     SparseOperator,
@@ -74,3 +76,14 @@ def test_export_format(bundled_cx):
     lines = text.splitlines()
     assert lines[0] == "sparse 3 3 3"
     assert lines[1].split() == ["0", "1", "7"]
+
+
+@pytest.mark.parametrize("n", [62, 63])
+@pytest.mark.parametrize(
+    "dim, entries",
+    [(1, {(0, 0): 2}), (2, {(r, c): 1 for r in range(2) for c in range(2)})],
+    ids=["two", "all_ones_2x2"],
+)
+def test_trace_power_at_the_int64_boundary(dim, entries, n):
+    """Row sums 2: the powers fit int64 up to n = 62 and no further."""
+    assert SparseOperator("test", dim, entries).trace_power(n) == 2**n

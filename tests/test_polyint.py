@@ -122,6 +122,51 @@ def test_pencil_at_the_hadamard_bound(n):
         assert det_i_minus_pencil([m]) == IntPoly((1, 0, -n * s * s)) ** (n // 2)
 
 
+@st.composite
+def equivariant_pencils(draw):
+    """A pencil whose blocks are sum_g B_g (x) P^g, relabeled at random.
+
+    Before relabeling, index a*n + h stands for sigma^h rep_a and entry
+    ((a, h), (b, g)) is B_{g-h}[a, b], so the shift h -> h+1 is a free
+    action of Z/n.  Returns the relabeled blocks and the shift on them.
+    """
+    n, k, d = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    size = n * k
+    perm = draw(st.permutations(range(size)))  # new index i is old index perm[i]
+    where = {old: new for new, old in enumerate(perm)}
+    sigma = [where[perm[i] - perm[i] % n + (perm[i] + 1) % n] for i in range(size)]
+    blocks = []
+    for _ in range(d):
+        b = draw(st.lists(st.integers(-5, 5), min_size=n * k * k, max_size=n * k * k))
+        old = [
+            [b[((g % n - h % n) % n * k + h // n) * k + g // n] for g in range(size)]
+            for h in range(size)
+        ]
+        blocks.append([[old[perm[i]][perm[j]] for j in range(size)] for i in range(size)])
+    return blocks, sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(equivariant_pencils())
+def test_character_factorization_matches_trivial_action(pencil):
+    blocks, sigma = pencil
+    assert det_i_minus_pencil(blocks, sigma) == det_i_minus_pencil(blocks)
+
+
+@pytest.mark.parametrize(
+    "matrix, action",
+    [
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [1, 2, 0]),
+        ([[int(i == j) for j in range(6)] for i in range(6)], [1, 2, 3, 0, 5, 4]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 1]),
+    ],
+    ids=["does_not_commute", "orbit_shorter_than_n", "not_a_permutation"],
+)
+def test_pencil_rejects_bad_actions(matrix, action):
+    with pytest.raises(A2ZetaError):
+        det_i_minus_pencil([matrix], action)
+
+
 def test_det_zero_matrix_pencil_is_one():
     assert det_i_minus_pencil([[[0, 0], [0, 0]]]) == ONE
 

@@ -1,12 +1,17 @@
 import hashlib
+import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2zeta import cli
 from a2zeta.complexes import TypedComplex
 from a2zeta.errors import A2ZetaError
+from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.operators import SparseOperator, chamber_operator, edge_operator, vertex_hecke
 from a2zeta.planes import build_plane
 from a2zeta.polyint import (
@@ -14,7 +19,11 @@ from a2zeta.polyint import (
     RationalFunction,
     det_i_minus_pencil,
 )
-from a2zeta.presentations import complex_from_presentation, search_triangle_presentations
+from a2zeta.presentations import (
+    complex_from_presentation,
+    search_triangle_presentations,
+    singer_action,
+)
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
@@ -275,3 +284,72 @@ def test_disconnected_complex_refused(bundled_cx):
     assert {c.name for c in report if not c.passed} == {"connected"}
     with pytest.raises(ValidationFailure):
         zeta_bundle(double)
+
+
+# ----------------------------------------------------------------------
+# the Singer action and the character factorization
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+def poly_digest(p):
+    return hashlib.sha256(" ".join(map(str, p.coeffs)).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digest_texts(bundled_cx):
+    """The .cx3 text of the 9 complexes of perfbench/digests.json."""
+    cxs = [bundled_cx]
+    for q, limit in ((3, 2), (4, 6)):
+        found = search_triangle_presentations(build_plane(q), limit, 0)
+        cxs += [complex_from_presentation(tp) for tp in found]
+    return [serialize_complex(cx) for cx in cxs]
+
+
+@pytest.fixture(scope="module")
+def q7_cx():
+    tp = search_triangle_presentations(build_plane(7), limit=1, seed=0)[0]
+    return complex_from_presentation(tp)
+
+
+def test_bundles_match_the_recorded_digests(digest_texts):
+    table = json.loads(DIGESTS.read_text())
+    assert len(table) == len(digest_texts) == 9
+    for text in digest_texts:
+        want = table[hashlib.sha256(text.encode()).hexdigest()[:16]]
+        b = zeta_bundle(parse_complex(text))
+        for name in ("dvertex", "pe", "pb"):
+            assert poly_digest(getattr(b, name)) == want[name], (want["input"], name)
+
+
+def test_singer_action_found_on_search_built_complexes(digest_texts, q7_cx):
+    q5_cx = complex_from_presentation(
+        search_triangle_presentations(build_plane(5), limit=1, seed=0)[0]
+    )
+    for cx in [parse_complex(text) for text in digest_texts] + [q5_cx, q7_cx]:
+        sigma = singer_action(cx)
+        n = cx.q**2 + cx.q + 1
+        assert sigma is not None and sorted(sigma) == list(range(3 * n))
+
+
+def test_singer_action_is_none_without_the_symmetry(q3_cx):
+    rnd = random.Random(0)
+    assert singer_action(relabeled(q3_cx, rnd)) is None
+    # edge ids permuted within each slot: endpoints kept, chambers moved
+    n = q3_cx.n_edges // 3
+    pe = [slot * n + x for slot in range(3) for x in rnd.sample(range(n), n)]
+    chambers = [tuple(pe[e] for e in tri) for tri in q3_cx.chambers]
+    shuffled = TypedComplex(q3_cx.q, q3_cx.vertex_types, q3_cx.edges, chambers)
+    assert singer_action(shuffled) is None
+    assert zeta_bundle(shuffled) == zeta_bundle(q3_cx)
+    # PG(2, 16) exists, but build_plane does not support q = 16
+    n = 16**2 + 16 + 1
+    edges = [(i, (i + 1) % 3) for i in range(3) for _ in range(n)]
+    assert singer_action(TypedComplex(16, (0, 1, 2), edges, [])) is None
+
+
+def test_q7_ramanujan_exits_0(q7_cx, tmp_path, capsys):
+    path = tmp_path / "q7.cx3"
+    path.write_text(serialize_complex(q7_cx))
+    assert cli.main(["check", "ramanujan", str(path), "--format", "records"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "verdict RAMANUJAN"
