@@ -29,6 +29,7 @@ from .gf import GF
 from .graphs import ihara_zeta, ramanujan_graph_check
 from .operators import chamber_operator, edge_operator, vertex_hecke
 from .planes import build_plane
+from .polyint import RationalFunction
 from .presentations import complex_from_presentation, search_triangle_presentations
 from .satake import verify_recursion_42, verify_sigma3_identity
 from .zeta import (
@@ -36,7 +37,6 @@ from .zeta import (
     check_series_identity,
     ramanujan_check,
     zeta_bundle,
-    zeta_functions,
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -95,20 +95,23 @@ def cmd_operators(args, out):
 def cmd_zeta(args, out):
     cx = _load_complex(args.complex)
     b = zeta_bundle(cx)
-    zf = zeta_functions(cx, b)
-    selection = {
-        "vertex": [("dvertex", b.dvertex)],
-        "edge": [("Z1.den", b.pe)],
-        "gallery": [("Z2.den", b.pb.substitute_neg())],
-        "minus": [("Zminus.num", zf["Zminus"].num), ("Zminus.den", zf["Zminus"].den)],
-        "full": [
-            ("chi", None),
-            ("dvertex", b.dvertex),
-            ("PB", b.pb),
-            ("PE", b.pe),
-            ("PE2", b.pe2),
-        ],
-    }[args.which]
+    if args.which == "minus":
+        # the one selection that is a rational function to reduce
+        zminus = RationalFunction(b.pb, b.pe2)
+        selection = [("Zminus.num", zminus.num), ("Zminus.den", zminus.den)]
+    else:
+        selection = {
+            "vertex": [("dvertex", b.dvertex)],
+            "edge": [("Z1.den", b.pe)],
+            "gallery": [("Z2.den", b.pb.substitute_neg())],
+            "full": [
+                ("chi", None),
+                ("dvertex", b.dvertex),
+                ("PB", b.pb),
+                ("PE", b.pe),
+                ("PE2", b.pe2),
+            ],
+        }[args.which]
     for key, poly in selection:
         if poly is None:
             out.emit("chi", b.chi)

@@ -18,7 +18,6 @@ Neighbor rules on a validated complex:
 
 import numpy as np
 
-from .complexes import directed_chambers
 from .errors import A2ZetaError
 
 
@@ -129,17 +128,4 @@ def chamber_operator(cx):
                     continue
                 col = 3 * cid2 + (slot2 + 1) % 3
                 entries[(row, col)] = entries.get((row, col), 0) + 1
-    op = SparseOperator("directedChambers", dim, entries)
-    assert len(directed_chambers(cx)) == dim
-    return op
-
-
-def source_type_of_directed_chamber(cx, idx):
-    """Type of the source vertex of the distinguished edge."""
-    cid, slot = divmod(idx, 3)
-    e = cx.chambers[cid][slot]
-    return cx.vertex_types[cx.edge_src(e)]
-
-
-def edge_source_type(cx, e):
-    return cx.vertex_types[cx.edge_src(e)]
+    return SparseOperator("directedChambers", dim, entries)

@@ -17,7 +17,6 @@ class ProjectivePlane:
     field: GF
     points: list  # normalized coordinate triples
     lines: list  # frozensets of point ids
-    line_coords: list  # normalized dual triples, same order as lines
     point_index: dict = field(default_factory=dict)
     line_index: dict = field(default_factory=dict)
 
@@ -61,17 +60,14 @@ def build_plane(q):
             s = F.add(s, F.mul(x, y))
         return s
 
-    lines = []
-    line_coords = []
-    for ell in duals:
-        lines.append(frozenset(i for i, p in enumerate(points) if dot(ell, p) == 0))
-        line_coords.append(ell)
+    lines = [
+        frozenset(i for i, p in enumerate(points) if dot(ell, p) == 0) for ell in duals
+    ]
     plane = ProjectivePlane(
         q=q,
         field=F,
         points=points,
         lines=lines,
-        line_coords=line_coords,
         point_index=point_index,
         line_index={L: j for j, L in enumerate(lines)},
     )

@@ -9,15 +9,22 @@ triple.  The search works inside a Singer cycle of the plane, where flags
 become differences in Z/(q^2+q+1) and a presentation collapses to a
 rotation-closed successor system on difference triples; this keeps the
 search space desk-scale at every supported q.
+
+The Singer cycle is multiplication by x in GF(q^3) = GF(q)[x]/(cubic), one
+companion-matrix step (_times_x).  The cubic is the first one, in a fixed
+order, whose x needs q^3 - 1 steps to return to 1, and the orbit of e1 is
+numbered as build_plane numbers points, so singer_action reads the shift
+off a complex without building the plane.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .complexes import TypedComplex, _least_rotation, require_valid
 from .errors import PresentationInvalid, UnsupportedOrder
 from .gf import GF
-from .planes import ProjectivePlane, build_plane
+from .planes import ProjectivePlane, _normalized_triples
 
 
 @dataclass(frozen=True)
@@ -59,105 +66,52 @@ def check_presentation(plane, lam, triples):
 # Singer cycle machinery
 
 
-def _primitive_cubic(q):
-    """Coefficients (c0, c1, c2) of a primitive monic cubic over GF(q)."""
-    F = GF(q)
-    order = q**3 - 1
-    primes = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
+def _times_x(F, cubic, v):
+    """v * x in F[x] / (x^3 + c2 x^2 + c1 x + c0), cubic = (c0, c1, c2).
 
-    def reduce_pow(a, e, mod):
-        # a, result are length-3 tuples over F; multiply mod x^3 + c2 x^2 + c1 x + c0
-        def mul(u, v):
-            prod = [0] * 5
-            for i, x in enumerate(u):
-                if x == 0:
-                    continue
-                for j, y in enumerate(v):
-                    if y:
-                        prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-            for i in (4, 3):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j in range(3):
-                        prod[i - 3 + j] = F.sub(prod[i - 3 + j], F.mul(c, mod[j]))
-            return tuple(prod[:3])
-
-        result = (1, 0, 0)
-        base = a
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return result
-
-    for c2 in range(q):
-        for c1 in range(q):
-            for c0 in range(1, q):
-                mod = (c0, c1, c2)
-                # cubic with no roots is irreducible
-                if any(
-                    F.add(
-                        F.add(F.mul(F.mul(r, r), r), F.mul(c2, F.mul(r, r))),
-                        F.add(F.mul(c1, r), c0),
-                    )
-                    == 0
-                    for r in range(q)
-                ):
-                    continue
-                x = (0, 1, 0)
-                if reduce_pow(x, order, mod) != (1, 0, 0):
-                    continue
-                if all(reduce_pow(x, order // p, mod) != (1, 0, 0) for p in primes):
-                    return mod
-    raise AssertionError(f"no primitive cubic over GF({q})")
-
-
-def _singer_orbit(plane):
-    """Point ids in Singer order and the difference set of a base line.
-
-    Returns (orbit, D): orbit[i] is the plane point id of sigma^i(e1), and
-    D = {i : orbit[i] on the base line}, a planar difference set mod n.
+    v = (a, b, c) stands for a + b x + c x^2; the map is multiplication by
+    the companion matrix of the cubic.
     """
-    F = plane.field
-    q, n = plane.q, plane.n
-    c0, c1, c2 = _primitive_cubic(q)
+    a, b, c = v
+    c0, c1, c2 = cubic
+    return (F.neg(F.mul(c0, c)), F.sub(a, F.mul(c1, c)), F.sub(b, F.mul(c2, c)))
 
-    def step(v):
-        # multiply by the companion matrix of x^3 + c2 x^2 + c1 x + c0
-        a, b, c = v
-        return (
-            F.neg(F.mul(c0, c)),
-            F.sub(a, F.mul(c1, c)),
-            F.sub(b, F.mul(c2, c)),
-        )
 
-    def normalize(v):
-        lead = next(x for x in v if x != 0)
-        inv = F.inv(lead)
-        return tuple(F.mul(inv, x) for x in v)
+def _primitive_cubic(F):
+    """Coefficients (c0, c1, c2) of the first primitive monic cubic over F.
 
+    With c0 != 0, x is a unit of F[x]/(cubic), so stepping 1 by x returns
+    to 1.  It first does so after q^3 - 1 steps exactly when the cubic is
+    primitive: a reducible cubic leaves fewer than q^3 - 1 units, and in
+    the field GF(q^3) the order of x is q^3 - 1 only when x generates it.
+    """
+    q = F.q
+    for c2, c1, c0 in product(range(q), range(q), range(1, q)):
+        cubic = (c0, c1, c2)
+        v, order = _times_x(F, cubic, (1, 0, 0)), 1
+        while v != (1, 0, 0):
+            v, order = _times_x(F, cubic, v), order + 1
+        if order == q**3 - 1:
+            return cubic
+
+
+def _singer_orbit(F):
+    """Point ids of sigma^i(e1), i = 0..n-1, for the Singer cycle over F.
+
+    sigma is multiplication by x in GF(q^3) = F[x]/(primitive cubic), read
+    on the nonzero vectors of F^3 up to scalars; a point's id is its rank
+    among the normalized triples, as build_plane numbers them.
+    """
+    q = F.q
+    point_id = {p: i for i, p in enumerate(_normalized_triples(F))}
+    cubic = _primitive_cubic(F)
     orbit = []
     v = (1, 0, 0)
-    for _ in range(n):
-        orbit.append(plane.point_index[normalize(v)])
-        v = step(v)
-    if len(set(orbit)) != n:
-        raise AssertionError("Singer orbit does not cover the plane")
-    base_line = plane.lines[0]
-    D = sorted(i for i in range(n) if orbit[i] in base_line)
-    return orbit, D
+    for _ in range(q * q + q + 1):
+        inv = F.inv(next(x for x in v if x != 0))
+        orbit.append(point_id[tuple(F.mul(inv, x) for x in v)])
+        v = _times_x(F, cubic, v)
+    return orbit
 
 
 def _successor_systems(D, target, n):
@@ -210,13 +164,13 @@ def search_triangle_presentations(plane, limit, seed=0):
     """
     if limit <= 0:
         return []
-    orbit, D = _singer_orbit(plane)
+    orbit = _singer_orbit(plane.field)
     n = plane.n
-    line_of = {}
-    base = plane.lines[0]
-    for j in range(n):
-        pts = frozenset(orbit[(i + j) % n] for i in range(n) if orbit[i] in base)
-        line_of[j] = plane.line_index[pts]
+    # the planar difference set of the base line: sigma^j of it is line j
+    D = [i for i in range(n) if orbit[i] in plane.lines[0]]
+    line_of = [
+        plane.line_index[frozenset(orbit[(d + j) % n] for d in D)] for j in range(n)
+    ]
 
     shifts = list(range(n))
     if seed:
@@ -273,30 +227,38 @@ def complex_from_presentation(tp):
 
 
 def singer_action(cx):
-    """The Singer shift of PG(2, q) as a permutation of cx's edges, or None.
+    """The Singer shift of PG(2, q) on cx's edges and directed chambers, or None.
 
     complex_from_presentation gives point x at slot i the edge i*n + x, and
     search_triangle_presentations builds triple sets closed under the shift
     orbit[i] -> orbit[i+1] of _singer_orbit.  So on a 3-vertex complex with
     3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x).  It
-    is returned only if it keeps every edge's endpoints and maps the chamber
-    set onto itself, that is only if it is an automorphism, which then acts
-    freely with every orbit of length n.  Otherwise, and for a q that
-    build_plane does not support, the result is None, the trivial group.
+    is kept only if it keeps every edge's endpoints and maps every chamber
+    to a chamber; the chambers of a valid complex are distinct, so it is
+    then an automorphism, which acts freely with every orbit of length n.
+    The result is the pair (edge images, directed chamber images), directed
+    chamber 3*C + slot going to the chamber and slot of its edges' images.
+    Otherwise, and for a q that GF does not support, the result is None,
+    the trivial group.
     """
     q = cx.q
     n = q * q + q + 1
     if cx.n_vertices != 3 or cx.n_edges != 3 * n:
         return None
     try:
-        orbit, _ = _singer_orbit(build_plane(q))
+        orbit = _singer_orbit(GF(q))
     except UnsupportedOrder:
         return None
-    shift = [0] * n
-    for i, x in enumerate(orbit):
-        shift[x] = orbit[(i + 1) % n]
+    shift = dict(zip(orbit, orbit[1:] + orbit[:1]))
     sigma = [slot * n + shift[x] for slot in range(3) for x in range(n)]
     if any(cx.edges[s] != cx.edges[e] for e, s in enumerate(sigma)):
         return None
-    image = sorted(_least_rotation(tuple(sigma[e] for e in tri)) for tri in cx.chambers)
-    return sigma if image == sorted(cx.chambers) else None
+    where = {tri: cid for cid, tri in enumerate(cx.chambers)}
+    chamber_images = []
+    for tri in cx.chambers:
+        image = tuple(sigma[e] for e in tri)
+        cid = where.get(_least_rotation(image))
+        if cid is None:
+            return None
+        chamber_images.extend(3 * cid + cx.chambers[cid].index(e) for e in image)
+    return sigma, chamber_images

@@ -21,9 +21,10 @@ by source type makes the operator block-cyclic, and
 which shrinks a 3n x 3n polynomial determinant to an n x n one.
 
 A search-built complex also carries the Singer shift of PG(2, q), a free
-action of Z/n, n = q^2 + q + 1, on its edges and chambers
-(presentations.singer_action).  It commutes with LE and LB, so it acts
-freely on the type-0 rows of ME and MB, and det_i_minus_pencil factors
+action of Z/n, n = q^2 + q + 1, on its edges and directed chambers;
+presentations.singer_action returns both permutations from one check of
+the chamber set.  It commutes with LE and LB, so it acts freely on the
+type-0 rows of ME and MB, and det_i_minus_pencil factors
 each determinant over the n characters of Z/n, as in the Artin
 L-function factorization of Stark-Terras: modulo a prime p = 1 (mod n),
 det(I - v M) = prod_j det(I - v M_j) with every M_j only 1-square for ME
@@ -42,15 +43,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import _least_rotation, euler_characteristic, require_valid
+from .complexes import euler_characteristic, require_valid
 from .errors import A2ZetaError, RootFindingFailure
-from .operators import (
-    chamber_operator,
-    edge_operator,
-    source_type_of_directed_chamber,
-    edge_source_type,
-    vertex_hecke,
-)
+from .operators import chamber_operator, edge_operator, vertex_hecke
 from .polyint import (
     IntPoly,
     RationalFunction,
@@ -72,19 +67,19 @@ def one_minus_cube(scale=1):
 # block-cyclic determinant reduction
 
 
-def cyclic_block_product(op, type_of, shift):
+def cyclic_block_product(op, types, shift):
     """Blocks of a type-shifting operator and their cyclic product.
 
-    The operator must map type t to type t + shift (mod 3).  Returns the
-    square integer matrix M with det(I - u Op) = det(I - u^3 M), namely the
-    product B[0]B[shift]B[2*shift] of the blocks starting from type 0, as an
-    int64 array.  Block t holds the rows of type t; an index keeps its order
-    within its type class.  Multiplicities are nonnegative, so the product of
-    the three blocks' largest row sums, each taken at least 1, bounds every
-    block entry, every entry of the product and every partial sum on the
-    way; the blocks are multiplied in int64 only while it is below 2^63.
+    types[i] is the type of index i, and the operator must map type t to
+    type t + shift (mod 3).  Returns the square integer matrix M with
+    det(I - u Op) = det(I - u^3 M), namely the product B[0]B[shift]B[2*shift]
+    of the blocks starting from type 0, as an int64 array.  Block t holds
+    the rows of type t; an index keeps its order within its type class.
+    Multiplicities are nonnegative, so the product of the three blocks'
+    largest row sums, each taken at least 1, bounds every block entry, every
+    entry of the product and every partial sum on the way; the blocks are
+    multiplied in int64 only while it is below 2^63.
     """
-    types = [type_of(i) for i in range(op.dim)]
     pos, sizes = [], [0, 0, 0]
     for t in types:
         pos.append(sizes[t])
@@ -117,22 +112,14 @@ def _on_type0(images, types):
     """A permutation of an index set, restricted to its type-0 indices.
 
     Indices are renumbered by their position in the type-0 class, the order
-    that cyclic_block_product gives the rows of its product.
+    that cyclic_block_product gives the rows of its product.  No permutation
+    (None) stays None.
     """
+    if images is None:
+        return None
     zero = [i for i, t in enumerate(types) if t == 0]
     pos = {i: a for a, i in enumerate(zero)}
     return [pos[images[i]] for i in zero]
-
-
-def _directed_chamber_images(cx, sigma):
-    """Directed chamber 3*C + slot -> its image under an edge automorphism sigma."""
-    where = {tri: cid for cid, tri in enumerate(cx.chambers)}
-    images = []
-    for tri in cx.chambers:
-        image = tuple(sigma[e] for e in tri)
-        cid = where[_least_rotation(image)]
-        images.extend(3 * cid + cx.chambers[cid].index(e) for e in image)
-    return images
 
 
 # ----------------------------------------------------------------------
@@ -177,18 +164,14 @@ def zeta_bundle(cx):
     LE = edge_operator(cx)
     LB = chamber_operator(cx)
     dvertex = vertex_determinant(cx, A1, A2)
-    edge_types = [edge_source_type(cx, e) for e in range(LE.dim)]
-    chamber_types = [source_type_of_directed_chamber(cx, i) for i in range(LB.dim)]
-    sigma = singer_action(cx)
-    if sigma is None:
-        act_e = act_b = None
-    else:
-        act_e = _on_type0(sigma, edge_types)
-        act_b = _on_type0(_directed_chamber_images(cx, sigma), chamber_types)
-    me = cyclic_block_product(LE, edge_types.__getitem__, 1)
-    pe = det_i_minus_u3(me, 1, act_e)
-    mb = cyclic_block_product(LB, chamber_types.__getitem__, 2)
-    pb = det_i_minus_u3(mb, -1, act_b)
+    # source types: of each edge, and of the distinguished edge of 3*C + slot
+    edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
+    chamber_types = [edge_types[e] for tri in cx.chambers for e in tri]
+    edge_images, chamber_images = singer_action(cx) or (None, None)
+    me = cyclic_block_product(LE, edge_types, 1)
+    pe = det_i_minus_u3(me, 1, _on_type0(edge_images, edge_types))
+    mb = cyclic_block_product(LB, chamber_types, 2)
+    pb = det_i_minus_u3(mb, -1, _on_type0(chamber_images, chamber_types))
     pe2 = pe.substitute_power(2)
     return ZetaBundle(
         q=cx.q, chi=euler_characteristic(cx), dvertex=dvertex, pb=pb, pe=pe, pe2=pe2

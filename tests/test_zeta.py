@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2zeta import cli
+from a2zeta import cli, planes, presentations
 from a2zeta.complexes import TypedComplex
 from a2zeta.errors import A2ZetaError
 from a2zeta.fileio import parse_complex, serialize_complex
+from a2zeta.gf import GF
 from a2zeta.operators import SparseOperator, chamber_operator, edge_operator, vertex_hecke
 from a2zeta.planes import build_plane
 from a2zeta.polyint import (
@@ -20,6 +21,7 @@ from a2zeta.polyint import (
     det_i_minus_pencil,
 )
 from a2zeta.presentations import (
+    _primitive_cubic,
     complex_from_presentation,
     search_triangle_presentations,
     singer_action,
@@ -132,7 +134,7 @@ def test_polynomials_invariant_under_relabeling(q2_q3_bundles, rnd):
 def test_cyclic_block_product_rejects_bad_operators(types, entries):
     op = SparseOperator("test", len(types), entries)
     with pytest.raises(A2ZetaError):
-        cyclic_block_product(op, types.__getitem__, 1)
+        cyclic_block_product(op, types, 1)
 
 
 def test_main_identity_pass(bundled_cx, bundle):
@@ -322,14 +324,54 @@ def test_bundles_match_the_recorded_digests(digest_texts):
             assert poly_digest(getattr(b, name)) == want[name], (want["input"], name)
 
 
-def test_singer_action_found_on_search_built_complexes(digest_texts, q7_cx):
+# (c0, c1, c2) of the primitive cubic x^3 + c2 x^2 + c1 x + c0 that fixes
+# the Singer cycle, and so every search-built presentation, at each q
+PRIMITIVE_CUBICS = {
+    2: (1, 1, 0),
+    3: (1, 2, 0),
+    4: (2, 1, 1),
+    5: (2, 3, 0),
+    7: (2, 3, 0),
+    8: (2, 1, 0),
+    9: (4, 1, 0),
+    11: (4, 1, 0),
+    13: (6, 1, 0),
+}
+
+
+def test_primitive_cubic_pinned():
+    for q, want in PRIMITIVE_CUBICS.items():
+        assert _primitive_cubic(GF(q)) == want, q
+
+
+def test_singer_action_found_on_search_built_complexes(
+    digest_texts, q7_cx, monkeypatch
+):
     q5_cx = complex_from_presentation(
         search_triangle_presentations(build_plane(5), limit=1, seed=0)[0]
     )
-    for cx in [parse_complex(text) for text in digest_texts] + [q5_cx, q7_cx]:
-        sigma = singer_action(cx)
-        n = cx.q**2 + cx.q + 1
-        assert sigma is not None and sorted(sigma) == list(range(3 * n))
+    cxs = [parse_complex(text) for text in digest_texts] + [q5_cx, q7_cx]
+    actions = [singer_action(cx) for cx in cxs]
+    for cx, action in zip(cxs, actions):
+        assert action is not None
+        edge_images, chamber_images = action
+        assert sorted(edge_images) == list(range(cx.n_edges))
+        assert sorted(chamber_images) == list(range(3 * cx.n_chambers))
+        # a permutation p commutes with L iff L[p[i], p[j]] == L[i, j]
+        for op, p in (
+            (edge_operator(cx), edge_images),
+            (chamber_operator(cx), chamber_images),
+        ):
+            dense = op.to_dense()
+            assert np.array_equal(dense[np.ix_(p, p)], dense)
+
+    def no_plane(q):
+        raise AssertionError("singer_action built the plane")
+
+    # by module attribute, or by a name imported into presentations
+    monkeypatch.setattr(planes, "build_plane", no_plane)
+    monkeypatch.setattr(presentations, "build_plane", no_plane, raising=False)
+    assert [singer_action(cx) for cx in cxs] == actions
 
 
 def test_singer_action_is_none_without_the_symmetry(q3_cx):
@@ -342,7 +384,7 @@ def test_singer_action_is_none_without_the_symmetry(q3_cx):
     shuffled = TypedComplex(q3_cx.q, q3_cx.vertex_types, q3_cx.edges, chambers)
     assert singer_action(shuffled) is None
     assert zeta_bundle(shuffled) == zeta_bundle(q3_cx)
-    # PG(2, 16) exists, but build_plane does not support q = 16
+    # PG(2, 16) exists, but GF does not support q = 16
     n = 16**2 + 16 + 1
     edges = [(i, (i + 1) % 3) for i in range(3) for _ in range(n)]
     assert singer_action(TypedComplex(16, (0, 1, 2), edges, [])) is None
