@@ -359,12 +359,18 @@ def build_parser():
     c = bld.add_parser("tamagawa", parents=[common])
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--degree", type=nonnegative, required=True)
-    c.add_argument("--radius", type=nonnegative, required=True)
+    c.add_argument(
+        "--radius", type=nonnegative, required=True,
+        help="only checked as a lower bound (>= degree + 1); the result does not depend on it",
+    )
     c.set_defaults(func=cmd_building)
     c = bld.add_parser("geodesic", parents=[common])
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--length", type=positive, required=True)
-    c.add_argument("--radius", type=nonnegative, required=True)
+    c.add_argument(
+        "--radius", type=nonnegative, required=True,
+        help="only checked as a lower bound (>= length); the result does not depend on it",
+    )
     c.set_defaults(func=cmd_building)
 
     s = sub.add_parser("satake", help="symmetric-function recursion checks")

@@ -6,9 +6,14 @@ the operator matrices) and counts by depth-first search, so an agreement
 with a matrix trace is a genuine two-route check.
 
 Counts are of based objects: the starting edge or chamber is distinguished,
-matching what a trace counts.  One walker, closed_walks, does every search
-(graphs.count_closed_walks uses it too): the counts count its walks and
-enumerate_galleries lists them.  A budget caps its DFS node visits.
+matching what a trace counts.  One DFS loop, _closed_walk_prefixes, does
+every search.  closed_walks lists whole walks (enumerate_galleries).
+count_walks, behind every count here and graphs.count_closed_walks, meets
+in the middle: the DFS covers the first length - length // 2 vertices of
+each walk, and each prefix end adds its closing length // 2-step tails,
+tallied backward per start.  The budget caps the node count of the full
+DFS tree of all walks, whichever half is searched, and is checked before
+the search, so an over-budget length fails before any walk is built.
 """
 
 from .errors import NotAGallery, ResourceLimit
@@ -44,39 +49,104 @@ def _chamber_successors(cx):
     return [sorted(row) for row in succ]
 
 
+def _check_budget(succ, length, budget):
+    """Raise ResourceLimit if the full DFS tree of the walks has > budget nodes.
+
+    The tree has one node per walk of 1..length vertices from each start:
+    level j holds the (j-1)-step walks, counted with the multiplicity of
+    repeated successor entries.  The levels are counted forward, keyed by
+    their last vertex, and the count stops once it passes budget, so no
+    walk is ever built for an over-budget length.
+    """
+    level = dict.fromkeys(range(len(succ)), 1)
+    nodes = len(level)
+    for _ in range(length - 1):
+        if nodes > budget or not level:
+            break
+        deeper = {}
+        for v, c in level.items():
+            for w in succ[v]:
+                deeper[w] = deeper.get(w, 0) + c
+        level = deeper
+        nodes += sum(level.values())
+    if nodes > budget:
+        raise ResourceLimit(f"DFS budget of {budget} nodes exceeded")
+
+
+def _closed_walk_prefixes(succ, length, budget, k):
+    """The one DFS loop: yield (prefix, tails) over all based closed walks.
+
+    prefix is the first length - k vertices of closed walks from one start,
+    as a live list valid until the next step; tails (> 0) is the number of
+    k-step walks from its last vertex to a vertex that closes back to the
+    start.  A walk steps from v to each entry of succ[v], repeated entries
+    counted with their multiplicity, and closes when the start is in
+    succ[v_n], counted once.  With k = 0 each prefix is one whole walk.
+    The tails come from a per-start table built backward over predecessor
+    lists; the budget is checked first, on the full tree (_check_budget).
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    _check_budget(succ, length, budget)
+    pred = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for w in row:
+            pred[w].append(v)
+    depth = length - k
+    for start in range(len(succ)):
+        tails = dict.fromkeys(pred[start], 1)  # closes once, whatever the multiplicity
+        for _ in range(k):
+            back = {}
+            for w, c in tails.items():
+                for v in pred[w]:
+                    back[v] = back.get(v, 0) + c
+            tails = back
+        if depth == 1:
+            if start in tails:
+                yield [start], tails[start]
+            continue
+        path = [start]
+        stack = [iter(succ[start])]  # stack[i] runs over succ[path[i]]
+        while stack:
+            if len(path) == depth - 1:  # the top successors end prefixes
+                for v in stack.pop():
+                    t = tails.get(v)
+                    if t:
+                        path.append(v)
+                        yield path, t
+                        path.pop()
+                path.pop()
+                continue
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                path.pop()
+            else:
+                path.append(v)
+                stack.append(iter(succ[v]))
+
+
 def closed_walks(succ, length, budget):
     """Every based closed successor walk of the given length, as a tuple.
 
     A walk (v_1, ..., v_n) steps from each v_i to an entry of succ[v_i], and
     closes when v_1 is in succ[v_n].  Walks come start by start, in the
-    order of the successor lists.  Each node of the DFS tree, leaves
-    included, is one visit; ResourceLimit is raised once the visits exceed
-    budget.  The last step is taken inside its parent's successor loop, so
-    a leaf costs one membership test and no stack entry.
+    order of the successor lists.  ResourceLimit is raised, before any walk
+    is built, when the DFS tree of all walks of 1..length vertices from
+    every start (leaves included) has more than budget nodes.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    closes = [set() for _ in succ]  # closes[s]: the v with s in succ[v]
-    for v, row in enumerate(succ):
-        for s in row:
-            closes[s].add(v)
-    visited = 0
-    for start in range(len(succ)):
-        ends = closes[start]
-        stack = [()]
-        while stack:
-            path = stack.pop()
-            nexts = succ[path[-1]] if path else (start,)
-            visited += len(nexts)
-            if visited > budget:
-                raise ResourceLimit(f"DFS budget of {budget} nodes exceeded")
-            if len(path) == length - 1:
-                for nxt in nexts:
-                    if nxt in ends:
-                        yield path + (nxt,)
-            else:
-                for nxt in reversed(nexts):
-                    stack.append(path + (nxt,))
+    for walk, _ in _closed_walk_prefixes(succ, length, budget, 0):
+        yield tuple(walk)
+
+
+def count_walks(succ, length, budget):
+    """len(list(closed_walks(succ, length, budget))), meet-in-the-middle.
+
+    The DFS runs over the first length - length // 2 vertices of each walk
+    and adds, at each prefix end, the number of closing tails, so no walk
+    is built.  The budget keeps the meaning it has in closed_walks.
+    """
+    return sum(t for _, t in _closed_walk_prefixes(succ, length, budget, length // 2))
 
 
 def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET):
@@ -86,23 +156,23 @@ def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET):
     consecutive pair (wrap-around included) avoiding a common chamber.
     Equals Tr LE^n, but computed without any matrix arithmetic.
     """
-    return sum(1 for _ in closed_walks(_edge_successors(cx), length, budget))
+    return count_walks(_edge_successors(cx), length, budget)
 
 
-def _gallery_walks(cx, length, budget):
+def _gallery_successors(cx, length):
     if length < 3:
         raise NotAGallery("gallery length must be >= 3")
-    return closed_walks(_chamber_successors(cx), length, budget)
+    return _chamber_successors(cx)
 
 
 def count_galleries(cx, length, budget=DEFAULT_BUDGET):
     """Based tailless type-1 closed galleries of the given length (>= 3)."""
-    return sum(1 for _ in _gallery_walks(cx, length, budget))
+    return count_walks(_gallery_successors(cx, length), length, budget)
 
 
 def enumerate_galleries(cx, length, budget=DEFAULT_BUDGET):
     """All based closed galleries as tuples of directed-chamber indices."""
-    return list(_gallery_walks(cx, length, budget))
+    return list(closed_walks(_gallery_successors(cx, length), length, budget))
 
 
 def gallery_boundaries(cx, galleries):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import A2ZetaError, DegreeTooLow, NotRegular
-from .enumeration import closed_walks
+from .enumeration import DEFAULT_BUDGET, count_walks
 from .operators import SparseOperator
 from .polyint import IntPoly, RationalFunction, det_i_minus_pencil
 
@@ -116,7 +116,7 @@ def ihara_zeta(graph):
     return edge_form, hashimoto_den, bass_den
 
 
-def count_closed_walks(graph, length, budget=10_000_000):
+def count_closed_walks(graph, length, budget=DEFAULT_BUDGET):
     """Backtrackless tailless closed walks of the given length, by DFS.
 
     Based count over directed edges; equals Tr Ae^n without using matrices.
@@ -128,7 +128,7 @@ def count_closed_walks(graph, length, budget=10_000_000):
     succ = [
         [j for j in by_src.get(v, ()) if j != (i ^ 1)] for i, (_, v) in enumerate(de)
     ]
-    return sum(1 for _ in closed_walks(succ, length, budget))
+    return count_walks(succ, length, budget)
 
 
 @dataclass

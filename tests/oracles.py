@@ -132,3 +132,29 @@ def sphere_n0_by_relative_position(B, n):
         for v, s in zip(bl.vertices, bl.sphere)
         if s == n and B.relative_position(base, v) == RelativePosition(n, 0)
     }
+
+
+# ----------------------------------------------------------------------
+# successor walks
+
+
+def walk_tree_size(succ, length):
+    """Nodes of the DFS tree of all walks of 1..length vertices from every
+    start, repeated successor entries counted with their multiplicity."""
+
+    def nodes(v, left):
+        return 1 + (sum(nodes(w, left - 1) for w in succ[v]) if left > 1 else 0)
+
+    return sum(nodes(s, length) for s in range(len(succ)))
+
+
+def closed_walk_count(succ, length):
+    """Based closed walks of the given length by plain recursion: each step
+    counts with its multiplicity in succ, the closing step once."""
+
+    def walks(start, v, left):
+        if left == 1:
+            return 1 if start in succ[v] else 0
+        return sum(walks(start, w, left - 1) for w in succ[v])
+
+    return sum(walks(s, s, length) for s in range(len(succ)))

@@ -190,6 +190,18 @@ def test_enumerate_cli(cx_path):
     assert code == 0 and "galleries: 189" in out and "boundary_check: pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["geodesics"], ["galleries"], ["galleries", "--boundary-check"]],
+    ids=["geodesics", "galleries", "boundary_check"],
+)
+def test_enumerate_over_budget_exits_2(cx_path, argv):
+    code, _, err = run_cli("enumerate", argv[0], cx_path, "--length", "20000", *argv[1:])
+    assert code == 2
+    assert "DFS budget of 10000000 nodes exceeded" in err
+    assert "Traceback" not in err
+
+
 def test_operators_cli(cx_path, tmp_path):
     code, out, _ = run_cli("operators", cx_path, "--out", str(tmp_path / "ops"))
     assert code == 0

@@ -1,15 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2zeta.enumeration import (
     closed_walks,
     count_galleries,
     count_type1_geodesics,
+    count_walks,
     enumerate_galleries,
     gallery_boundaries,
     shift_equivalence_classes,
 )
 from a2zeta.errors import NotAGallery, ResourceLimit
 from a2zeta.operators import chamber_operator, edge_operator
+from oracles import closed_walk_count, walk_tree_size
 
 
 def test_geodesic_counts_match_traces(bundled_cx):
@@ -55,6 +59,46 @@ def test_closed_walks_and_budget(succ, length, walks, visits):
         assert all(b in succ[a] for a, b in zip(w, w[1:] + w[:1]))
     with pytest.raises(ResourceLimit):
         list(closed_walks(succ, length, visits - 1))
+
+
+def test_q3_counts_match_traces(q3_cx):
+    """The seed-0 q=3 complex, where the DFS tree has millions of nodes."""
+    assert count_type1_geodesics(q3_cx, 6) == edge_operator(q3_cx).trace_power(6) == 1593774
+    assert count_galleries(q3_cx, 9) == chamber_operator(q3_cx).trace_power(9) == 54873
+
+
+@pytest.mark.parametrize(
+    "walker", [count_type1_geodesics, count_galleries, enumerate_galleries]
+)
+def test_over_budget_length_fails_fast(bundled_cx, walker):
+    """The budget is checked before any walk of the given length is built."""
+    with pytest.raises(ResourceLimit, match="DFS budget of 10000000 nodes exceeded"):
+        walker(bundled_cx, 20_000)
+
+
+@st.composite
+def successor_lists(draw):
+    """Random successor lists: empty rows, self-loops and repeated entries."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, n - 1), max_size=3)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(succ=successor_lists(), length=st.integers(1, 7), data=st.data())
+def test_count_walks_matches_listing_and_budget(succ, length, data):
+    size = walk_tree_size(succ, length)
+    count = count_walks(succ, length, size)
+    assert count == len(list(closed_walks(succ, length, size)))
+    assert count == closed_walk_count(succ, length)
+    for budget in (data.draw(st.integers(0, 2 * size)), size - 1):
+        if budget < size:
+            with pytest.raises(ResourceLimit):
+                count_walks(succ, length, budget)
+            with pytest.raises(ResourceLimit):
+                list(closed_walks(succ, length, budget))
+        else:
+            assert count_walks(succ, length, budget) == count
 
 
 def test_boundary_of_length6_galleries(bundled_cx):
