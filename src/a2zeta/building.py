@@ -3,20 +3,33 @@
 Vertices are classes of rank-3 lattices over O = F_q[[t]], represented by
 canonical upper-triangular polynomial matrices: column-Hermite form over
 the valuation ring with diagonal t^a_i, entry (i, j) reduced mod t^a_i,
-scaled so the minimal entry valuation is 0.  Canonicalization uses exact
-polynomial column operations; the single power-series inversion (the unit
-part of each pivot) is truncated strictly beyond the reduction horizon, so
-the output is exact.
+scaled so the minimal entry valuation is 0.  Canonicalization of a generic
+matrix uses exact polynomial column operations; the single power-series
+inversion (the unit part of each pivot) is truncated strictly beyond the
+reduction horizon, so the output is exact.
+
+Neighbors need no triangularization.  Every coset representative of an
+edge type is upper triangular with pivots 1 or t, so right-multiplying a
+canonical vertex by it is a column step: scale some columns by t, add
+constant multiples of earlier columns to later ones.  The result is already
+triangular with pivots exactly t^(a_i + e_i), and one reduction helper,
+shared with canonicalize, divides by the least valuation and reduces the
+entries above the diagonal.
 
 Relative positions come from minor valuations: for M = g1^{-1} g2 the sums
 e_1 + ... + e_i of the elementary-divisor exponents equal the minimal
 valuation among i x i minors, and the position is (n, m) = (e3-e2, e2-e1).
+One helper takes the least minor valuation on each row set of a matrix,
+another turns those into (n, m) over a diagonal base diag(t^d): a generic
+g1 is the base d = (val det g1,) * 3 with M = adj(g1) g2.
 
 The Hecke recursion checker exploits that the composed-operator kernel
 K(x, base) is constant on relative-position classes: the group acts
 transitively on ordered vertex pairs of fixed relative position (that is
 what the double-coset decomposition says), so evaluating one vertex per
-class verifies the identity everywhere.  The geodesic criterion reads the
+class verifies the identity everywhere.  Each class representative is
+diagonal, so the minor valuations of the delta image, taken once, give
+every class by integer arithmetic.  The geodesic criterion reads the
 (n, 0) sphere off one breadth-first ball on the same LocalBuilding that
 its path search uses.
 """
@@ -29,7 +42,6 @@ from .gf import (
     GF,
     newton_slopes,
     padd,
-    pconst,
     pdiv_tpow,
     pfloordiv_tpow,
     pmod_tpow,
@@ -83,7 +95,6 @@ class BuildingVertex:
 
 ZERO = ()
 ONE = (1,)
-T = (0, 1)
 
 
 def _mat_mul(F, A, B):
@@ -133,41 +144,101 @@ def _adjugate(F, A):
     return tuple(tuple(row) for row in adj)
 
 
+def _column_steps(q, edge_type):
+    """Coset representatives of the type-1 or type-2 edges, as column steps.
+
+    With pi = t, each representative is upper triangular with diagonal
+    t^scale_j (scale_j in {0, 1}) and constant entries c at (k, j), k < j.
+    Right-multiplying a vertex matrix by it scales column j by t^scale_j and
+    adds c times column k to it; the zero entries are left out of adds.
+    """
+    def step(scale, *adds):
+        return scale, tuple((k, j, (c,)) for k, j, c in adds if c)
+
+    if edge_type == 1:
+        return (
+            [step((1, 0, 0), (0, 1, a), (0, 2, b)) for a in range(q) for b in range(q)]
+            + [step((0, 1, 0), (1, 2, c)) for c in range(q)]
+            + [step((0, 0, 1))]
+        )
+    return (
+        [step((1, 1, 0), (0, 2, b), (1, 2, c)) for b in range(q) for c in range(q)]
+        + [step((1, 0, 1), (0, 1, a)) for a in range(q)]
+        + [step((0, 1, 1))]
+    )
+
+
+def _hermite_reduce(F, cols, avals):
+    """The canonical vertex of upper triangular columns with pivots t^avals.
+
+    Divides by the least entry valuation, then reduces entry (i, j) modulo
+    t^a_i by subtracting a multiple of column i, for i = j-1 down to 0.
+    The column lists may be modified in place.
+    """
+    # a pivot t^0 already has valuation 0
+    shift = min(avals) and min(pval(e) for col in cols for e in col if e)
+    if shift:
+        cols = [[pfloordiv_tpow(e, shift) for e in col] for col in cols]
+        avals = [a - shift for a in avals]
+    for j in (1, 2):
+        col = cols[j]
+        for k in range(j - 1, -1, -1):
+            h = pfloordiv_tpow(col[k], avals[k])
+            if h:
+                for i in range(k + 1):
+                    col[i] = psub(F, col[i], pmul(F, h, cols[k][i]))
+    c0, c1, c2 = cols
+    return BuildingVertex(((c0[0], c1[0], c2[0]), (c0[1], c1[1], c2[1]), (c0[2], c1[2], c2[2])))
+
+
+def _least_valuation(polys):
+    return min((pval(e) for e in polys if e), default=None)
+
+
+def _row_minor_valuations(F, M):
+    """Least valuation of the minors of M on each row set.
+
+    Maps each set R of 1, 2 or 3 row indices to the least t-adic valuation
+    among the |R| x |R| minors of M with rows R, or None when all vanish.
+    """
+    out = {(r,): _least_valuation(M[r]) for r in range(3)}
+    for r, s in ((0, 1), (0, 2), (1, 2)):
+        out[(r, s)] = _least_valuation(
+            _det2(F, M[r][c], M[r][d], M[s][c], M[s][d])
+            for c, d in ((0, 1), (0, 2), (1, 2))
+        )
+    out[(0, 1, 2)] = pval(_det3(F, M))
+    return out
+
+
+def _position(minor_vals, d):
+    """Relative position of the lattice of M from the base diag(t^d).
+
+    minor_vals is _row_minor_valuations(F, M).  The minors of
+    diag(t^-d) M on rows R are those of M divided by t^(sum of d over R),
+    and the least valuation s_k over the k x k minors is e_1 + ... + e_k
+    for the elementary-divisor exponents e_1 <= e_2 <= e_3.
+    """
+    s = {}
+    for rows, v in minor_vals.items():
+        if v is not None:
+            k, w = len(rows), v - sum(d[i] for i in rows)
+            s[k] = min(s.get(k, w), w)
+    if 2 not in s or 3 not in s:
+        raise SingularInput("relative position of singular pair")
+    e1, e2, e3 = s[1], s[2] - s[1], s[3] - s[2]
+    assert e1 <= e2 <= e3
+    return RelativePosition(n=e3 - e2, m=e2 - e1)
+
+
 class LocalBuilding:
     """Arithmetic context for one residue field size q."""
 
     def __init__(self, q):
         self.q = q
         self.F = GF(q)
+        self._steps = {1: _column_steps(q, 1), 2: _column_steps(q, 2)}
         self._nbr_cache = {}
-
-    # -- coset representatives (pi = t)
-
-    def type1_reps(self):
-        F, q = self.F, self.q
-        reps = []
-        for a in range(q):
-            for b in range(q):
-                reps.append(
-                    ((T, pconst(a), pconst(b)), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
-                )
-        for c in range(q):
-            reps.append(((ONE, ZERO, ZERO), (ZERO, T, pconst(c)), (ZERO, ZERO, ONE)))
-        reps.append(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, T)))
-        return reps
-
-    def type2_reps(self):
-        F, q = self.F, self.q
-        reps = []
-        for b in range(q):
-            for c in range(q):
-                reps.append(
-                    ((T, ZERO, pconst(b)), (ZERO, T, pconst(c)), (ZERO, ZERO, ONE))
-                )
-        for a in range(q):
-            reps.append(((T, pconst(a), ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, T)))
-        reps.append(((ONE, ZERO, ZERO), (ZERO, T, ZERO), (ZERO, ZERO, T)))
-        return reps
 
     def origin(self):
         return BuildingVertex(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
@@ -178,13 +249,8 @@ class LocalBuilding:
         """Canonical coset representative of the lattice spanned by the columns."""
         F = self.F
         cols = [[mat[0][j], mat[1][j], mat[2][j]] for j in range(3)]
-        # overall scale: minimal entry valuation becomes 0
-        vals = [pval(e) for col in cols for e in col]
-        if all(v is None for v in vals):
+        if not any(e for col in cols for e in col):
             raise SingularInput("zero matrix")
-        shift = min(v for v in vals if v is not None)
-        if shift:
-            cols = [[pfloordiv_tpow(e, shift) for e in col] for col in cols]
         # triangularize bottom-up with exact unimodular column operations
         for row in (2, 1, 0):
             cand = [(pval(cols[j][row]), j) for j in range(row + 1)]
@@ -205,26 +271,16 @@ class LocalBuilding:
                 ]
                 cols[j][row] = ZERO
         avals = [pval(cols[j][j]) for j in range(3)]
-        amax = max(avals)
-        prec = 2 * amax + 4
-        # normalize each pivot to exactly t^a_j, then reduce entry (i, j)
-        # modulo t^a_i; truncation error sits beyond t^(prec - amax) and is
-        # stripped by the final reductions, so the output is exact.
+        prec = 2 * max(avals) + 4
+        # normalize each pivot to exactly t^a_j; the truncation error sits
+        # beyond t^(prec - max a) and is stripped by the reduction mod t^a_i,
+        # so the output is exact.
         for j in range(3):
             a = avals[j]
             unit_inv = punit_inverse(F, pfloordiv_tpow(cols[j][j], a), prec)
             cols[j] = [pmod_tpow(pmul(F, cols[j][i], unit_inv), prec) for i in range(3)]
             cols[j][j] = pshift(ONE, a)
-            for k in range(j - 1, -1, -1):
-                h = pfloordiv_tpow(cols[j][k], avals[k])
-                if h:
-                    for i in range(k + 1):
-                        cols[j][i] = psub(F, cols[j][i], pmul(F, h, cols[k][i]))
-            for i in range(j):
-                cols[j][i] = pmod_tpow(cols[j][i], avals[i])
-        return BuildingVertex(
-            tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-        )
+        return _hermite_reduce(F, cols, avals)
 
     # -- neighbors
 
@@ -233,8 +289,19 @@ class LocalBuilding:
         hit = self._nbr_cache.get(key)
         if hit is not None:
             return hit
-        reps = self.type1_reps() if edge_type == 1 else self.type2_reps()
-        out = [self.canonicalize(_mat_mul(self.F, v.mat, rep)) for rep in reps]
+        F, mat = self.F, v.mat
+        cols = [[mat[0][j], mat[1][j], mat[2][j]] for j in range(3)]
+        avals = [len(mat[j][j]) - 1 for j in range(3)]  # pivots are exactly t^a_j
+        out = []
+        for scale, adds in self._steps[edge_type]:
+            new = [
+                [pshift(e, 1) for e in col] if s else list(col)
+                for col, s in zip(cols, scale)
+            ]
+            for k, j, c in adds:
+                for i in range(k + 1):
+                    new[j][i] = padd(F, new[j][i], pmul(F, c, cols[k][i]))
+            out.append(_hermite_reduce(F, new, [a + s for a, s in zip(avals, scale)]))
         if len(set(out)) != self.q**2 + self.q + 1:
             raise SingularInput("coset representatives collapsed")
         self._nbr_cache[key] = out
@@ -247,29 +314,11 @@ class LocalBuilding:
 
     def relative_position(self, g1, g2):
         F = self.F
-        d1 = _det3(F, g1.mat)
-        d2 = _det3(F, g2.mat)
-        if pval(d1) is None or pval(d2) is None:
+        d1 = pval(_det3(F, g1.mat))
+        if d1 is None or pval(_det3(F, g2.mat)) is None:
             raise SingularInput("singular vertex matrix")
         M = _mat_mul(F, _adjugate(F, g1.mat), g2.mat)
-        v1 = min(pval(e) for row in M for e in row if pval(e) is not None)
-        minors2 = []
-        for r in range(3):
-            for s in range(r + 1, 3):
-                for c in range(3):
-                    for d in range(c + 1, 3):
-                        minors2.append(
-                            _det2(F, M[r][c], M[r][d], M[s][c], M[s][d])
-                        )
-        v2 = min((pval(e) for e in minors2 if pval(e) is not None), default=None)
-        v3 = pval(_det3(F, M))
-        if v2 is None or v3 is None:
-            raise SingularInput("relative position of singular pair")
-        dv = pval(d1)
-        s1, s2, s3 = v1 - dv, v2 - 2 * dv, v3 - 3 * dv
-        e1, e2, e3 = s1, s2 - s1, s3 - s2
-        assert e1 <= e2 <= e3
-        return RelativePosition(n=e3 - e2, m=e2 - e1)
+        return _position(_row_minor_valuations(F, M), (d1, d1, d1))
 
     def class_representative(self, n, m):
         """The vertex diag(1, t^m, t^(m+n)) at relative position (n, m)."""
@@ -367,44 +416,34 @@ def _delta_image(B, base):
     return vals
 
 
-def tamagawa_kernel(q, n0, m0, degree):
-    """Coefficients (deg <= degree) of the composed operator at class (n0, m0).
-
-    Applies sum_{n+2m<=degree} u^{n+2m} T_{n,m} to the delta image at a
-    representative of the class; the result is the kernel value K(x, base)
-    for every x at relative position (n0, m0) from base.
-    """
-    B = LocalBuilding(q)
-    return _kernel(B, _delta_image(B, B.origin()), n0, m0, degree)
-
-
-def _kernel(B, h, n0, m0, degree):
-    """tamagawa_kernel on the building B with the delta image h at its origin."""
-    x0 = B.class_representative(n0, m0)
-    total = IntPoly()
-    for y, val in h.items():
-        pos = B.relative_position(x0, y)
-        if pos.lA <= degree:
-            total = total + IntPoly.monomial(pos.lA) * val
-    return IntPoly(total.coeffs[: degree + 1])
-
-
 def verify_tamagawa(q, degree, r):
     """Check the Hecke inversion identity coefficientwise up to the degree.
 
     The composed kernel vanishes beyond geodesic distance degree + 1, and on
     each class it is a single polynomial, so checking one representative per
     class (n0, m0), n0 + m0 <= degree + 1, verifies the identity on the whole
-    ball of radius r >= degree + 1.
+    ball of radius r >= degree + 1.  The representative is
+    class_representative(n0, m0) = diag(t^d) with d = (0, m0, m0 + n0), so
+    the position of each vertex y of the delta image comes from the minor
+    valuations of y, computed once, and d alone.
     """
     if r < degree + 1:
         raise BallTooSmall(f"need r >= degree+1 = {degree + 1}, got {r}")
     expected_base = IntPoly((1, 0, 0, -1))  # 1 - u^3
     B = LocalBuilding(q)
-    h = _delta_image(B, B.origin())
+    image = [
+        (_row_minor_valuations(B.F, y.mat), val)
+        for y, val in _delta_image(B, B.origin()).items()
+    ]
     for n0 in range(degree + 2):
         for m0 in range(degree + 2 - n0):
-            got = _kernel(B, h, n0, m0, degree)
+            d = (0, m0, m0 + n0)
+            total = IntPoly()
+            for minor_vals, val in image:
+                lA = _position(minor_vals, d).lA
+                if lA <= degree:
+                    total = total + IntPoly.monomial(lA) * val
+            got = IntPoly(total.coeffs[: degree + 1])
             want = (
                 IntPoly(expected_base.coeffs[: degree + 1])
                 if (n0, m0) == (0, 0)

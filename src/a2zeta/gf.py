@@ -15,6 +15,7 @@ indexed by degree with no trailing zeros; () is the zero polynomial.  They
 model the ring F_q[t] with t the uniformizer of F_q((t)).
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, UnsupportedOrder
@@ -200,28 +201,29 @@ def pfloordiv_tpow(a, k):
     return ptrim(a[k:])
 
 
+_TERM = re.compile(r"(-?)(?:([0-9]*)t(?:\^?([0-9]+))?|([0-9]+))")
+
+
 def parse_poly(F, text, line=1):
     """Parse a polynomial in t such as '1+t^2+2t' over GF(q).
 
-    A malformed term raises ParseError, reported at the given line.
+    A malformed term raises ParseError, reported at the given line and
+    naming the term as written.
     """
-    text = text.replace(" ", "").replace("-", "+-")
     coeffs = {}
-    for term in text.split("+"):
+    # split before each sign, except a sign right after '^': 't^-1' stays whole
+    for term in re.split(r"(?<!\^)(?=[+-])", text.replace(" ", "")):
+        term = term.removeprefix("+")
         if not term:
             continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:]
-        try:
-            if "t" in term:
-                head, _, tail = term.partition("t")
-                c = int(head) if head else 1
-                e = int(tail[1:]) if tail.startswith("^") else (1 if not tail else int(tail))
-            else:
-                c, e = int(term), 0
-        except ValueError:
-            raise ParseError(line, f"bad polynomial term {term!r}") from None
+        match = _TERM.fullmatch(term)
+        if match is None:
+            raise ParseError(line, f"bad polynomial term {term!r}")
+        neg, head, tail, const = match.groups()
+        if const is not None:
+            c, e = int(const), 0
+        else:
+            c, e = int(head) if head else 1, int(tail) if tail else 1
         c %= F.q  # literal coefficients are element ids
         if neg:
             c = F.neg(c)

@@ -6,12 +6,15 @@ or slower route, something the program computes another way.
 
 from a2zeta.building import (
     DEFAULT_VERTEX_CAP,
+    ONE,
+    ZERO,
     LocalBuilding,
     RelativePosition,
     _delta_image,
     ball,
 )
 from a2zeta.errors import A2ZetaError, BallTooSmall
+from a2zeta.gf import pconst
 from a2zeta.polyint import IntPoly, Series, poly_log_derivative
 
 
@@ -102,6 +105,54 @@ def newton_power_sums(p, order):
 # building
 
 
+T = (0, 1)
+
+
+def type1_reps(q):
+    """Upper triangular representatives of the type-1 edge cosets (pi = t),
+    in the order LocalBuilding.neighbors lists the neighbors."""
+    reps = []
+    for a in range(q):
+        for b in range(q):
+            reps.append(((T, pconst(a), pconst(b)), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
+    for c in range(q):
+        reps.append(((ONE, ZERO, ZERO), (ZERO, T, pconst(c)), (ZERO, ZERO, ONE)))
+    reps.append(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, T)))
+    return reps
+
+
+def type2_reps(q):
+    """Upper triangular representatives of the type-2 edge cosets (pi = t)."""
+    reps = []
+    for b in range(q):
+        for c in range(q):
+            reps.append(((T, ZERO, pconst(b)), (ZERO, T, pconst(c)), (ZERO, ZERO, ONE)))
+    for a in range(q):
+        reps.append(((T, pconst(a), ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, T)))
+    reps.append(((ONE, ZERO, ZERO), (ZERO, T, ZERO), (ZERO, ZERO, T)))
+    return reps
+
+
+def _kernel_at(B, h, x, degree):
+    """Coefficients (deg <= degree) of the composed operator applied to the
+    delta image h, evaluated at x: one relative_position per vertex of h."""
+    total = IntPoly()
+    for y, val in h.items():
+        pos = B.relative_position(x, y)
+        if pos.lA <= degree:
+            total = total + IntPoly.monomial(pos.lA) * val
+    return IntPoly(total.coeffs[: degree + 1])
+
+
+def tamagawa_kernel(q, n0, m0, degree):
+    """The kernel K(x, base) for every x at relative position (n0, m0) from
+    base: sum_{n+2m<=degree} u^{n+2m} T_{n,m} applied to the delta image at
+    base, evaluated at class_representative(n0, m0)."""
+    B = LocalBuilding(q)
+    h = _delta_image(B, B.origin())
+    return _kernel_at(B, h, B.class_representative(n0, m0), degree)
+
+
 def verify_tamagawa_full(q, degree, r, cap=DEFAULT_VERTEX_CAP):
     """Same identity evaluated at every vertex of the ball (cross-check path)."""
     if r < degree + 1:
@@ -111,14 +162,8 @@ def verify_tamagawa_full(q, degree, r, cap=DEFAULT_VERTEX_CAP):
     base = bl.vertices[0]
     h = _delta_image(B, base)
     for x in bl.vertices:
-        total = IntPoly()
-        for y, val in h.items():
-            pos = B.relative_position(x, y)
-            if pos.lA <= degree:
-                total = total + IntPoly.monomial(pos.lA) * val
-        total = IntPoly(total.coeffs[: degree + 1])
         want = IntPoly((1, 0, 0, -1)[: degree + 1]) if x == base else IntPoly()
-        if total != want:
+        if _kernel_at(B, h, x, degree) != want:
             return False
     return True
 

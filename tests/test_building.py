@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from a2zeta import building
 from a2zeta.building import (
     BuildingVertex,
     LocalBuilding,
     RelativePosition,
     _det3,
     _mat_mul,
+    _position,
+    _row_minor_valuations,
     ball,
     canonical_algebraic_length,
     sphere_n0,
@@ -17,7 +22,14 @@ from a2zeta.building import (
 )
 from a2zeta.errors import BallTooSmall, ResourceLimit, SingularInput
 from a2zeta.gf import GF, ptrim, pval
-from oracles import sphere_n0_by_relative_position, verify_tamagawa_full
+from a2zeta.polyint import IntPoly
+from oracles import (
+    sphere_n0_by_relative_position,
+    tamagawa_kernel,
+    type1_reps,
+    type2_reps,
+    verify_tamagawa_full,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +122,71 @@ def test_ball_link_is_projective_plane(b2):
             assert len(common) == 1
 
 
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (4, 1), (9, 1)])
+def test_neighbors_are_coset_representative_products(q, r):
+    """Column steps give the canonical forms of v.mat * rep, in rep order."""
+    B = LocalBuilding(q)
+    reps = {1: type1_reps(q), 2: type2_reps(q)}
+    for v in ball(B, r).vertices:
+        for edge_type in (1, 2):
+            want = [B.canonicalize(_mat_mul(B.F, v.mat, rep)) for rep in reps[edge_type]]
+            assert B.neighbors(v, edge_type) == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_diagonal_base_position_matches_relative_position(q):
+    """The Tamagawa shortcut: positions from diag(1, t^m0, t^(m0+n0))."""
+    B = LocalBuilding(q)
+    for y in ball(B, 2).vertices:
+        minor_vals = _row_minor_valuations(B.F, y.mat)
+        for n0 in range(6):
+            for m0 in range(6 - n0):
+                want = B.relative_position(B.class_representative(n0, m0), y)
+                assert _position(minor_vals, (0, m0, m0 + n0)) == want
+
+
+def test_tamagawa_fails_without_the_a2_term(monkeypatch):
+    full = building._delta_image
+
+    def without_a2(B, base):
+        vals = full(B, base)
+        for y in B.neighbors(base, 1):
+            vals[y] = vals[y] - IntPoly((0, 0, B.q))
+        return vals
+
+    assert verify_tamagawa(2, 3, 4)
+    monkeypatch.setattr(building, "_delta_image", without_a2)
+    assert not verify_tamagawa(2, 3, 4)
+
+
+BUILDINGS = {q: LocalBuilding(q) for q in (2, 3, 4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relative_position_invariance_and_reversal(data):
+    """g in GL3(F_q((t))) preserves positions; swapping the pair reverses them."""
+    q = data.draw(st.sampled_from(sorted(BUILDINGS)))
+    B = BUILDINGS[q]
+
+    def walk():
+        v = B.origin()
+        for _ in range(data.draw(st.integers(0, 4))):
+            nbrs = B.neighbors(v, data.draw(st.sampled_from((1, 2))))
+            v = nbrs[data.draw(st.integers(0, len(nbrs) - 1))]
+        return v
+
+    x, y = walk(), walk()
+    poly = st.lists(st.integers(0, q - 1), max_size=3).map(ptrim)
+    g = tuple(tuple(data.draw(poly) for _ in range(3)) for _ in range(3))
+    assume(pval(_det3(B.F, g)) is not None)
+    pos = B.relative_position(x, y)
+    gx = B.canonicalize(_mat_mul(B.F, g, x.mat))
+    gy = B.canonicalize(_mat_mul(B.F, g, y.mat))
+    assert B.relative_position(gx, gy) == pos
+    assert B.relative_position(y, x) == pos.reversed()
+
+
 def test_ball_resource_limit():
     with pytest.raises(ResourceLimit):
         ball(LocalBuilding(2), 3, cap=10)
@@ -138,9 +215,6 @@ def test_canonicalize_idempotent_and_coset_invariant(b2):
 
 
 def test_tamagawa_low_degrees():
-    from a2zeta.building import tamagawa_kernel
-    from a2zeta.polyint import IntPoly
-
     # degree-0: T_{0,0} is the identity operator
     assert tamagawa_kernel(2, 0, 0, 0) == IntPoly.const(1)
     for cls in ((1, 0), (0, 1), (1, 1)):

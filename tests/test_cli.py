@@ -166,6 +166,15 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     assert "Traceback" not in err
 
 
+def test_lcan_names_the_bad_term_as_written(tmp_path):
+    path = tmp_path / "negative_exponent.mat"
+    path.write_text("1 0 0\n0 1+t^-1 0\n0 0 1\n")
+    code, _, err = run_cli("building", "lcan", "--q", "2", "--matrix", str(path))
+    assert code == 2
+    assert "line 2: bad polynomial term 't^-1'" in err
+    assert "Traceback" not in err
+
+
 def test_satake_cli():
     code, out, _ = run_cli("satake", "verify", "--q", "2", "--degree", "4")
     assert code == 0
