@@ -6,6 +6,7 @@ usage error.  Output is exact unless a line is labeled approx; with
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -278,7 +279,13 @@ def _int_at_least(low):
     return integer
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing reads the parser and never changes it, so repeated main() calls
+    in one process reuse it.
+    """
     positive = _int_at_least(1)
     nonnegative = _int_at_least(0)
     common = argparse.ArgumentParser(add_help=False)

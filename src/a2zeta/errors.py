@@ -55,7 +55,7 @@ class RootFindingFailure(A2ZetaError):
 
 
 class DegreeTooLow(A2ZetaError):
-    """Graph zeta functions need minimum degree at least 2."""
+    """Graph degrees too low: zeta functions need at least 2, the spectral test 1."""
 
 
 class NotRegular(A2ZetaError):

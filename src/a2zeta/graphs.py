@@ -152,6 +152,8 @@ def ramanujan_graph_check(graph, tol=1e-9):
     if len(set(degs)) != 1:
         raise NotRegular(f"degrees {sorted(set(degs))} are not constant")
     k = degs[0]
+    if k == 0:
+        raise DegreeTooLow("the spectral test needs valency at least 1, got 0")
     q = k - 1
     eig = sorted(np.linalg.eigvalsh(graph.adjacency()))
     trivial, nontrivial = [], list(eig)

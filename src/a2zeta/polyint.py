@@ -15,6 +15,8 @@ carries exact Fraction coefficients for the zeta identities and SymPoly
 coefficients for the Satake-side recursion checks.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
@@ -280,6 +282,12 @@ def det_i_minus_pencil(blocks, action=None):
     residues, in M_j, the Hessenberg pass or the product, has at most N + 1
     terms below p^2, so int64 holds it.  With n = 1 there is one block,
     M_0 = C.
+
+    The primes are the largest p = 1 (mod n) with (N + 1) p^2 < 2^63, in
+    descending order.  They come from a table kept for the life of the
+    process per (bound on p, n), which grows as later calls need more, so
+    each candidate is tested for primality once; the same goes for each
+    root of unity mod p.
     """
     c = _block_companion(blocks)
     size = len(c)
@@ -289,10 +297,10 @@ def det_i_minus_pencil(blocks, action=None):
     k, n = orbits.shape
     # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b], flattened over (a, b)
     g_blocks = c[orbits[None, :, 0, None], orbits.T[:, None, :]].reshape(n, k * k)
-    r = max(sum(x * x for x in row) for row in c.tolist())
+    r = _max_row_norm2(c)
     bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
     primes, modulus = [], 1
-    for p in _primes_descending(isqrt((2**63 - 1) // (size + 1)), n):
+    for p in _crt_primes(isqrt((2**63 - 1) // (size + 1)), n):
         primes.append(p)
         modulus *= p
         if modulus**2 > 4 * bound:
@@ -360,6 +368,19 @@ def _orbit_table(c, action, d):
     return np.array(orbits)
 
 
+def _max_row_norm2(c):
+    """The largest squared row 2-norm of an int64 matrix, exactly.
+
+    One numpy reduction when every row sum fits in int64 (max|entry|^2 times
+    the row length below 2^63), Python integers otherwise.
+    """
+    big = max(-int(c.min()), int(c.max()))
+    if big * big * c.shape[1] < 2**63:
+        return int((c * c).sum(axis=1).max())
+    return max(sum(x * x for x in row) for row in c.tolist())
+
+
+@functools.cache
 def _root_of_unity(n, p):
     """A primitive n-th root of unity modulo a prime p = 1 (mod n)."""
     for x in range(2, p):
@@ -421,6 +442,26 @@ def _charpoly_mod(stack, mods):
         if m < k:
             t[:, :, :m] = t[:, :, :m] * h[:, m, None, m - 1, None] % mods
     return polys[:, k]
+
+
+# (limit, n) -> (the primes of _primes_descending(limit, n) found so far,
+# the generator that finds the rest)
+_PRIME_TABLES = {}
+
+
+def _crt_primes(limit, n):
+    """The primes of _primes_descending(limit, n), in order, each tested once per process.
+
+    The table for (limit, n) grows only as far as some caller has read.
+    """
+    found, more = _PRIME_TABLES.setdefault((limit, n), ([], _primes_descending(limit, n)))
+    for i in itertools.count():
+        if i == len(found):
+            p = next(more, None)
+            if p is None:
+                return
+            found.append(p)
+        yield found[i]
 
 
 def _primes_descending(limit, n=1):

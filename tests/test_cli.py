@@ -190,6 +190,54 @@ def test_graph_cli(tmp_path):
     assert code == 0 and "verdict: RAMANUJAN" in out
 
 
+@pytest.mark.parametrize("vertices", [1, 2])
+def test_graph_check_on_edgeless_graph_exits_2(vertices, tmp_path):
+    """Valency 0 is bad input: one error line, no nan bound or numpy warning."""
+    gpath = tmp_path / "edgeless.graph"
+    gpath.write_text(f"graph v1\nvertices {vertices}\n")
+    for command in ("check", "zeta"):
+        code, out, err = run_cli("graph", command, str(gpath))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Warning" not in err
+
+
+def main_in_process(argv):
+    """cli.main(argv) in this process: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(cx_path, tmp_path):
+    """main() calls in one process share one parser, and each prints what a
+    fresh process prints: no option value of one call reaches the next."""
+    petersen = tmp_path / "petersen.graph"
+    petersen.write_text(serialize_graph(petersen_graph()))
+    records = ["--format", "records"]
+    sequence = [
+        ["check", "ramanujan", cx_path, "--tol", "1e-5", *records],
+        ["check", "ramanujan", cx_path, *records],
+        ["check", "ramanujan", cx_path, "--tol"],
+        ["zeta", cx_path, "--which", "edge", *records],
+        ["graph", "check", str(petersen), *records],
+    ]
+    results = [main_in_process(argv) for argv in sequence]
+    assert "tol 1e-05" in results[0][1].splitlines()
+    assert "tol 1e-06" in results[1][1].splitlines()
+    assert [code for code, _ in results] == [0, 0, 2, 0, 0]
+    for argv, result in zip(sequence, results):
+        assert run_cli(*argv)[:2] == result
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    assert parser.parse_args(["graph", "check", str(petersen)]).tol == 1e-9
+    assert parser.parse_args(["check", "ramanujan", cx_path]).tol == 1e-6
+
+
 def test_enumerate_cli(cx_path):
     code, out, _ = run_cli("enumerate", "geodesics", cx_path, "--length", "3")
     assert code == 0 and "geodesics: 147" in out

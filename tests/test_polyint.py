@@ -1,15 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from a2zeta import polyint
 from a2zeta.errors import A2ZetaError
 from a2zeta.polyint import (
     IntPoly,
     RationalFunction,
     Series,
+    _crt_primes,
+    _max_row_norm2,
+    _primes_descending,
     det_i_minus_pencil,
     poly_log_derivative,
 )
@@ -165,6 +172,88 @@ def test_character_factorization_matches_trivial_action(pencil):
 def test_pencil_rejects_bad_actions(matrix, action):
     with pytest.raises(A2ZetaError):
         det_i_minus_pencil([matrix], action)
+
+
+@pytest.mark.parametrize(
+    "limit, n",
+    [(100, 1), (10**4, 1), (10**4, 7), (isqrt((2**63 - 1) // 53), 13), (3037000499, 1)],
+)
+def test_crt_primes_are_the_descending_primes(limit, n, monkeypatch):
+    """The shared table yields _primes_descending's sequence, cold or warm,
+    whether a read extends it or stays inside it; (100, 1) runs out at 67."""
+    monkeypatch.setattr(polyint, "_PRIME_TABLES", {})
+    want = list(islice(_primes_descending(limit, n), 40))
+    assert list(islice(_crt_primes(limit, n), 5)) == want[:5]
+    assert list(islice(_crt_primes(limit, n), 40)) == want
+    assert list(islice(_crt_primes(limit, n), 40)) == want
+    assert list(islice(_crt_primes(limit, n), 3)) == want[:3]
+
+
+def python_max_row_norm2(c):
+    return max(sum(x * x for x in row) for row in c.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.integers(0, 63).flatmap(
+            lambda bits: st.lists(
+                st.integers(-(2**bits), 2**bits - 1), min_size=n * n, max_size=n * n
+            ).map(lambda xs: np.array(xs, dtype=np.int64).reshape(n, n))
+        )
+    )
+)
+@example(np.full((2, 2), 2**31, dtype=np.int64))
+@example(np.full((2, 2), -(2**31) + 1, dtype=np.int64))
+@example(np.array([[isqrt((2**63 - 1) // 2)] * 2, [0, 0]], dtype=np.int64))
+@example(np.array([[isqrt((2**63 - 1) // 2) + 1] * 2, [0, 0]], dtype=np.int64))
+@example(np.array([[-(2**63), 1], [1, 1]], dtype=np.int64))
+def test_max_row_norm2_matches_python_ints(c):
+    """Near 2^31 and beyond, where a row sum overflows int64, the result stays
+    exact; -2^63, whose numpy abs wraps, takes the Python-int route."""
+    assert _max_row_norm2(c) == python_max_row_norm2(c)
+
+
+def circulant(row):
+    n = len(row)
+    return [[row[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def test_pencil_same_cold_and_warm(monkeypatch):
+    """Interleaved calls of different sizes and actions share the prime and
+    root tables; each result equals the one computed with empty tables.
+    Calls of one size read one prime table, the larger entries further."""
+    shift7 = [(i + 1) % 7 for i in range(7)]
+    shift3 = [3 * (i // 3) + (i + 1) % 3 for i in range(6)]
+    # a 2 x 2 block matrix of 3 x 3 circulants commutes with shift3
+    block3 = [
+        circulant(left)[i] + circulant(right)[i]
+        for left, right in [([1, -2, 3], [0, 4, -1]), ([0, 4, -1], [1, -2, 3])]
+        for i in range(3)
+    ]
+    k4 = [[int(i != j) for j in range(4)] for i in range(4)]
+    cases = [
+        ([[[2 * (i == j) for j in range(3)] for i in range(3)]], None),
+        ([circulant([0, 1, 0, 0, 0, 0, 1])], shift7),
+        ([circulant([0, 1, 0, 0, 0, 0, 1]), circulant([-2, 0, 0, 0, 0, 0, 0])], shift7),
+        ([[[2**40 * (i == j) for j in range(3)] for i in range(3)]], None),
+        ([block3], shift3),
+        ([k4, [[-2 * (i == j) for j in range(4)] for i in range(4)]], None),
+        ([circulant([5, 0, 3, -1, 0, 2, 7])], shift7),
+        ([block3, block3], shift3),
+        ([[[2**62, 0], [0, -(2**62)]]], None),
+    ]
+    cold = []
+    for blocks, action in cases:
+        monkeypatch.setattr(polyint, "_PRIME_TABLES", {})
+        polyint._root_of_unity.cache_clear()
+        cold.append(det_i_minus_pencil(blocks, action))
+    monkeypatch.setattr(polyint, "_PRIME_TABLES", {})
+    for _ in range(2):
+        for (blocks, action), want in zip(cases, cold):
+            assert det_i_minus_pencil(blocks, action) == want
+    for (blocks, _), want in zip(cases, cold):
+        assert det_i_minus_pencil(blocks) == want
 
 
 def test_det_zero_matrix_pencil_is_one():
