@@ -38,11 +38,15 @@ class _Lines:
         return self.pos >= len(self.rows)
 
 
-def _int(lineno, tok, what):
+def _int(lineno, tok, what, least=None):
+    """The integer tok; ParseError if it is not one, or is below least."""
     try:
-        return int(tok)
+        n = int(tok)
     except ValueError:
         raise ParseError(lineno, f"bad {what}: {tok!r}") from None
+    if least is not None and n < least:
+        raise ParseError(lineno, f"{what} must be >= {least}, got {n}")
+    return n
 
 
 def parse_complex(text):
@@ -51,11 +55,9 @@ def parse_complex(text):
     if toks != ["a2complex", "v1"]:
         raise ParseError(lineno, "expected header 'a2complex v1'")
     lineno, toks = lines.next("q", 1)
-    q = _int(lineno, toks[1], "q")
-    if q < 2:
-        raise ParseError(lineno, f"q must be >= 2, got {q}")
+    q = _int(lineno, toks[1], "q", 2)
     lineno, toks = lines.next("vertices", 1)
-    nv = _int(lineno, toks[1], "vertex count")
+    nv = _int(lineno, toks[1], "vertex count", 0)
     types = [None] * nv
     for _ in range(nv):
         lineno, toks = lines.next("type", 2)
@@ -64,7 +66,7 @@ def parse_complex(text):
             raise ParseError(lineno, f"bad or repeated vertex id {vid}")
         types[vid] = _int(lineno, toks[2], "type")
     lineno, toks = lines.next("edges", 1)
-    ne = _int(lineno, toks[1], "edge count")
+    ne = _int(lineno, toks[1], "edge count", 0)
     edges = [None] * ne
     for _ in range(ne):
         lineno, toks = lines.next("edge", 3)
@@ -76,7 +78,7 @@ def parse_complex(text):
             _int(lineno, toks[3], "dst"),
         )
     lineno, toks = lines.next("chambers", 1)
-    nc = _int(lineno, toks[1], "chamber count")
+    nc = _int(lineno, toks[1], "chamber count", 0)
     chambers = []
     for _ in range(nc):
         lineno, toks = lines.next("chamber", 3)
@@ -137,7 +139,7 @@ def parse_graph(text):
     if toks != ["graph", "v1"]:
         raise ParseError(lineno, "expected header 'graph v1'")
     lineno, toks = lines.next("vertices", 1)
-    n = _int(lineno, toks[1], "vertex count")
+    n = _int(lineno, toks[1], "vertex count", 0)
     edges = []
     while not lines.done():
         lineno, toks = lines.next("edge", 2)

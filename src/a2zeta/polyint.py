@@ -3,13 +3,14 @@
 IntPoly is a tuple of arbitrary-precision integer coefficients indexed by
 degree, with no trailing zeros (canonical form; () is zero).  Every
 polynomial determinant is det(I - B1 u - ... - Bd u^d) of integer matrices,
-computed by det_i_minus_pencil as a reversed characteristic polynomial
-modulo primes and rebuilt by CRT from a proven coefficient bound.  Given a
-free permutation action of Z/n that the matrices commute with, the primes
-are taken = 1 (mod n) and each residue is the product of n small
-characteristic polynomials, one per character of Z/n: the discrete
-Fourier transform is invertible mod such p, so the residue is the same
-and exactness rests on the same bound and CRT.  Series
+computed by det_i_minus_rows as a reversed characteristic polynomial
+modulo primes and rebuilt by CRT from a proven coefficient bound.  Its
+input is one row per orbit of a free action of Z/n that the matrix commutes
+with (n = 1 and every row for det_i_minus_pencil); the primes are taken
+= 1 (mod n) and each residue is the product of n small characteristic
+polynomials, one per character of Z/n: the discrete Fourier transform is
+invertible mod such p, so the residue is the same and exactness rests on
+the same bound and CRT.  Series
 is the one truncated power series type: generic in its coefficient ring, it
 carries exact Fraction coefficients for the zeta identities and SymPoly
 coefficients for the Satake-side recursion checks.
@@ -18,7 +19,7 @@ coefficients for the Satake-side recursion checks.
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 
 import numpy as np
 
@@ -249,39 +250,48 @@ U = IntPoly.monomial(1)
 # polynomial determinants
 
 
-def det_i_minus_pencil(blocks, action=None):
+def det_i_minus_pencil(blocks):
     """det(I - B1 u - ... - Bd u^d) for square integer matrices B1..Bd, exactly.
 
     With C the block companion matrix of the pencil, det(I - u C) equals
-    the pencil determinant, and it is the reversed characteristic
-    polynomial of C: its u^k coefficient is (-1)^k e_k(eigenvalues of C).
-    That polynomial is computed modulo primes p with N p^2 < 2^63
-    (N = dim C) and rebuilt by CRT to symmetric residues.  e_k is the sum
-    of the C(N, k) principal k x k minors of C, and by Hadamard's
-    inequality each minor is at most the product of its rows' 2-norms,
-    each at most sqrt(r) with r the largest squared row 2-norm of C.  So
-    |e_k| <= C(N, k) r^(k/2), and primes are taken until their product m
-    has m^2 > 4 C(N, k)^2 r^k for every k: m exceeds 2 |e_k|, and the result
-    is exact by proof, with no square root taken.  Entries must fit in int64.
+    the pencil determinant; det_i_minus_rows takes it from every row of C,
+    each index its own orbit of the trivial group.
+    """
+    c = _block_companion(blocks)
+    return det_i_minus_rows(c, np.arange(len(c))[:, None])
 
-    action is an optional permutation sigma of range(dim Bi), given as its
-    image list, that generates a free action of Z/n: every orbit has n
-    elements and every Bi satisfies Bi[sigma][:, sigma] == Bi, checked
-    here (A2ZetaError otherwise).  The default is the trivial group, n = 1.
-    Acting on each companion block, sigma splits C's index set into k = N/n
-    orbits rep_a, sigma rep_a, ..., and C is determined by the orbit blocks
-    G_g[a, b] = C[rep_a, sigma^g rep_b].  For a prime p = 1 (mod n) with zeta a
-    primitive n-th root of unity mod p, the discrete Fourier transform over
-    Z/n, invertible mod p, makes C similar mod p to the block diagonal of
-    the character blocks M_j = sum_g zeta^(jg) G_g, j = 0..n-1, so
-        charpoly(C) = prod_j charpoly(M_j)  (mod p).
-    The k-square characteristic polynomials of all n characters and of
-    many primes at once come from one batched Hessenberg pass, and their
-    product mod p is the same residue as above; the bound, the CRT and so
-    the proof of exactness do not change.  Every sum of products of
-    residues, in M_j, the Hessenberg pass or the product, has at most N + 1
-    terms below p^2, so int64 holds it.  With n = 1 there is one block,
-    M_0 = C.
+
+def det_i_minus_rows(rows, orbits):
+    """det(I - u C) for an N x N integer matrix C given by its orbit rows, exactly.
+
+    orbits is the k x n table of a free action of Z/n on C's index set that
+    C commutes with, C[sigma i, sigma j] == C[i, j], as the caller
+    guarantees: row a is rep_a, sigma rep_a, ..., sigma^(n-1) rep_a.  rows
+    is the k x N int64 array of the C[rep_a].  Every row of C is then a
+    permutation of its orbit's representative row, and C is determined by
+    the orbit blocks G_g[a, b] = C[rep_a, sigma^g rep_b].  n = 1 with
+    orbits = arange(N)[:, None] takes every row of C.
+
+    det(I - u C) is the reversed characteristic polynomial of C: its u^k
+    coefficient is (-1)^k e_k(eigenvalues of C).  It is computed modulo
+    primes p and rebuilt by CRT to symmetric residues.  e_k is the sum of
+    the C(N, k) principal k x k minors of C, and by Hadamard's inequality
+    each minor is at most the product of its rows' 2-norms, each at most
+    sqrt(r) with r the largest squared row 2-norm, read off the rows given.
+    So |e_k| <= C(N, k) r^(k/2), and primes are taken until their product m
+    has m^2 > 4 C(N, k)^2 r^k for every k: m exceeds 2 |e_k|, and the result
+    is exact by proof, with no square root taken.
+
+    For a prime p = 1 (mod n) with zeta a primitive n-th root of unity mod
+    p, the discrete Fourier transform over Z/n, invertible mod p, makes C
+    similar mod p to the block diagonal of the character blocks
+    M_j = sum_g zeta^(jg) G_g, j = 0..n-1, so
+        charpoly(C) = prod_j charpoly(M_j)  (mod p),
+    the same residue for every n, so the bound and the CRT hold as they
+    are.  The k-square characteristic polynomials of all n characters and
+    of many primes at once come from one batched Hessenberg pass.  Every
+    sum of products of residues, in M_j, the Hessenberg pass or the
+    product, has at most N + 1 terms below p^2, so int64 holds it.
 
     The primes are the largest p = 1 (mod n) with (N + 1) p^2 < 2^63, in
     descending order.  They come from a table kept for the life of the
@@ -289,15 +299,14 @@ def det_i_minus_pencil(blocks, action=None):
     each candidate is tested for primality once; the same goes for each
     root of unity mod p.
     """
-    c = _block_companion(blocks)
-    size = len(c)
+    size = rows.shape[1]
     if size == 0:
         return ONE
-    orbits = _orbit_table(c, action, len(blocks))
     k, n = orbits.shape
-    # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b], flattened over (a, b)
-    g_blocks = c[orbits[None, :, 0, None], orbits.T[:, None, :]].reshape(n, k * k)
-    r = _max_row_norm2(c)
+    # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b] = rows[a, orbits[b, g]],
+    # flattened over (a, b)
+    g_blocks = rows[:, orbits.T].transpose(1, 0, 2).reshape(n, k * k)
+    r = _max_row_norm2(rows)
     bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
     primes, modulus = [], 1
     for p in _crt_primes(isqrt((2**63 - 1) // (size + 1)), n):
@@ -334,38 +343,6 @@ def det_i_minus_pencil(blocks, action=None):
 
 
 _BATCH_ENTRIES = 2**18
-
-
-def _orbit_table(c, action, d):
-    """The orbits of the action on the companion's index set, one row each.
-
-    Row a is rep_a, sigma rep_a, ..., sigma^(n-1) rep_a; sigma acts alike on
-    each of the d companion blocks.  Raises A2ZetaError unless sigma is a
-    permutation, C[sigma][:, sigma] == C, and every orbit has n elements.
-    """
-    size = len(c)
-    if action is None:
-        return np.arange(size)[:, None]
-    base = size // d
-    sigma = np.asarray(action, dtype=np.int64)
-    if not np.array_equal(np.sort(sigma), np.arange(base)):
-        raise A2ZetaError("action is not a permutation of the index set")
-    sigma = (sigma + base * np.arange(d)[:, None]).ravel()
-    if not np.array_equal(c[sigma][:, sigma], c):
-        raise A2ZetaError("matrix does not commute with the action")
-    step, seen, orbits = sigma.tolist(), [False] * size, []
-    for i in range(size):
-        if not seen[i]:
-            orbit = [i]
-            while step[orbit[-1]] != i:
-                orbit.append(step[orbit[-1]])
-            for j in orbit:
-                seen[j] = True
-            orbits.append(orbit)
-    n = lcm(*map(len, orbits))
-    if any(len(orbit) < n for orbit in orbits):
-        raise A2ZetaError(f"action is not free: an orbit is shorter than {n}")
-    return np.array(orbits)
 
 
 def _max_row_norm2(c):

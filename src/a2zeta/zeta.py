@@ -13,25 +13,25 @@ and the determinant identity under test is
 
 Every operator here shifts the Z/3 grading by a fixed amount (LE by 1, LB
 by 2, and the vertex pencil mixes shifts 0, 1, 2), so each determinant is a
-polynomial in u^3.  For LE and LB we exploit this: ordering the index set
-by source type makes the operator block-cyclic, and
-
-    det(I - L u) = det(I - u^3 M),   M = product of the three blocks,
-
-which shrinks a 3n x 3n polynomial determinant to an n x n one.
+polynomial in u^3.  For LE and LB, with M the restriction of L^3 to the
+type-0 indices, det(I - L u) = det(I - u^3 M), an N x N determinant in
+place of a 3N x 3N one.  M is never formed: type0_orbit_rows takes the rows
+it needs from three sparse row-times-operator steps each.
 
 A search-built complex also carries the Singer shift of PG(2, q), a free
 action of Z/n, n = q^2 + q + 1, on its edges and directed chambers;
 presentations.singer_action returns both permutations from one check of
-the chamber set.  It commutes with LE and LB, so it acts freely on the
-type-0 rows of ME and MB, and det_i_minus_pencil factors
-each determinant over the n characters of Z/n, as in the Artin
-L-function factorization of Stark-Terras: modulo a prime p = 1 (mod n),
-det(I - v M) = prod_j det(I - v M_j) with every M_j only 1-square for ME
-and (q+1)-square for MB.  The residues are the same as without the action
-and the prime count comes from the same Hadamard bound, so the result is
-exact by the same proof.  A complex without the action (relabeled, or not
-built from a presentation) takes the trivial group, n = 1.
+the chamber set.  It commutes with LE and LB, checked on their entries, so
+M is determined by one row per orbit on the type-0 indices: q + 1 rows of
+MB and one of ME.  det_i_minus_rows factors the determinant over the n
+characters of Z/n, as in the Artin L-function factorization of
+Stark-Terras: modulo a prime p = 1 (mod n), det(I - v M) = prod_j
+det(I - v M_j) with every M_j only 1-square for ME and (q+1)-square for MB.
+The residues are the same as without the action and the prime count comes
+from the same Hadamard bound, so the result is exact by the same proof.  A
+complex without the action (relabeled, or not built from a presentation)
+takes the trivial group, n = 1: every type-0 index is its own orbit, and
+the same code runs.
 
 The PB and PE root histograms of ramanujan_check label the roots of a
 squarefree factor that fails its numerical certificate as unclassified;
@@ -51,6 +51,7 @@ from .polyint import (
     RationalFunction,
     Series,
     det_i_minus_pencil,
+    det_i_minus_rows,
     poly_log_derivative,
 )
 from .presentations import singer_action
@@ -64,62 +65,77 @@ def one_minus_cube(scale=1):
 
 
 # ----------------------------------------------------------------------
-# block-cyclic determinant reduction
+# the type-0 rows of a block-cyclic operator
 
 
-def cyclic_block_product(op, types, shift):
-    """Blocks of a type-shifting operator and their cyclic product.
+def type0_orbit_rows(op, types, shift, images):
+    """The rows of M = Op^3 on the type-0 indices, one per orbit, and the orbits.
 
-    types[i] is the type of index i, and the operator must map type t to
-    type t + shift (mod 3).  Returns the square integer matrix M with
-    det(I - u Op) = det(I - u^3 M), namely the product B[0]B[shift]B[2*shift]
-    of the blocks starting from type 0, as an int64 array.  Block t holds
-    the rows of type t; an index keeps its order within its type class.
-    Multiplicities are nonnegative, so the product of the three blocks'
-    largest row sums, each taken at least 1, bounds every block entry, every
-    entry of the product and every partial sum on the way; the blocks are
-    multiplied in int64 only while it is below 2^63.
+    types[i] is the type of index i; Op must map type t to type t + shift
+    (mod 3), and the three type classes must have equal sizes.  images is a
+    permutation of the index set, as from singer_action, or None for the
+    trivial group.  It must keep every type, commute with Op (checked on
+    Op's entries) and have equally long orbits on the type-0 indices, which
+    are numbered by their position in their class.  Returns (rows, orbits)
+    as det_i_minus_rows takes them.  The rows are taken in Python ints; an
+    entry of 2^63 or more raises A2ZetaError.
     """
-    pos, sizes = [], [0, 0, 0]
-    for t in types:
-        pos.append(sizes[t])
-        sizes[t] += 1
-    if len(set(sizes)) != 1:
+    if len({types.count(t) for t in range(3)}) != 1:
         raise A2ZetaError("type classes have unequal sizes")
-    largest = [1, 1, 1]
-    for t, s in zip(types, op.row_sums()):
-        largest[t] = max(largest[t], s)
-    if largest[0] * largest[1] * largest[2] >= 2**63:
-        raise A2ZetaError("block product may overflow int64")
-    blocks = np.zeros((3, sizes[0], sizes[0]), dtype=np.int64)
+    step = [[] for _ in types]
     for (r, c), v in op.entries.items():
         if types[c] != (types[r] + shift) % 3:
             raise A2ZetaError("operator does not shift types uniformly")
-        blocks[types[r], pos[r], pos[c]] = v
-    return blocks[0] @ blocks[shift % 3] @ blocks[2 * shift % 3]
-
-
-def det_i_minus_u3(m, sign=1, action=None):
-    """det(I - sign * u^3 * M) for an integer matrix M, exactly.
-
-    action is an optional free permutation action on M's index set, as in
-    det_i_minus_pencil, which factors the determinant over its characters.
-    """
-    return det_i_minus_pencil([sign * np.asarray(m)], action).substitute_power(3)
-
-
-def _on_type0(images, types):
-    """A permutation of an index set, restricted to its type-0 indices.
-
-    Indices are renumbered by their position in the type-0 class, the order
-    that cyclic_block_product gives the rows of its product.  No permutation
-    (None) stays None.
-    """
-    if images is None:
-        return None
+        step[r].append((c, v))
     zero = [i for i, t in enumerate(types) if t == 0]
     pos = {i: a for a, i in enumerate(zero)}
-    return [pos[images[i]] for i in zero]
+    if images is None:
+        images = range(len(types))
+    elif sorted(images) != list(range(len(types))) or any(
+        types[s] != t for s, t in zip(images, types)
+    ):
+        raise A2ZetaError("action is not a type-preserving permutation")
+    entries = op.entries
+    if any(entries.get((images[r], images[c])) != v for (r, c), v in entries.items()):
+        raise A2ZetaError("operator does not commute with the action")
+    orbits = _orbits([pos[images[i]] for i in zero])
+    rows = np.zeros((len(orbits), len(zero)), dtype=np.int64)
+    for a, orbit in enumerate(orbits):
+        row = {zero[orbit[0]]: 1}
+        for _ in range(3):
+            after = {}
+            for r, x in row.items():
+                for c, v in step[r]:
+                    after[c] = after.get(c, 0) + x * v
+            row = after
+        for c, x in row.items():
+            if x >= 2**63:
+                raise A2ZetaError("an entry of Op^3 does not fit in int64")
+            rows[a, pos[c]] = x
+    return rows, np.array(orbits, dtype=np.int64)
+
+
+def _orbits(sigma):
+    """The orbits of a permutation sigma of range(len(sigma)), each from its least index.
+
+    Raises A2ZetaError unless every orbit has the same length.
+    """
+    orbits, seen = [], set()
+    for i in range(len(sigma)):
+        if i not in seen:
+            orbit = [i]
+            while sigma[orbit[-1]] != i:
+                orbit.append(sigma[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(orbit)
+    if len(set(map(len, orbits))) > 1:
+        raise A2ZetaError("action is not free: its orbits differ in length")
+    return orbits
+
+
+def det_i_minus_u3(rows, sign, orbits):
+    """det(I - sign * u^3 * M) exactly, M given by type0_orbit_rows."""
+    return det_i_minus_rows(sign * rows, orbits).substitute_power(3)
 
 
 # ----------------------------------------------------------------------
@@ -168,10 +184,10 @@ def zeta_bundle(cx):
     edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
     chamber_types = [edge_types[e] for tri in cx.chambers for e in tri]
     edge_images, chamber_images = singer_action(cx) or (None, None)
-    me = cyclic_block_product(LE, edge_types, 1)
-    pe = det_i_minus_u3(me, 1, _on_type0(edge_images, edge_types))
-    mb = cyclic_block_product(LB, chamber_types, 2)
-    pb = det_i_minus_u3(mb, -1, _on_type0(chamber_images, chamber_types))
+    me, edge_orbits = type0_orbit_rows(LE, edge_types, 1, edge_images)
+    pe = det_i_minus_u3(me, 1, edge_orbits)
+    mb, chamber_orbits = type0_orbit_rows(LB, chamber_types, 2, chamber_images)
+    pb = det_i_minus_u3(mb, -1, chamber_orbits)
     pe2 = pe.substitute_power(2)
     return ZetaBundle(
         q=cx.q, chi=euler_characteristic(cx), dvertex=dvertex, pb=pb, pe=pe, pe2=pe2

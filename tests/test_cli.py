@@ -124,6 +124,10 @@ def test_usage_error_exit_2():
         "graph_tol_negative",
         "graph_tol_nan",
         "graph_tol_inf",
+        "graph_negative_vertices",
+        "complex_negative_vertices",
+        "complex_negative_edges",
+        "complex_negative_chambers",
     ],
 )
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
@@ -135,6 +139,15 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     bad_term.write_text("1 0 0\n0 1 0\n0 0 x\n")
     petersen = tmp_path / "petersen.graph"
     petersen.write_text(serialize_graph(petersen_graph()))
+    negative_graph = tmp_path / "negative.graph"
+    negative_graph.write_text("graph v1\nvertices -1\n")
+    negative = {}
+    for name, v, e, c in [("vertices", -1, 0, 0), ("edges", 3, -1, 0), ("chambers", 3, 0, -1)]:
+        types = "".join(f"type {i} {i}\n" for i in range(max(v, 0)))
+        negative[name] = tmp_path / f"negative_{name}.cx3"
+        negative[name].write_text(
+            f"a2complex v1\nq 2\nvertices {v}\n{types}edges {e}\nchambers {c}\n"
+        )
     argv = {
         "directory": ["validate", str(tmp_path)],
         "bare_q_line": ["validate", str(bare_q)],
@@ -160,6 +173,10 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "graph_tol_negative": ["graph", "check", str(petersen), "--tol", "-1"],
         "graph_tol_nan": ["graph", "check", str(petersen), "--tol", "nan"],
         "graph_tol_inf": ["graph", "check", str(petersen), "--tol", "inf"],
+        "graph_negative_vertices": ["graph", "zeta", str(negative_graph)],
+        "complex_negative_vertices": ["check", "identity", str(negative["vertices"])],
+        "complex_negative_edges": ["check", "identity", str(negative["edges"])],
+        "complex_negative_chambers": ["check", "identity", str(negative["chambers"])],
     }[case]
     code, _, err = run_cli(*argv)
     assert code == 2

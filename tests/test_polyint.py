@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 
 from a2zeta import polyint
 from a2zeta.errors import A2ZetaError
+from a2zeta.operators import SparseOperator, chamber_operator
 from a2zeta.polyint import (
     IntPoly,
     RationalFunction,
     Series,
+    _block_companion,
     _crt_primes,
     _max_row_norm2,
     _primes_descending,
     det_i_minus_pencil,
+    det_i_minus_rows,
     poly_log_derivative,
 )
+from a2zeta.presentations import singer_action
+from a2zeta.zeta import type0_orbit_rows
 from oracles import (
     bareiss_det_int,
     eval_int,
@@ -109,6 +114,14 @@ def test_pencil_at_the_coefficient_bound(n):
             assert det_i_minus_pencil([m]) == IntPoly((1, -sign * rho)) ** n
 
 
+def test_pencil_bound_reads_every_row():
+    """The largest row is not the first: a bound from row 0 alone is 1."""
+    assert det_i_minus_pencil([[[0, 0], [0, 2**62]]]) == IntPoly((1, -(2**62)))
+    diagonal = [[2**61 * (i == j > 1) for j in range(4)] for i in range(4)]
+    rows, orbits = orbit_rows(diagonal, [1, 0, 3, 2])
+    assert det_i_minus_rows(rows, orbits) == IntPoly((1, -(2**61))) ** 2
+
+
 def sylvester_hadamard(n):
     """The n x n Sylvester Hadamard matrix, n a power of 2."""
     h = [[1]]
@@ -129,49 +142,74 @@ def test_pencil_at_the_hadamard_bound(n):
         assert det_i_minus_pencil([m]) == IntPoly((1, 0, -n * s * s)) ** (n // 2)
 
 
+def orbit_rows(matrix, sigma):
+    """(rows, orbits) of a square matrix under the permutation sigma, for
+    det_i_minus_rows: the orbits from their least index on, and the row of
+    each orbit's first index."""
+    orbits, seen = [], set()
+    for i in range(len(sigma)):
+        if i not in seen:
+            orbit = [i]
+            while sigma[orbit[-1]] != i:
+                orbit.append(sigma[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(orbit)
+    orbits = np.array(orbits, dtype=np.int64)
+    return np.asarray(matrix, dtype=np.int64)[orbits[:, 0]], orbits
+
+
 @st.composite
 def equivariant_pencils(draw):
-    """A pencil whose blocks are sum_g B_g (x) P^g, relabeled at random.
+    """A matrix sum_g B_g (x) P^g, relabeled at random, and a free shift on it.
 
     Before relabeling, index a*n + h stands for sigma^h rep_a and entry
     ((a, h), (b, g)) is B_{g-h}[a, b], so the shift h -> h+1 is a free
-    action of Z/n.  Returns the relabeled blocks and the shift on them.
+    action of Z/n.  Returns the relabeled matrix and the shift on it.
     """
-    n, k, d = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 4))
     size = n * k
     perm = draw(st.permutations(range(size)))  # new index i is old index perm[i]
     where = {old: new for new, old in enumerate(perm)}
     sigma = [where[perm[i] - perm[i] % n + (perm[i] + 1) % n] for i in range(size)]
-    blocks = []
-    for _ in range(d):
-        b = draw(st.lists(st.integers(-5, 5), min_size=n * k * k, max_size=n * k * k))
-        old = [
-            [b[((g % n - h % n) % n * k + h // n) * k + g // n] for g in range(size)]
-            for h in range(size)
-        ]
-        blocks.append([[old[perm[i]][perm[j]] for j in range(size)] for i in range(size)])
-    return blocks, sigma
+    b = draw(st.lists(st.integers(-5, 5), min_size=n * k * k, max_size=n * k * k))
+    old = [
+        [b[((g % n - h % n) % n * k + h // n) * k + g // n] for g in range(size)]
+        for h in range(size)
+    ]
+    return [[old[perm[i]][perm[j]] for j in range(size)] for i in range(size)], sigma
 
 
 @settings(max_examples=100, deadline=None)
 @given(equivariant_pencils())
 def test_character_factorization_matches_trivial_action(pencil):
-    blocks, sigma = pencil
-    assert det_i_minus_pencil(blocks, sigma) == det_i_minus_pencil(blocks)
+    matrix, sigma = pencil
+    assert det_i_minus_rows(*orbit_rows(matrix, sigma)) == det_i_minus_pencil([matrix])
 
 
 @pytest.mark.parametrize(
-    "matrix, action",
-    [
-        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [1, 2, 0]),
-        ([[int(i == j) for j in range(6)] for i in range(6)], [1, 2, 3, 0, 5, 4]),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 1]),
-    ],
-    ids=["does_not_commute", "orbit_shorter_than_n", "not_a_permutation"],
+    "case", ["does_not_commute", "orbit_shorter_than_n", "not_a_permutation"]
 )
-def test_pencil_rejects_bad_actions(matrix, action):
-    with pytest.raises(A2ZetaError):
-        det_i_minus_pencil([matrix], action)
+def test_pencil_rejects_bad_actions(case, q3_cx):
+    """The action checks of the orbit rows a determinant is taken from."""
+    if case == "does_not_commute":
+        # the seed-0 q=3 LB less one entry, under the Singer action
+        entries = dict(chamber_operator(q3_cx).entries)
+        entries.pop(min(entries))
+        edge_types = [q3_cx.vertex_types[s] for s, _ in q3_cx.edges]
+        types, shift = [edge_types[e] for tri in q3_cx.chambers for e in tri], 2
+        images, match = singer_action(q3_cx)[1], "commute"
+    elif case == "orbit_shorter_than_n":
+        # i -> i + 3 commutes with the swap of 0 and 1 in each type class
+        entries = {(i, (i + 3) % 9): 1 for i in range(9)}
+        types, shift = [0] * 3 + [1] * 3 + [2] * 3, 1
+        images, match = [1, 0, 2, 4, 3, 5, 7, 6, 8], "orbits"
+    else:
+        entries = {(0, 1): 1, (1, 2): 1, (2, 0): 1}
+        types, shift = [0, 1, 2], 1
+        images, match = [0, 0, 1], "permutation"
+    op = SparseOperator("test", len(types), entries)
+    with pytest.raises(A2ZetaError, match=match):
+        type0_orbit_rows(op, types, shift, images)
 
 
 @pytest.mark.parametrize(
@@ -221,8 +259,10 @@ def circulant(row):
 
 def test_pencil_same_cold_and_warm(monkeypatch):
     """Interleaved calls of different sizes and actions share the prime and
-    root tables; each result equals the one computed with empty tables.
-    Calls of one size read one prime table, the larger entries further."""
+    root tables; each result equals the one computed with empty tables and
+    the one of every row.  Calls of one size read one prime table, the
+    larger entries further.  An action on a pencil of d blocks acts alike
+    on each block of its companion."""
     shift7 = [(i + 1) % 7 for i in range(7)]
     shift3 = [3 * (i // 3) + (i + 1) % 3 for i in range(6)]
     # a 2 x 2 block matrix of 3 x 3 circulants commutes with shift3
@@ -243,15 +283,20 @@ def test_pencil_same_cold_and_warm(monkeypatch):
         ([block3, block3], shift3),
         ([[[2**62, 0], [0, -(2**62)]]], None),
     ]
-    cold = []
+    inputs = []
     for blocks, action in cases:
+        base = len(blocks[0])
+        sigma = [d * base + i for d in range(len(blocks)) for i in action or range(base)]
+        inputs.append(orbit_rows(_block_companion(blocks), sigma))
+    cold = []
+    for rows, orbits in inputs:
         monkeypatch.setattr(polyint, "_PRIME_TABLES", {})
         polyint._root_of_unity.cache_clear()
-        cold.append(det_i_minus_pencil(blocks, action))
+        cold.append(det_i_minus_rows(rows, orbits))
     monkeypatch.setattr(polyint, "_PRIME_TABLES", {})
     for _ in range(2):
-        for (blocks, action), want in zip(cases, cold):
-            assert det_i_minus_pencil(blocks, action) == want
+        for (rows, orbits), want in zip(inputs, cold):
+            assert det_i_minus_rows(rows, orbits) == want
     for (blocks, _), want in zip(cases, cold):
         assert det_i_minus_pencil(blocks) == want
 

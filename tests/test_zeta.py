@@ -29,11 +29,11 @@ from a2zeta.presentations import (
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
-    cyclic_block_product,
     hecke_series,
     one_minus_cube,
     ramanujan_check,
     roots_via_cube,
+    type0_orbit_rows,
     zeta_bundle,
     zeta_functions,
 )
@@ -77,12 +77,27 @@ Q5_DIGESTS = {
 }
 
 
+# the same for the seed-0 q=7 complex (PB has degree 1368), recorded with the
+# dense product of the three operator blocks, a route independent of the rows
+Q7_DIGESTS = {
+    "dvertex": "fecf75cc48db5f0ae9deda7665dce75396fc6a769c99fc42f63f067de90b3904",
+    "pe": "83513ebd694ac6f88a0597f8134661ab3bea0049774cb8a5457d5f636efe2385",
+    "pb": "f2a28b8a640f2e6911ba4c59fd1ccf1047143ce6e4e372b901a0993f90793bc0",
+}
+
+
 def test_q5_polynomials_pinned():
     tp = search_triangle_presentations(build_plane(5), limit=1, seed=0)[0]
     b = zeta_bundle(complex_from_presentation(tp))
     for name, want in Q5_DIGESTS.items():
         text = " ".join(map(str, getattr(b, name).coeffs))
         assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
+def test_q7_polynomials_pinned(q7_cx):
+    b = zeta_bundle(q7_cx)
+    for name, want in Q7_DIGESTS.items():
+        assert poly_digest(getattr(b, name)) == want, name
 
 
 def test_block_reduction_matches_direct_determinants(corpus, q4_cx):
@@ -109,16 +124,43 @@ def relabeled(cx, rnd):
 
 
 @pytest.fixture(scope="module")
-def q2_q3_bundles(bundled_cx, q3_cx):
-    return [(cx, zeta_bundle(cx)) for cx in (bundled_cx, q3_cx)]
+def singer_bundles(bundled_cx, q3_cx, q4_cx):
+    return [(cx, zeta_bundle(cx)) for cx in (bundled_cx, q3_cx, q4_cx)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(rnd=st.randoms(use_true_random=False))
-def test_polynomials_invariant_under_relabeling(q2_q3_bundles, rnd):
-    # the bundle's equality compares Dvertex, PE, PE2 and PB (and q, chi)
-    for cx, want in q2_q3_bundles:
+def test_polynomials_invariant_under_relabeling(singer_bundles, rnd):
+    # the bundle's equality compares Dvertex, PE, PE2 and PB (and q, chi);
+    # a relabeled complex has no Singer action, so its PE and PB take every
+    # type-0 row (n = 1) where the search-built one takes one row per orbit
+    for cx, want in singer_bundles:
         assert zeta_bundle(relabeled(cx, rnd)) == want
+
+
+def source_types(cx):
+    """The source types of the edges and of the directed chambers 3*C + slot."""
+    edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
+    return edge_types, [edge_types[e] for tri in cx.chambers for e in tri]
+
+
+def test_type0_orbit_rows_are_rows_of_the_dense_cube(corpus, q4_cx):
+    """Each row is the row of L^3 at its orbit's representative, restricted
+    to type 0, and the orbits partition the type-0 indices into equal parts."""
+    for cx in corpus + [q4_cx, relabeled(q4_cx, random.Random(1))]:
+        edge_types, chamber_types = source_types(cx)
+        images = singer_action(cx) or (None, None)
+        for op, types, shift, sigma in (
+            (edge_operator(cx), edge_types, 1, images[0]),
+            (chamber_operator(cx), chamber_types, 2, images[1]),
+        ):
+            rows, orbits = type0_orbit_rows(op, types, shift, sigma)
+            zero = [i for i, t in enumerate(types) if t == 0]
+            dense = op.to_dense()  # row sums at most q^2: L^3 is at most q^6
+            cube = (dense @ dense @ dense)[np.ix_(zero, zero)]
+            assert sorted(orbits.ravel().tolist()) == list(range(len(zero)))
+            assert orbits.shape[1] == (1 if sigma is None else cx.q**2 + cx.q + 1)
+            assert rows.tolist() == cube[orbits[:, 0]].tolist()
 
 
 @pytest.mark.parametrize(
@@ -126,15 +168,21 @@ def test_polynomials_invariant_under_relabeling(q2_q3_bundles, rnd):
     [
         ((0, 1, 2, 2), {}),  # type classes of sizes 1, 1 and 2
         ((0, 1, 2), {(0, 1): 1, (1, 1): 1}),  # 1 -> 1 does not shift by 1
-        # the product of the largest row sums reaches 2^63
+        # the entry (0, 0) of Op^3 is 2^63
         ((0, 1, 2), {(0, 1): 2**21, (1, 2): 2**21, (2, 0): 2**21}),
     ],
     ids=["unequal_classes", "wrong_shift", "overflowing_multiplicities"],
 )
-def test_cyclic_block_product_rejects_bad_operators(types, entries):
+def test_type0_orbit_rows_rejects_bad_operators(types, entries):
     op = SparseOperator("test", len(types), entries)
     with pytest.raises(A2ZetaError):
-        cyclic_block_product(op, types, 1)
+        type0_orbit_rows(op, types, 1, None)
+
+
+def test_type0_orbit_rows_hold_the_int64_maximum():
+    op = SparseOperator("test", 3, {(0, 1): 2**63 - 1, (1, 2): 1, (2, 0): 1})
+    rows, orbits = type0_orbit_rows(op, (0, 1, 2), 1, None)
+    assert rows.tolist() == [[2**63 - 1]] and orbits.tolist() == [[0]]
 
 
 def test_main_identity_pass(bundled_cx, bundle):
