@@ -27,7 +27,7 @@ class ParseError(A2ZetaError):
 
 
 class UnsupportedOrder(A2ZetaError):
-    """q is not a prime and not one of the bundled prime powers 4, 8, 9."""
+    """q is not a prime power, or exceeds gf.MAX_ORDER = 1024."""
 
 
 class PresentationInvalid(A2ZetaError):

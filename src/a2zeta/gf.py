@@ -1,9 +1,11 @@
 """Finite fields GF(q) and polynomials over them.
 
-Field elements are the integers 0..q-1.  For prime q the element i is the
-residue class of i.  For q = p^k in {4, 8, 9} the integer i encodes a
-polynomial over F_p in little-endian base-p digits, reduced modulo a fixed
-irreducible:
+Field elements are the integers 0..q-1.  For q = p^k the integer i encodes
+the polynomial over F_p whose coefficients are the little-endian base-p
+digits of i, reduced modulo a monic degree-k polynomial: the first one, in
+the order of its own little-endian base-p code, whose quotient ring is a
+field.  For prime q that is x, so i is the residue class of i; for 4, 8 and
+9 it is
 
     GF(4): x^2 + x + 1      GF(8): x^3 + x + 1      GF(9): x^2 + 1
 
@@ -20,90 +22,87 @@ from fractions import Fraction
 
 from .errors import ParseError, UnsupportedOrder
 
-_MODULUS = {4: (2, 2, (1, 1)), 8: (2, 3, (1, 1, 0)), 9: (3, 2, (1, 0))}
+MAX_ORDER = 1024
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _add_table(p, q):
+    """Digitwise addition mod p of the base-p codes 0..q-1."""
+    add = [list(range(q))]
+    for a in range(1, q):
+        high, low = add[a // p], a % p
+        add.append([(low + b) % p + p * high[b // p] for b in range(q)])
+    return add
+
+
+def _mul_table(p, q, add, modulus):
+    """Multiplication in F_p[x] / (x^k + m), q = p^k, m coded by modulus.
+
+    Row a comes from row a - 1 plus the identity row when p does not divide
+    a, and otherwise from row a // p times x.  None as soon as a nonzero row
+    holds no 1, that is when the quotient ring is not a field.
+    """
+    top = q // p
+    x_to_k = add[modulus].index(0)  # -m
+    scaled = [0]
+    for _ in range(p - 1):
+        scaled.append(add[scaled[-1]][x_to_k])
+    times_x = [add[v % top * p][scaled[v // top]] for v in range(q)]
+    mul = [[0] * q, list(range(q))]
+    for a in range(2, q):
+        if a % p:
+            row = [add[u][b] for b, u in enumerate(mul[a - 1])]
+        else:
+            row = [times_x[u] for u in mul[a // p]]
+        if 1 not in row:
+            return None
+        mul.append(row)
+    return mul
 
 
 class GF:
-    """Arithmetic in GF(q) for prime q or q in {4, 8, 9}."""
+    """GF(q) by table lookup, for every prime power q = p^k <= MAX_ORDER.
+
+    The modulus is the first monic degree-k polynomial over F_p, in the
+    order of its little-endian base-p code, whose multiplication table has
+    a 1 in every nonzero row: x for primes, and x^2+x+1, x^3+x+1 and x^2+1
+    for 4, 8 and 9.  Any other q raises UnsupportedOrder before it is
+    factored or a table is allocated; past MAX_ORDER a table would hold
+    over 2^20 entries.
+    """
 
     def __init__(self, q):
-        if is_prime(q):
-            self.q, self.p, self.k = q, q, 1
-            self._mul = None
-        elif q in _MODULUS:
-            self.q = q
-            self.p, self.k, mod = _MODULUS[q]
-            self._build_tables(mod)
-        else:
-            raise UnsupportedOrder(f"q={q} is not a prime or one of 4, 8, 9")
-
-    def _build_tables(self, mod):
-        p, k, q = self.p, self.k, self.q
-        # x^k = -(mod) in the quotient; reduce products digit by digit.
-        def digits(i):
-            return [(i // p**j) % p for j in range(k)]
-
-        def undig(ds):
-            return sum(d * p**j for j, d in enumerate(ds))
-
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(q):
-                da, db = digits(a), digits(b)
-                self._add[a][b] = undig([(x + y) % p for x, y in zip(da, db)])
-                prod = [0] * (2 * k - 1)
-                for i, x in enumerate(da):
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-                for i in range(2 * k - 2, k - 1, -1):
-                    c = prod[i]
-                    if c:
-                        prod[i] = 0
-                        for j, m in enumerate(mod):
-                            prod[i - k + j] = (prod[i - k + j] - c * m) % p
-                self._mul[a][b] = undig(prod[:k])
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        if not 2 <= q <= MAX_ORDER:
+            raise UnsupportedOrder(f"q={q} is not a prime power up to {MAX_ORDER}")
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        r = q
+        while r % p == 0:
+            r //= p
+        if r != 1:
+            raise UnsupportedOrder(f"q={q} is not a prime power")
+        self.q = q
+        self._add = _add_table(p, q)
+        self._neg = [row.index(0) for row in self._add]
+        self._sub = [[row[b] for b in self._neg] for row in self._add]
+        self._mul = next(
+            filter(None, (_mul_table(p, q, self._add, m) for m in range(q)))
+        )
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a, b):
-        if self._mul is None:
-            return (a + b) % self.q
         return self._add[a][b]
 
     def neg(self, a):
-        if self._mul is None:
-            return (-a) % self.q
-        return self._add[a].index(0)
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._sub[a][b]
 
     def mul(self, a, b):
-        if self._mul is None:
-            return (a * b) % self.q
         return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        if self._mul is None:
-            return pow(a, self.q - 2, self.q)
         return self._inv[a]
 
     def elements(self):

@@ -30,28 +30,16 @@ class ProjectivePlane:
         return [[p in L for L in self.lines] for p in range(self.n)]
 
 
-def _normalized_triples(F):
-    q = F.q
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                v = (a, b, c)
-                if v == (0, 0, 0):
-                    continue
-                lead = next(x for x in v if x != 0)
-                if lead != 1:
-                    continue
-                out.append(v)
-    out.sort()
-    return out
+def _normalized_triples(q):
+    """Nonzero vectors of F_q^3 with first nonzero coordinate 1, sorted."""
+    tails = [(b, c) for b in range(q) for c in range(q)]
+    return [(0, 0, 1)] + [(0, 1, c) for c in range(q)] + [(1, b, c) for b, c in tails]
 
 
 def build_plane(q):
-    """PG(2, q) for prime q or q in {4, 8, 9}; UnsupportedOrder otherwise."""
+    """PG(2, q) for every prime power q <= gf.MAX_ORDER; UnsupportedOrder otherwise."""
     F = GF(q)
-    points = _normalized_triples(F)
-    duals = _normalized_triples(F)
+    points = _normalized_triples(q)
     point_index = {p: i for i, p in enumerate(points)}
 
     def dot(u, v):
@@ -61,7 +49,7 @@ def build_plane(q):
         return s
 
     lines = [
-        frozenset(i for i, p in enumerate(points) if dot(ell, p) == 0) for ell in duals
+        frozenset(i for i, p in enumerate(points) if dot(ell, p) == 0) for ell in points
     ]
     plane = ProjectivePlane(
         q=q,
@@ -84,7 +72,12 @@ def _check_plane(plane):
         for p in L:
             on[p] += 1
     assert all(c == q + 1 for c in on)
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = [L for L in plane.lines if i in L and j in L]
-            assert len(common) == 1, f"points {i},{j} lie on {len(common)} lines"
+    # the n lines cover n * q(q+1)/2 = n(n-1)/2 point pairs, so if none is
+    # covered twice, every pair lies on exactly one line
+    covered = bytearray(n * n)
+    for L in plane.lines:
+        pts = sorted(L)
+        for k, i in enumerate(pts):
+            for j in pts[k + 1 :]:
+                assert not covered[i * n + j], f"points {i},{j} lie on two lines"
+                covered[i * n + j] = 1

@@ -103,7 +103,7 @@ def _singer_orbit(F):
     among the normalized triples, as build_plane numbers them.
     """
     q = F.q
-    point_id = {p: i for i, p in enumerate(_normalized_triples(F))}
+    point_id = {p: i for i, p in enumerate(_normalized_triples(q))}
     cubic = _primitive_cubic(F)
     orbit = []
     v = (1, 0, 0)

@@ -32,12 +32,13 @@ CLI_ENV = {
 }
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "a2zeta.cli", *args],
         capture_output=True,
         text=True,
         env=CLI_ENV,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -128,6 +129,8 @@ def test_usage_error_exit_2():
         "complex_negative_vertices",
         "complex_negative_edges",
         "complex_negative_chambers",
+        "search_huge_q",
+        "build_huge_q",
     ],
 )
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
@@ -139,6 +142,8 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     bad_term.write_text("1 0 0\n0 1 0\n0 0 x\n")
     petersen = tmp_path / "petersen.graph"
     petersen.write_text(serialize_graph(petersen_graph()))
+    huge_q = tmp_path / "huge_q.tp"
+    huge_q.write_text("trianglepres v1\nq 1000003\n")
     negative_graph = tmp_path / "negative.graph"
     negative_graph.write_text("graph v1\nvertices -1\n")
     negative = {}
@@ -177,8 +182,11 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "complex_negative_vertices": ["check", "identity", str(negative["vertices"])],
         "complex_negative_edges": ["check", "identity", str(negative["edges"])],
         "complex_negative_chambers": ["check", "identity", str(negative["chambers"])],
+        "search_huge_q": ["tp", "search", "--q", "1000003"],
+        "build_huge_q": ["tp", "build", str(huge_q)],
     }[case]
-    code, _, err = run_cli(*argv)
+    # a q past GF's bound exits 2 at once, before any plane of q^2+q+1 points
+    code, _, err = run_cli(*argv, timeout=60)
     assert code == 2
     assert "Traceback" not in err
 

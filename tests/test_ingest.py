@@ -36,14 +36,14 @@ def test_unsupported_order():
         build_plane(6)
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25])
 def test_supported_order_planes(q):
     plane = build_plane(q)  # axioms checked exhaustively inside
     assert len(plane.points) == q * q + q + 1
     assert all(sum(row) == q + 1 for row in plane.incidence)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
 def test_field_tables(q):
     F = GF(q)
     for a in F.elements():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2zeta import cli, planes, presentations
-from a2zeta.complexes import TypedComplex
+from a2zeta.complexes import TypedComplex, validate
 from a2zeta.errors import A2ZetaError
 from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.gf import GF
@@ -29,6 +29,7 @@ from a2zeta.presentations import (
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
+    det_i_minus_u3,
     hecke_series,
     one_minus_cube,
     ramanujan_check,
@@ -432,10 +433,25 @@ def test_singer_action_is_none_without_the_symmetry(q3_cx):
     shuffled = TypedComplex(q3_cx.q, q3_cx.vertex_types, q3_cx.edges, chambers)
     assert singer_action(shuffled) is None
     assert zeta_bundle(shuffled) == zeta_bundle(q3_cx)
-    # PG(2, 16) exists, but GF does not support q = 16
-    n = 16**2 + 16 + 1
+    # the shape of a q = 6 complex, but GF(6) does not exist
+    n = 6**2 + 6 + 1
     edges = [(i, (i + 1) % 3) for i in range(3) for _ in range(n)]
-    assert singer_action(TypedComplex(16, (0, 1, 2), edges, [])) is None
+    assert singer_action(TypedComplex(6, (0, 1, 2), edges, [])) is None
+
+
+def test_q16_complex_has_the_singer_action():
+    tp = search_triangle_presentations(build_plane(16), limit=1, seed=0)[0]
+    cx = complex_from_presentation(tp)
+    assert validate(cx).passed
+    action = singer_action(cx)
+    assert action is not None
+    le = edge_operator(cx)
+    edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
+    me, orbits = type0_orbit_rows(le, edge_types, 1, action[0])
+    assert len(orbits) == 1  # the type-0 edges form one Singer orbit
+    pe = det_i_minus_u3(me, 1, orbits)
+    # PE = det(I - u^3 ME), ME = LE^3 on type 0, one of three equal-trace blocks
+    assert pe[3] * 3 == -le.trace_power(3)
 
 
 def test_q7_ramanujan_exits_0(q7_cx, tmp_path, capsys):
