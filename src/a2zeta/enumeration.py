@@ -21,6 +21,22 @@ from .errors import NotAGallery, ResourceLimit
 DEFAULT_BUDGET = 10_000_000
 
 
+def reachable_count(n, edges):
+    """How many of the vertices 0..n-1 (n >= 1) the undirected edge list reaches from 0."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
 def _edge_successors(cx):
     """L_E successor lists recomputed from scratch: chained, no shared chamber."""
     share = [set() for _ in range(cx.n_edges)]

@@ -37,15 +37,22 @@ class _Lines:
     def done(self):
         return self.pos >= len(self.rows)
 
+    def count(self, expect, what):
+        """The count on the next expect line, at most the number of records after it."""
+        lineno, toks = self.next(expect, 1)
+        return _int(lineno, toks[1], what, 0, len(self.rows) - self.pos)
 
-def _int(lineno, tok, what, least=None):
-    """The integer tok; ParseError if it is not one, or is below least."""
+
+def _int(lineno, tok, what, least=None, most=None):
+    """The integer tok; ParseError if it is not one, or is below least or above most."""
     try:
         n = int(tok)
     except ValueError:
         raise ParseError(lineno, f"bad {what}: {tok!r}") from None
     if least is not None and n < least:
         raise ParseError(lineno, f"{what} must be >= {least}, got {n}")
+    if most is not None and n > most:
+        raise ParseError(lineno, f"{what} {n} exceeds the {most} records that follow")
     return n
 
 
@@ -56,8 +63,7 @@ def parse_complex(text):
         raise ParseError(lineno, "expected header 'a2complex v1'")
     lineno, toks = lines.next("q", 1)
     q = _int(lineno, toks[1], "q", 2)
-    lineno, toks = lines.next("vertices", 1)
-    nv = _int(lineno, toks[1], "vertex count", 0)
+    nv = lines.count("vertices", "vertex count")
     types = [None] * nv
     for _ in range(nv):
         lineno, toks = lines.next("type", 2)
@@ -65,8 +71,7 @@ def parse_complex(text):
         if not 0 <= vid < nv or types[vid] is not None:
             raise ParseError(lineno, f"bad or repeated vertex id {vid}")
         types[vid] = _int(lineno, toks[2], "type")
-    lineno, toks = lines.next("edges", 1)
-    ne = _int(lineno, toks[1], "edge count", 0)
+    ne = lines.count("edges", "edge count")
     edges = [None] * ne
     for _ in range(ne):
         lineno, toks = lines.next("edge", 3)
@@ -77,8 +82,7 @@ def parse_complex(text):
             _int(lineno, toks[2], "src"),
             _int(lineno, toks[3], "dst"),
         )
-    lineno, toks = lines.next("chambers", 1)
-    nc = _int(lineno, toks[1], "chamber count", 0)
+    nc = lines.count("chambers", "chamber count")
     chambers = []
     for _ in range(nc):
         lineno, toks = lines.next("chamber", 3)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import A2ZetaError, DegreeTooLow, NotRegular
-from .enumeration import DEFAULT_BUDGET, count_walks
+from .enumeration import DEFAULT_BUDGET, count_walks, reachable_count
 from .operators import SparseOperator
 from .polyint import IntPoly, RationalFunction, det_i_minus_pencil
 
@@ -47,21 +47,12 @@ class Graph:
         return a
 
     def is_connected(self):
-        if self.n == 0:
-            return False
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        return self.n > 0 and reachable_count(self.n, self.edges) == self.n
+
+    def require_edge_at_every_vertex(self):
+        """DegreeTooLow if n > 2m, checked before anything of size n is built."""
+        if self.n > 2 * self.m:
+            raise DegreeTooLow(f"{self.n} vertices but {self.m} edges: some vertex has none")
 
 
 def directed_edges(graph):
@@ -99,6 +90,7 @@ def ihara_zeta(graph):
     vertex_form = (1-u^2)^(V-E)/det(I - A u + (D - I) u^2) with D the
     valency matrix.  The input must be connected with minimum degree 2.
     """
+    graph.require_edge_at_every_vertex()
     if not graph.is_connected():
         raise DegreeTooLow("graph must be connected")
     if min(graph.degrees()) < 2:
@@ -148,6 +140,7 @@ def ramanujan_graph_check(graph, tol=1e-9):
     """Spectral expander test for a (q+1)-regular graph."""
     if not 0 < tol <= 1e-3:
         raise A2ZetaError("tol must be in (0, 1e-3]")
+    graph.require_edge_at_every_vertex()
     degs = graph.degrees()
     if len(set(degs)) != 1:
         raise NotRegular(f"degrees {sorted(set(degs))} are not constant")

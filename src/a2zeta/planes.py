@@ -59,25 +59,38 @@ def build_plane(q):
         point_index=point_index,
         line_index={L: j for j, L in enumerate(lines)},
     )
-    _check_plane(plane)
+    defect = plane_defect(lines, range(len(points)), q)
+    assert defect is None, defect
     return plane
 
 
-def _check_plane(plane):
-    n, q = plane.n, plane.q
-    assert len(plane.points) == n and len(plane.lines) == n
-    assert all(len(L) == q + 1 for L in plane.lines)
-    on = [0] * n
-    for L in plane.lines:
-        for p in L:
-            on[p] += 1
-    assert all(c == q + 1 for c in on)
-    # the n lines cover n * q(q+1)/2 = n(n-1)/2 point pairs, so if none is
-    # covered twice, every pair lies on exactly one line
+def plane_defect(lines, points, q):
+    """None if lines are the lines of a projective plane of order q on points, else why not.
+
+    lines is a sequence of point collections, points a sequence of distinct
+    points; a point repeated on a line counts against it.  There must be
+    n = q^2+q+1 points and n lines, q+1 distinct points on every line and
+    q+1 lines through every point, and no pair of points may lie on two
+    lines.  The n lines then cover n q(q+1)/2 = n(n-1)/2 point pairs, so
+    every pair lies on exactly one line.
+    """
+    n = q * q + q + 1
+    index = {p: i for i, p in enumerate(points)}
+    if len(index) != n or len(lines) != n:
+        return f"{len(index)} points and {len(lines)} lines, expected {n} of each"
+    through = [0] * n
     covered = bytearray(n * n)
-    for L in plane.lines:
-        pts = sorted(L)
-        for k, i in enumerate(pts):
-            for j in pts[k + 1 :]:
-                assert not covered[i * n + j], f"points {i},{j} lie on two lines"
-                covered[i * n + j] = 1
+    for j, line in enumerate(lines):
+        pts = sorted({index.get(p, -1) for p in line})
+        if len(pts) != q + 1 or len(line) != q + 1 or pts[0] < 0:
+            return f"line {j} does not have {q + 1} distinct points"
+        for k, a in enumerate(pts):
+            through[a] += 1
+            for b in pts[k + 1 :]:
+                if covered[a * n + b]:
+                    return f"points {points[a]},{points[b]} lie on two lines"
+                covered[a * n + b] = 1
+    bad = next((i for i in range(n) if through[i] != q + 1), None)
+    if bad is not None:
+        return f"point {points[bad]} lies on {through[bad]} lines"
+    return None

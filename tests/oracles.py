@@ -4,6 +4,8 @@ None of these is on a production path: each one recomputes, by a plainer
 or slower route, something the program computes another way.
 """
 
+from collections import Counter
+
 from a2zeta.building import (
     DEFAULT_VERTEX_CAP,
     ONE,
@@ -13,6 +15,7 @@ from a2zeta.building import (
     _delta_image,
     ball,
 )
+from a2zeta.complexes import Check
 from a2zeta.errors import A2ZetaError, BallTooSmall
 from a2zeta.gf import pconst
 from a2zeta.polyint import IntPoly, Series, poly_log_derivative
@@ -203,3 +206,56 @@ def closed_walk_count(succ, length):
         return sum(walks(start, w, left - 1) for w in succ[v])
 
     return sum(walks(s, s, length) for s in range(len(succ)))
+
+
+# ----------------------------------------------------------------------
+# vertex links
+
+
+def link_condition_pairwise(cx):
+    """The link condition by intersecting the neighbor sets of every pair of
+    link edges, on both sides, after biregularity and repeated-pairing tests."""
+    q = cx.q
+    m = q * q + q + 1
+    out_edges = [[] for _ in range(cx.n_vertices)]
+    in_edges = [[] for _ in range(cx.n_vertices)]
+    for e, (s, d) in enumerate(cx.edges):
+        out_edges[s].append(e)
+        in_edges[d].append(e)
+    # one link edge per chamber containing v, pairing the chamber's
+    # out-edge at v with its in-edge at v
+    link_pairs = [[] for _ in range(cx.n_vertices)]
+    for tri in cx.chambers:
+        for slot, e in enumerate(tri):
+            link_pairs[cx.edge_src(e)].append((e, tri[(slot + 2) % 3]))
+    for v in range(cx.n_vertices):
+        outs, ins, pairs = out_edges[v], in_edges[v], link_pairs[v]
+        if any(cx.edge_dst(b) != v for _, b in pairs):
+            return Check("link_condition", False, f"vertex {v}: chamber not chained")
+        if len(pairs) != len(set(pairs)):
+            return Check("link_condition", False, f"vertex {v}: repeated pairing")
+        deg_out = Counter(p[0] for p in pairs)
+        deg_in = Counter(p[1] for p in pairs)
+        if any(deg_out[e] != q + 1 for e in outs) or any(
+            deg_in[e] != q + 1 for e in ins
+        ):
+            return Check("link_condition", False, f"vertex {v}: not (q+1)-biregular")
+        nbrs_of_out = {e: set() for e in outs}
+        nbrs_of_in = {e: set() for e in ins}
+        for a, b in pairs:
+            nbrs_of_out[a].add(b)
+            nbrs_of_in[b].add(a)
+        for coll, side in ((nbrs_of_out, "out"), (nbrs_of_in, "in")):
+            keys = sorted(coll)
+            for i, a in enumerate(keys):
+                for b in keys[i + 1 :]:
+                    if len(coll[a] & coll[b]) != 1:
+                        return Check(
+                            "link_condition",
+                            False,
+                            f"vertex {v}: {side}-edges {a},{b} share "
+                            f"{len(coll[a] & coll[b])} neighbors",
+                        )
+        if len(outs) != m or len(ins) != m:
+            return Check("link_condition", False, f"vertex {v}: wrong link size")
+    return Check("link_condition", True)

@@ -227,6 +227,34 @@ def test_graph_check_on_edgeless_graph_exits_2(vertices, tmp_path):
         assert "Warning" not in err
 
 
+HUGE = 10**21
+HUGE_GRAPH = f"graph v1\nvertices {HUGE}\nedge 0 1\nedge 1 2\nedge 2 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        (["validate"], "vertices.cx3", f"a2complex v1\nq 2\nvertices {HUGE}\ntype 0 0\n"),
+        (
+            ["validate"],
+            "edges.cx3",
+            f"a2complex v1\nq 2\nvertices 1\ntype 0 0\nedges {HUGE}\nedge 0 0 0\n",
+        ),
+        (["graph", "check"], "huge.graph", HUGE_GRAPH),
+        (["graph", "zeta"], "huge.graph", HUGE_GRAPH),
+    ],
+    ids=["complex_vertices", "complex_edges", "graph_check", "graph_zeta"],
+)
+def test_huge_count_exits_2_before_allocating(command, name, text, tmp_path, capsys):
+    """A count past what the file holds is bad input, caught before any list of that size."""
+    path = tmp_path / name
+    path.write_text(text)
+    code = cli.main([*command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def main_in_process(argv):
     """cli.main(argv) in this process: (exit code, stdout)."""
     out = io.StringIO()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2zeta.complexes import (
     DirectedChamber,
@@ -9,6 +11,7 @@ from a2zeta.complexes import (
     validate,
 )
 from a2zeta.errors import IndexOutOfRange, ValidationFailure
+from oracles import link_condition_pairwise
 
 
 def test_bundled_complex_counts_and_validation(bundled_cx):
@@ -52,6 +55,44 @@ def test_unchained_chambers_fail_link_condition(bundled_cx):
     cx = TypedComplex(bundled_cx.q, bundled_cx.vertex_types, edges, bundled_cx.chambers)
     failing = {c.name for c in validate(cx) if not c.passed}
     assert {"chamber_chaining", "link_condition"} <= failing
+
+
+def link_check(cx):
+    return next(c for c in validate(cx) if c.name == "link_condition")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_link_condition_matches_pairwise_oracle(data, bundled_cx, q3_cx):
+    """Random slot swaps, replaced edge ids and duplicated chambers: the
+    counting link check and the pairwise oracle give the same verdict."""
+    cx = data.draw(st.sampled_from([bundled_cx, q3_cx]))
+    chambers = [list(tri) for tri in cx.chambers]
+    index = st.integers(0, len(chambers) - 1)
+    slot = st.integers(0, 2)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["swap", "replace", "duplicate"]))
+        i, s, j, t = data.draw(st.tuples(index, slot, index, slot))
+        if kind == "swap":
+            chambers[i][s], chambers[j][t] = chambers[j][t], chambers[i][s]
+        elif kind == "replace":
+            chambers[i][s] = data.draw(st.integers(0, cx.n_edges - 1))
+        else:
+            chambers[j] = list(chambers[i])
+    broken = TypedComplex(cx.q, cx.vertex_types, cx.edges, chambers)
+    assert link_check(broken).passed == link_condition_pairwise(broken).passed
+
+
+def test_parallel_edge_swap_fails_only_the_pair_condition(bundled_cx):
+    # edges 0..6 all run from vertex 0 to vertex 1, so swapping two of them
+    # between chambers keeps the chaining, every degree and every pairing
+    # distinct; only two out-edges now share two in-edges in the link of 0
+    chambers = [list(tri) for tri in bundled_cx.chambers]
+    chambers[0][0], chambers[3][0] = chambers[3][0], chambers[0][0]
+    cx = TypedComplex(bundled_cx.q, bundled_cx.vertex_types, bundled_cx.edges, chambers)
+    assert [c.name for c in validate(cx) if not c.passed] == ["link_condition"]
+    assert "share 2 neighbors" in link_condition_pairwise(cx).detail
+    assert "lie on two lines" in link_check(cx).detail
 
 
 def test_self_loop_violates_type_increment():

@@ -11,7 +11,7 @@ from a2zeta.fileio import (
 )
 from a2zeta.gf import GF
 from a2zeta.operators import vertex_hecke
-from a2zeta.planes import build_plane
+from a2zeta.planes import build_plane, plane_defect
 from a2zeta.presentations import (
     TrianglePresentation,
     complex_from_presentation,
@@ -29,6 +29,22 @@ def test_plane_counts_q3():
     plane = build_plane(3)
     assert len(plane.points) == 13
     assert all(len(L) == 4 for L in plane.lines)
+
+
+def test_plane_defect_on_altered_lines():
+    plane = build_plane(3)
+    lines = [sorted(L) for L in plane.lines]
+    assert plane_defect(lines, range(13), 3) is None
+    off = next(p for p in range(13) if p not in lines[0])
+    j = next(j for j, L in enumerate(lines) if 12 in L)
+    altered = {
+        "moved point": [[off] + lines[0][1:]] + lines[1:],
+        "repeated point": [lines[0] + lines[0][:1]] + lines[1:],
+        "foreign point": [[99 if p == 12 else p for p in L] if k == j else L
+                          for k, L in enumerate(lines)],
+    }
+    for name, bad in altered.items():
+        assert plane_defect(bad, range(13), 3) is not None, name
 
 
 def test_unsupported_order():
