@@ -252,11 +252,11 @@ def cmd_tp(args, out):
 def cmd_graph(args, out):
     g = _load_graph(args.graph)
     if args.graph_cmd == "zeta":
-        zeta, hden, bden = ihara_zeta(g)
+        hden, bden, agree = ihara_zeta(g)
         out.emit("edge_form.den", hden.format())
         out.emit("vertex_form.den", bden.format())
-        out.emit("forms_agree", "pass")
-        return PASS
+        out.emit("forms_agree", "pass" if agree else "fail")
+        return PASS if agree else FAIL
     report = ramanujan_graph_check(g, tol=args.tol)
     out.emit("verdict", report.verdict)
     out.emit("valency", report.valency)

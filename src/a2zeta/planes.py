@@ -17,7 +17,6 @@ class ProjectivePlane:
     field: GF
     points: list  # normalized coordinate triples
     lines: list  # frozensets of point ids
-    point_index: dict = field(default_factory=dict)
     line_index: dict = field(default_factory=dict)
 
     @property
@@ -40,7 +39,6 @@ def build_plane(q):
     """PG(2, q) for every prime power q <= gf.MAX_ORDER; UnsupportedOrder otherwise."""
     F = GF(q)
     points = _normalized_triples(q)
-    point_index = {p: i for i, p in enumerate(points)}
 
     def dot(u, v):
         s = 0
@@ -56,7 +54,6 @@ def build_plane(q):
         field=F,
         points=points,
         lines=lines,
-        point_index=point_index,
         line_index={L: j for j, L in enumerate(lines)},
     )
     defect = plane_defect(lines, range(len(points)), q)

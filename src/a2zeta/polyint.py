@@ -106,16 +106,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = IntPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divexact(self, other):
         """Exact polynomial division; raises if the remainder is nonzero."""
         if other.is_zero():
@@ -244,6 +234,23 @@ class IntPoly:
 ZERO = IntPoly()
 ONE = IntPoly.const(1)
 U = IntPoly.monomial(1)
+
+
+def one_minus_power(k, m, c=1):
+    """(1 - c u^k)^m for k >= 1 and m >= 0, as sum_i C(m, i) (-c)^i u^(k i).
+
+    Each binomial term comes from the one before, C(m, i + 1) =
+    C(m, i) (m - i) / (i + 1), exactly: m big-integer steps and no
+    polynomial product.  A negative m raises ValueError.
+    """
+    if m < 0:
+        raise ValueError(f"(1 - c u^k)^m needs m >= 0, got {m}")
+    coeffs = [0] * (k * m + 1)
+    term = 1
+    for i in range(m + 1):
+        coeffs[k * i] = term
+        term = term * (m - i) // (i + 1) * -c
+    return IntPoly(coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -52,16 +52,12 @@ from .polyint import (
     Series,
     det_i_minus_pencil,
     det_i_minus_rows,
+    one_minus_power,
     poly_log_derivative,
 )
 from .presentations import singer_action
 
 ONE = IntPoly.const(1)
-
-
-def one_minus_cube(scale=1):
-    """1 - scale * u^3."""
-    return IntPoly((1, 0, 0, -scale))
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +193,7 @@ def zeta_bundle(cx):
 def check_main_identity(cx, bundle=None):
     """(1-u^3)^chi PE PE2 == Dvertex PB; returns (passed, residual)."""
     b = bundle if bundle is not None else zeta_bundle(cx)
-    lhs = (one_minus_cube() ** b.chi) * b.pe * b.pe2
+    lhs = one_minus_power(3, b.chi) * b.pe * b.pe2
     rhs = b.dvertex * b.pb
     residual = lhs - rhs
     return residual.is_zero(), residual
@@ -272,7 +268,7 @@ def check_series_identity(cx, order, bundle=None):
     """
     b = bundle if bundle is not None else zeta_bundle(cx)
     q = cx.q
-    lhs = b.chi * poly_log_derivative(one_minus_cube(), order) - poly_log_derivative(
+    lhs = b.chi * poly_log_derivative(one_minus_power(3, 1), order) - poly_log_derivative(
         b.dvertex, order
     )
     rhs = (
@@ -287,8 +283,8 @@ def check_series_identity(cx, order, bundle=None):
     trace_series = Series(
         [0] + [int(table[k].trace()) for k in range(1, order + 1)], order
     )
-    weight = Series.from_poly(one_minus_cube(q * q), order) * Series.from_poly(
-        one_minus_cube(), order
+    weight = Series.from_poly(one_minus_power(3, 1, q * q), order) * Series.from_poly(
+        one_minus_power(3, 1), order
     ).inverse()
     solved = (lhs + (q - 1) * (trace_series * weight)) * Fraction(1, q)
     try:

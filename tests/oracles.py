@@ -49,6 +49,14 @@ def parse_poly_line(text):
     return IntPoly(coeffs)
 
 
+def power_by_multiplication(p, m):
+    """p^m as m successive products by p, for m >= 0."""
+    out = IntPoly.const(1)
+    for _ in range(m):
+        out = out * p
+    return out
+
+
 def bareiss_det_int(rows):
     """Exact determinant of a square integer matrix (fraction-free)."""
     n = len(rows)

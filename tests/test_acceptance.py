@@ -27,6 +27,7 @@ from a2zeta.graphs import (
     random_regular_graph,
 )
 from a2zeta.operators import chamber_operator, edge_operator
+from a2zeta.polyint import one_minus_power
 from a2zeta.satake import (
     sigma,
     transform_a1,
@@ -37,7 +38,6 @@ from a2zeta.satake import (
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
-    one_minus_cube,
     ramanujan_check,
     zeta_bundle,
     zeta_functions,
@@ -65,13 +65,13 @@ def test_criterion_02_graph_baseline():
     graphs = [complete_graph(4), petersen_graph()]
     graphs += [random_regular_graph(8, 3, seed=s) for s in range(10)]
     for g in graphs:
-        ihara_zeta(g)  # asserts exact equality of the two forms
+        assert ihara_zeta(g)[2]  # the Ihara-Bass identity holds exactly
     for g in (complete_graph(4), petersen_graph()):
         ae = edge_adjacency(g)
         for n in range(1, 9):
             assert count_closed_walks(g, n) == ae.trace_power(n)
     for s in range(10):
-        ihara_zeta(random_irregular_graph(9, seed=s))
+        assert ihara_zeta(random_irregular_graph(9, seed=s))[2]
     assert time.monotonic() - start < 30.0
     report(2, "graph zeta baseline, exact on 22 graphs")
 
@@ -138,7 +138,9 @@ def test_criterion_08_trivial_factor_divisibility(corpus):
         assert validate(cx).passed
         q = cx.q
         b = zeta_bundle(cx)
-        product = one_minus_cube(1) * one_minus_cube(q**3) * one_minus_cube(q**6)
+        product = (
+            one_minus_power(3, 1) * one_minus_power(3, 1, q**3) * one_minus_power(3, 1, q**6)
+        )
         assert divides(product, b.dvertex)
     report(8, "vertex determinant divisible by its trivial factors")
 
@@ -156,7 +158,7 @@ def test_criterion_10_group_zeta_identities(bundled_cx):
     assert zf["Zminus"] * zf["Z2"].substitute_neg() == zf["Z1"].substitute_power(2)
     from a2zeta.polyint import RationalFunction
 
-    lhs = RationalFunction(one_minus_cube() ** b.chi, b.dvertex)
+    lhs = RationalFunction(one_minus_power(3, b.chi), b.dvertex)
     assert lhs == zf["Z1"] * zf["Zminus"]
     coeffs = series_log_derivative(zf["Zminus"], 18).integer_coeffs()
     assert all(c >= 0 for c in coeffs)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import a2zeta
-from a2zeta import cli
+from a2zeta import cli, graphs
 from a2zeta.errors import A2ZetaError
 from a2zeta.fileio import (
     parse_complex,
@@ -22,6 +22,7 @@ from a2zeta.fileio import (
 )
 from a2zeta.gf import GF
 from a2zeta.graphs import complete_graph, petersen_graph
+from a2zeta.polyint import IntPoly
 from conftest import bundled_text
 
 # The CLI subprocess imports the same package as the tests, installed or not.
@@ -213,6 +214,26 @@ def test_graph_cli(tmp_path):
     assert code == 0 and "forms_agree: pass" in out
     code, out, _ = run_cli("graph", "check", str(gpath))
     assert code == 0 and "verdict: RAMANUJAN" in out
+
+
+def test_graph_zeta_failed_identity_exits_1(tmp_path, monkeypatch, capsys):
+    """A Bass determinant off by u^3 is a failed Ihara-Bass check, not bad
+    input: forms_agree fail, exit 1, nothing on stderr."""
+    pencil = graphs.det_i_minus_pencil
+
+    def bass_plus_u3(blocks):
+        # the Bass pencil has two blocks, the Hashimoto one a single block
+        det = pencil(blocks)
+        return det + IntPoly.monomial(3) if len(blocks) == 2 else det
+
+    monkeypatch.setattr(graphs, "det_i_minus_pencil", bass_plus_u3)
+    gpath = tmp_path / "k4.graph"
+    gpath.write_text(serialize_graph(complete_graph(4)))
+    for fmt, verdict in (("text", "forms_agree: fail"), ("records", "forms_agree fail")):
+        code = cli.main(["graph", "zeta", str(gpath), "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out.splitlines()[-1] == verdict
 
 
 @pytest.mark.parametrize("vertices", [1, 2])

@@ -21,6 +21,7 @@ from a2zeta.polyint import (
     _primes_descending,
     det_i_minus_pencil,
     det_i_minus_rows,
+    one_minus_power,
     poly_log_derivative,
 )
 from a2zeta.presentations import singer_action
@@ -30,6 +31,7 @@ from oracles import (
     eval_int,
     newton_power_sums,
     parse_poly_line,
+    power_by_multiplication,
     rational_series,
     series_log_derivative,
 )
@@ -111,7 +113,7 @@ def test_pencil_at_the_coefficient_bound(n):
     for rho in [2**40] if n == 30 else [2**j for j in range(63)]:
         for sign in (1, -1):
             m = [[sign * rho * (i == j) for j in range(n)] for i in range(n)]
-            assert det_i_minus_pencil([m]) == IntPoly((1, -sign * rho)) ** n
+            assert det_i_minus_pencil([m]) == one_minus_power(1, n, sign * rho)
 
 
 def test_pencil_bound_reads_every_row():
@@ -119,7 +121,7 @@ def test_pencil_bound_reads_every_row():
     assert det_i_minus_pencil([[[0, 0], [0, 2**62]]]) == IntPoly((1, -(2**62)))
     diagonal = [[2**61 * (i == j > 1) for j in range(4)] for i in range(4)]
     rows, orbits = orbit_rows(diagonal, [1, 0, 3, 2])
-    assert det_i_minus_rows(rows, orbits) == IntPoly((1, -(2**61))) ** 2
+    assert det_i_minus_rows(rows, orbits) == one_minus_power(1, 2, 2**61)
 
 
 def sylvester_hadamard(n):
@@ -139,7 +141,7 @@ def test_pencil_at_the_hadamard_bound(n):
     for j in range(63):
         s = 2**j
         m = [[s * x for x in row] for row in h]
-        assert det_i_minus_pencil([m]) == IntPoly((1, 0, -n * s * s)) ** (n // 2)
+        assert det_i_minus_pencil([m]) == one_minus_power(2, n // 2, n * s * s)
 
 
 def orbit_rows(matrix, sigma):
@@ -330,6 +332,22 @@ def test_block_determinant_multiplicativity():
         assert lhs == det_i_minus_pencil([blk])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 300), st.integers(-5, 5))
+@example(3, 300, 5)
+@example(2, 0, -5)
+@example(1, 7, 0)
+def test_one_minus_power_matches_repeated_multiplication(k, m, c):
+    expected = power_by_multiplication(ONE - IntPoly.monomial(k, c), m)
+    assert one_minus_power(k, m, c) == expected
+
+
+@pytest.mark.parametrize("m", [-1, -1200])
+def test_one_minus_power_rejects_negative_exponent(m):
+    with pytest.raises(ValueError):
+        one_minus_power(3, m)
+
+
 def test_bareiss_int_known_values():
     assert bareiss_det_int([[2, 1], [1, 2]]) == 3
     assert bareiss_det_int([[0, 1], [1, 0]]) == -1
@@ -344,7 +362,7 @@ def test_log_derivative_geometric_series():
 
 def test_log_derivative_of_cube_power():
     c = 5
-    p = (ONE - IntPoly.monomial(3)) ** c  # (1-u^3)^c
+    p = one_minus_power(3, c)
     s = poly_log_derivative(p, 3)
     assert s.coeffs[3] == -3 * c
 
@@ -359,7 +377,7 @@ def test_log_derivative_multiplicativity():
 
 def test_newton_power_sums_identity_matrix():
     d = 4
-    p = (ONE - U) ** d  # det(I - I u) for the 4x4 identity
+    p = one_minus_power(1, d)  # det(I - I u) for the 4x4 identity
     assert newton_power_sums(p, 6) == [d] * 6
 
 
@@ -393,7 +411,7 @@ def test_divexact_raises_on_inexact():
 
 
 def test_squarefree_decomposition():
-    p = IntPoly((1, -1)) ** 3 * IntPoly((1, 0, 2))
+    p = one_minus_power(1, 3) * IntPoly((1, 0, 2))
     parts = p.squarefree_decomposition()
     by_mult = {m: f for f, m in parts}
     assert sorted(by_mult) == [1, 3]
