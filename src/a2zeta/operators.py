@@ -3,8 +3,9 @@
 All matrices are multiplicity-aware integer matrices over deterministic
 index orders: vertices and type-1 edges by their ids, directed chambers in
 (chamber, slot) order, i.e. index 3*chamber + slot.  Their dense views are
-int64 numpy arrays, which hold any multiplicity; products whose entries can
-grow are taken in object dtype, whose entries are Python ints.
+int64 numpy arrays, which hold any multiplicity; matrix powers are taken in
+float64, through BLAS, while a proven bound keeps every entry and partial
+sum below 2^53, and in object dtype, over Python ints, above it.
 
 Neighbor rules on a validated complex:
 
@@ -52,17 +53,20 @@ class SparseOperator:
         return m
 
     def trace_power(self, n):
-        """Tr A^n, exactly.
+        """Tr A^n for n >= 0, exactly.
 
         Multiplicities are nonnegative, so with rho the largest row sum,
         taken at least 1, every entry of A^j is at most rho^j, and every
-        partial sum in a product A^i A^j is at most rho^(i+j).  The powers
-        that matrix_power forms stay below rho^n, so they are taken in int64
-        when rho^n < 2^63 and over Python ints otherwise.  The diagonal is
-        summed over Python ints.
+        partial sum in a product A^i A^j that matrix_power forms is a
+        nonnegative integer at most rho^(i+j) <= rho^n.  So when rho^n < 2^53
+        float64 holds each one exactly, in any summation order, and the
+        powers go through BLAS; otherwise they are taken over Python ints.
+        The diagonal is summed over Python ints.
         """
+        if n < 0:
+            raise ValueError(f"trace_power needs n >= 0, got {n}")
         rho = max([1] + self.row_sums())
-        dtype = np.int64 if rho**n < 2**63 else object
+        dtype = np.float64 if rho**n < 2**53 else object
         power = np.linalg.matrix_power(self.to_dense().astype(dtype), n)
         return sum(int(x) for x in power.diagonal())
 

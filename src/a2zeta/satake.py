@@ -3,9 +3,10 @@
 SymPoly models the ring of Laurent polynomials in z1, z2, z3 modulo
 z1 z2 z3 = 1: a monomial z1^a z2^b z3^c is stored under the exponent key
 (a - c, b - c).  The transform identities under test are finite families of
-coefficient equalities at a concrete integer q, decidable exactly with
-Fraction coefficients.  The generating series are polyint.Series, the one
-truncated power series type, here with SymPoly coefficients.
+coefficient equalities at a concrete integer q.  Every coefficient they
+produce is an integer, so they are decided exactly over Python ints.  The
+generating series are polyint.Series, the one truncated power series type,
+here with SymPoly coefficients.
 
 One display in the source derivation carries a sign slip: the constant side
 of the degree-aggregation identity must be -(q-1)(q^2-1) u^3/(1-u^3) for
@@ -19,7 +20,7 @@ from .polyint import Series
 
 
 class SymPoly:
-    """Finitely supported Fraction combination of monomial classes."""
+    """Finite combination of monomial classes; exact coefficients as given."""
 
     __slots__ = ("terms",)
 
@@ -27,28 +28,27 @@ class SymPoly:
         self.terms = {}
         if terms:
             for key, val in terms.items():
-                v = Fraction(val)
-                if v:
-                    self.terms[key] = v
+                if val:
+                    self.terms[key] = val
 
     @classmethod
     def monomial(cls, e1, e2, e3, coeff=1):
-        return cls({(e1 - e3, e2 - e3): Fraction(coeff)})
+        return cls({(e1 - e3, e2 - e3): coeff})
 
     @classmethod
     def scalar(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return SymPoly(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - v
+            out[k] = out.get(k, 0) - v
         return SymPoly(out)
 
     def __neg__(self):
@@ -61,17 +61,18 @@ class SymPoly:
         for (i1, j1), v1 in self.terms.items():
             for (i2, j2), v2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                out[k] = out.get(k, 0) + v1 * v2
         return SymPoly(out)
 
     __rmul__ = __mul__
 
     def __rtruediv__(self, other):
-        """other / self for a scalar other; self must be a unit c z^k."""
+        """other / self for a scalar other and a unit c z^k; int when exact."""
         if len(self.terms) != 1:
             raise ZeroDivisionError(f"{self!r} is not a unit")
         ((i, j), v), = self.terms.items()
-        return SymPoly({(-i, -j): Fraction(other) / v})
+        c = Fraction(other) / v
+        return SymPoly({(-i, -j): c.numerator if c.denominator == 1 else c})
 
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.terms == other.terms
@@ -87,7 +88,7 @@ class SymPoly:
                 e = (i, j, 0)
                 p = (e[perm[0]], e[perm[1]], e[perm[2]])
                 k = (p[0] - p[2], p[1] - p[2])
-                moved[k] = moved.get(k, Fraction(0)) + v
+                moved[k] = moved.get(k, 0) + v
             if {k: v for k, v in moved.items() if v} != self.terms:
                 return False
         return True
@@ -143,20 +144,21 @@ def transform_a2(q):
 
 def transform_Tk(q, k):
     """Image of the degree-k aggregate: q^k (s_k1 + s_k2 + (q^3-1)/q^3 s_k3)."""
-    return (q**k) * (
-        sigma(k, 1) + sigma(k, 2) + Fraction(q**3 - 1, q**3) * sigma(k, 3)
-    )
+    # s_k3 is empty for k < 3, where q^(k-3) would not be an integer
+    s3 = (q ** max(k - 3, 0) * (q**3 - 1)) * sigma(k, 3)
+    return (q**k) * (sigma(k, 1) + sigma(k, 2)) + s3
 
 
 def transform_Tk0(q, k):
     """Image of the degree-k type-1 operator.
 
-    q^k (s_k1 + (q-1)/q s_k2 + (q-1)^2/q^2 s_k3).
+    q^k (s_k1 + (q-1)/q s_k2 + (q-1)^2/q^2 s_k3), over the integers; s_k3
+    is empty for k < 3.
     """
-    return (q**k) * (
-        sigma(k, 1)
-        + Fraction(q - 1, q) * sigma(k, 2)
-        + Fraction((q - 1) ** 2, q * q) * sigma(k, 3)
+    return (
+        (q**k) * sigma(k, 1)
+        + (q ** (k - 1) * (q - 1)) * sigma(k, 2)
+        + (q ** max(k - 2, 0) * (q - 1) ** 2) * sigma(k, 3)
     )
 
 

@@ -5,6 +5,7 @@ or slower route, something the program computes another way.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 from a2zeta.building import (
     DEFAULT_VERTEX_CAP,
@@ -19,6 +20,7 @@ from a2zeta.complexes import Check
 from a2zeta.errors import A2ZetaError, BallTooSmall
 from a2zeta.gf import pconst
 from a2zeta.polyint import IntPoly, Series, poly_log_derivative
+from a2zeta.satake import sigma
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +190,38 @@ def sphere_n0_by_relative_position(B, n):
         for v, s in zip(bl.vertices, bl.sphere)
         if s == n and B.relative_position(base, v) == RelativePosition(n, 0)
     }
+
+
+# ----------------------------------------------------------------------
+# sparse operators and Satake transforms
+
+
+def trace_power_by_multiplication(op, n):
+    """Tr A^n for a SparseOperator A, by n - 1 products over Python ints."""
+    a = [[op.entries.get((r, c), 0) for c in range(op.dim)] for r in range(op.dim)]
+    power = [[int(r == c) for c in range(op.dim)] for r in range(op.dim)]
+    for _ in range(n):
+        power = [
+            [sum(row[k] * a[k][c] for k in range(op.dim)) for c in range(op.dim)]
+            for row in power
+        ]
+    return sum(power[i][i] for i in range(op.dim))
+
+
+def transform_Tk_fraction(q, k):
+    """q^k (s_k1 + s_k2 + (q^3-1)/q^3 s_k3) with Fraction coefficients."""
+    return (q**k) * (
+        sigma(k, 1) + sigma(k, 2) + Fraction(q**3 - 1, q**3) * sigma(k, 3)
+    )
+
+
+def transform_Tk0_fraction(q, k):
+    """q^k (s_k1 + (q-1)/q s_k2 + (q-1)^2/q^2 s_k3) with Fraction coefficients."""
+    return (q**k) * (
+        sigma(k, 1)
+        + Fraction(q - 1, q) * sigma(k, 2)
+        + Fraction((q - 1) ** 2, q * q) * sigma(k, 3)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from a2zeta.enumeration import count_galleries
 from a2zeta.operators import (
@@ -7,6 +9,8 @@ from a2zeta.operators import (
     edge_operator,
     vertex_hecke,
 )
+
+from oracles import trace_power_by_multiplication
 
 
 def test_row_sums_on_corpus(corpus):
@@ -87,3 +91,47 @@ def test_export_format(bundled_cx):
 def test_trace_power_at_the_int64_boundary(dim, entries, n):
     """Row sums 2: the powers fit int64 up to n = 62 and no further."""
     assert SparseOperator("test", dim, entries).trace_power(n) == 2**n
+
+
+@pytest.mark.parametrize("rho, n", [(2, 52), (2, 53), (3, 33), (3, 34)])
+@pytest.mark.parametrize("shape", ["scalar", "all_ones"])
+def test_trace_power_at_the_float64_boundary(rho, n, shape):
+    """Row sums rho: float64 below rho^n = 2^53, Python ints from there on.
+    3^33 < 2^53 < 3^34, and 3^34 is odd, so float64 could not hold it."""
+    if shape == "scalar":
+        dim, entries = 1, {(0, 0): rho}
+    else:
+        dim, entries = rho, {(r, c): 1 for r in range(rho) for c in range(rho)}
+    assert SparseOperator("test", dim, entries).trace_power(n) == rho**n
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 0): 1, (0, 1): 3, (1, 1): 2}, {(r, c): 1 for r in range(2) for c in range(2)}],
+    ids=["invertible", "singular"],
+)
+def test_trace_power_rejects_negative_powers(entries):
+    """Tr A^-1 of [[1, 3], [0, 2]] is 3/2, not an integer; [[1, 1], [1, 1]] has
+    no inverse, and numpy's LinAlgError would say so.  Both are refused
+    before any inversion."""
+    op = SparseOperator("test", 2, entries)
+    with pytest.raises(ValueError, match="n >= 0"):
+        op.trace_power(-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda dim: st.dictionaries(
+            st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+            st.integers(0, 3),
+            max_size=dim * dim,
+        ).map(lambda entries: SparseOperator("test", dim, entries))
+    ),
+    st.integers(0, 10),
+)
+@example(SparseOperator("test", 12, {(r, c): 3 for r in range(12) for c in range(12)}), 10)
+def test_trace_power_matches_python_int_products(op, n):
+    """Random nonnegative operators; the example reaches 36^10, the largest
+    power the strategy allows."""
+    assert op.trace_power(n) == trace_power_by_multiplication(op, n)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2zeta.polyint import Series
 from a2zeta.satake import (
@@ -15,6 +17,12 @@ from a2zeta.satake import (
     verify_recursion_42,
     verify_sigma3_identity,
 )
+
+from oracles import transform_Tk0_fraction, transform_Tk_fraction
+
+
+def int_coeffs(p):
+    return all(type(v) is int for v in p.terms.values())
 
 
 def test_sigma_edge_cases():
@@ -114,3 +122,36 @@ def test_sympoly_arithmetic():
     assert (a - a).is_zero()
     prod = SymPoly.monomial(2, 1, 0) * b
     assert prod == SymPoly.monomial(2, 2, 2) == SymPoly.scalar(1) * SymPoly.monomial(0, 0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 9))
+def test_integer_transforms_match_the_fraction_formulas(q, k):
+    tk, tk0 = transform_Tk(q, k), transform_Tk0(q, k)
+    assert tk == transform_Tk_fraction(q, k)
+    assert tk0 == transform_Tk0_fraction(q, k)
+    assert int_coeffs(tk) and int_coeffs(tk0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_recursion_42_runs_on_python_ints(q, monkeypatch):
+    """Every coefficient of every series the check forms, residuals included,
+    is an int: no Fraction arises anywhere on the way."""
+    made = []
+    init = Series.__init__
+
+    def recording_init(self, coeffs, order):
+        init(self, coeffs, order)
+        made.append(self)
+
+    monkeypatch.setattr(Series, "__init__", recording_init)
+    ok, residuals = verify_recursion_42(q, 6)
+    assert ok and made
+    assert all(int_coeffs(c) for s in made for c in s.coeffs)
+    assert all(int_coeffs(r) for r in residuals)
+
+
+def test_unit_inverse_is_an_int_when_exact():
+    assert (1 / SymPoly.monomial(1, 0, 0, -1)).terms == {(-1, 0): -1}
+    assert type((1 / SymPoly.scalar(Fraction(1, 2))).terms[(0, 0)]) is int
+    assert (1 / SymPoly.scalar(2)).terms == {(0, 0): Fraction(1, 2)}
