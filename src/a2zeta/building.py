@@ -28,10 +28,10 @@ K(x, base) is constant on relative-position classes: the group acts
 transitively on ordered vertex pairs of fixed relative position (that is
 what the double-coset decomposition says), so evaluating one vertex per
 class verifies the identity everywhere.  Each class representative is
-diagonal, so the minor valuations of the delta image, taken once, give
-every class by integer arithmetic.  The geodesic criterion reads the
-(n, 0) sphere off one breadth-first ball on the same LocalBuilding that
-its path search uses.
+diagonal, so the row valuations and pivot exponents of the delta image,
+taken once, give every class by integer arithmetic.  The geodesic criterion
+tests each path endpoint for position (n, 0) on its canonical form and
+counts the endpoints against the closed-form size of the (n, 0) sphere.
 """
 
 from dataclasses import dataclass
@@ -191,6 +191,23 @@ def _hermite_reduce(F, cols, avals):
     return BuildingVertex(((c0[0], c1[0], c2[0]), (c0[1], c1[1], c2[1]), (c0[2], c1[2], c2[2])))
 
 
+def _pivot_exponent_sum(mat):
+    """a_0 + a_1 + a_2 of a canonical vertex, whose pivots are exactly t^a_i."""
+    return sum(len(mat[i][i]) - 1 for i in range(3))
+
+
+def _at_n0(F, v, n):
+    """Whether canonical v is at (n, 0) from the origin: e_3 = sum a_i = n and
+    e_2 = 0, a nonzero 2 x 2 minor of the upper triangular v.mat mod t."""
+    if _pivot_exponent_sum(v.mat) != n:
+        return False
+    rows = ([e[0] if e else 0 for e in row] for row in v.mat)
+    (c00, c01, c02), (_, c11, c12), (_, _, c22) = rows
+    return bool(
+        c00 and (c11 or c12 or c22) or c22 and (c01 or c11) or F.mul(c01, c12) != F.mul(c02, c11)
+    )
+
+
 def _least_valuation(polys):
     return min((pval(e) for e in polys if e), default=None)
 
@@ -307,9 +324,6 @@ class LocalBuilding:
         self._nbr_cache[key] = out
         return out
 
-    def adjacent_set(self, v):
-        return set(self.neighbors(v, 1)) | set(self.neighbors(v, 2))
-
     # -- relative position
 
     def relative_position(self, g1, g2):
@@ -416,40 +430,42 @@ def _delta_image(B, base):
     return vals
 
 
+def _lA_over_diagonal(rho, a_sum, d):
+    """lA = s_3 - 3 s_1 of diag(t^-d) g from g's least row valuations rho."""
+    return a_sum - sum(d) - 3 * min(v - di for v, di in zip(rho, d))
+
+
 def verify_tamagawa(q, degree, r):
     """Check the Hecke inversion identity coefficientwise up to the degree.
 
     The composed kernel vanishes beyond geodesic distance degree + 1, and on
     each class it is a single polynomial, so checking one representative per
     class (n0, m0), n0 + m0 <= degree + 1, verifies the identity on the whole
-    ball of radius r >= degree + 1.  The representative is
-    class_representative(n0, m0) = diag(t^d) with d = (0, m0, m0 + n0), so
-    the position of each vertex y of the delta image comes from the minor
-    valuations of y, computed once, and d alone.
+    ball of radius r >= degree + 1 (r is only checked against that bound).
+    The representative is class_representative(n0, m0) = diag(t^d) with
+    d = (0, m0, m0 + n0).  For a delta-image vertex g, s_k = e_1 + ... + e_k
+    of diag(t^-d) g is the least k x k minor valuation (at d = 0: e_1 = 0,
+    s_2 the least 2 x 2 one, s_3 = sum a_i).  Each row of g holds a pivot,
+    so s_1 = min_i (rho_i - d_i) for its least row valuations rho_i,
+    s_3 = sum a_i - sum d_i, and lA = e_2 + e_3 - 2 e_1 = s_3 - 3 s_1.
     """
     if r < degree + 1:
         raise BallTooSmall(f"need r >= degree+1 = {degree + 1}, got {r}")
-    expected_base = IntPoly((1, 0, 0, -1))  # 1 - u^3
     B = LocalBuilding(q)
     image = [
-        (_row_minor_valuations(B.F, y.mat), val)
+        ([_least_valuation(row) for row in y.mat], _pivot_exponent_sum(y.mat), val.coeffs)
         for y, val in _delta_image(B, B.origin()).items()
     ]
     for n0 in range(degree + 2):
         for m0 in range(degree + 2 - n0):
             d = (0, m0, m0 + n0)
-            total = IntPoly()
-            for minor_vals, val in image:
-                lA = _position(minor_vals, d).lA
-                if lA <= degree:
-                    total = total + IntPoly.monomial(lA) * val
-            got = IntPoly(total.coeffs[: degree + 1])
-            want = (
-                IntPoly(expected_base.coeffs[: degree + 1])
-                if (n0, m0) == (0, 0)
-                else IntPoly()
-            )
-            if got != want:
+            got = [0] * (degree + 1)
+            for rho, a_sum, coeffs in image:
+                lA = _lA_over_diagonal(rho, a_sum, d)
+                for k, c in enumerate(coeffs[: max(degree + 1 - lA, 0)]):
+                    got[lA + k] += c
+            want = (1, 0, 0, -1)[: degree + 1] if (n0, m0) == (0, 0) else ()  # 1 - u^3
+            if IntPoly(got) != IntPoly(want):
                 return False
     return True
 
@@ -462,50 +478,32 @@ def verify_geodesic_criterion(q, n, r):
     """Non-chamber type-1 paths of length n are exactly the (n, 0) geodesics.
 
     Enumerates every length-n type-1 path from the origin whose consecutive
-    edges avoid completing a chamber (the new endpoint must not be adjacent
-    to the previous vertex), and asserts that the endpoints are exactly the
-    vertices at relative position (n, 0), given by sphere_n0 on the same
-    building, each reached by exactly one path.
+    edges avoid completing a chamber: the new endpoint, of type t(prev) + 2,
+    must not be a type-2 neighbor of the previous vertex.  Asserts that the
+    endpoints are distinct, that there are |S(n, 0)| = (q^2+q+1) q^(2(n-1))
+    of them (Cartwright-Mantero-Steger-Zappa, Geom. Dedicata 1993), and that
+    each is at (n, 0): e_1 = 0, so a 2 x 2 minor has valuation e_1 + e_2 = 0,
+    and the pivot exponents sum to e_1 + e_2 + e_3 = n.  Then the endpoints
+    are all of S(n, 0).  r is only checked to be at least n.
     """
     if r < n:
         raise BallTooSmall(f"need r >= n = {n}, got {r}")
     B = LocalBuilding(q)
     base = B.origin()
-    endpoint_count = {}
+    endpoints = []
     stack = [(base, base, 0)]
     while stack:
         prev, cur, length = stack.pop()
         if length == n:
-            endpoint_count[cur] = endpoint_count.get(cur, 0) + 1
+            endpoints.append(cur)
             continue
-        blocked = B.adjacent_set(prev) if length >= 1 else set()
+        blocked = set(B.neighbors(prev, 2)) if length >= 1 else ()
         for w in B.neighbors(cur, 1):
-            if length == 0 or w not in blocked:
+            if w not in blocked:
                 stack.append((cur, w, length + 1))
-    endpoints = sphere_n0(B, n)
-    return sorted(endpoint_count.values()) == [1] * len(endpoints) and set(
-        endpoint_count
-    ) == endpoints
-
-
-def sphere_n0(B, n):
-    """The set of vertices at relative position (n, 0) from the origin of B.
-
-    A type-1 step from position (k - 1, 0) lands at (k, 0) exactly when it
-    moves one step away from the origin, so sphere (k, 0) is the set of
-    type-1 neighbors of sphere (k - 1, 0) at distance k.  One BFS of radius
-    n - 1 gives the distances; a neighbor outside that ball is at distance n.
-    """
-    bl = ball(B, n - 1)
-
-    def distance(w):
-        j = bl.index.get(w)
-        return n if j is None else bl.sphere[j]
-
-    sphere = {B.origin()}
-    for k in range(1, n + 1):
-        sphere = {w for v in sphere for w in B.neighbors(v, 1) if distance(w) == k}
-    return sphere
+    distinct = set(endpoints)
+    size = (q * q + q + 1) * q ** (2 * n - 2) if n else 1
+    return len(distinct) == len(endpoints) == size and all(_at_n0(B.F, v, n) for v in distinct)
 
 
 # ----------------------------------------------------------------------

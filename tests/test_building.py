@@ -5,18 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from a2zeta import building
+from a2zeta import building, cli
 from a2zeta.building import (
     BuildingVertex,
     LocalBuilding,
     RelativePosition,
+    _at_n0,
     _det3,
+    _lA_over_diagonal,
+    _least_valuation,
     _mat_mul,
+    _pivot_exponent_sum,
     _position,
     _row_minor_valuations,
     ball,
     canonical_algebraic_length,
-    sphere_n0,
     verify_geodesic_criterion,
     verify_tamagawa,
 )
@@ -133,16 +136,22 @@ def test_neighbors_are_coset_representative_products(q, r):
             assert B.neighbors(v, edge_type) == want
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_diagonal_base_position_matches_relative_position(q):
-    """The Tamagawa shortcut: positions from diag(1, t^m0, t^(m0+n0))."""
+    """The Tamagawa shortcut: positions from diag(1, t^m0, t^(m0+n0)), and
+    lA from the row valuations and pivot exponents alone.  verify_tamagawa
+    reads the delta image, inside ball(B, 1); q <= 3 also covers ball(B, 2)."""
     B = LocalBuilding(q)
-    for y in ball(B, 2).vertices:
+    for y in ball(B, 2 if q <= 3 else 1).vertices:
         minor_vals = _row_minor_valuations(B.F, y.mat)
+        rho = [_least_valuation(row) for row in y.mat]
+        a_sum = _pivot_exponent_sum(y.mat)
         for n0 in range(6):
             for m0 in range(6 - n0):
+                d = (0, m0, m0 + n0)
                 want = B.relative_position(B.class_representative(n0, m0), y)
-                assert _position(minor_vals, (0, m0, m0 + n0)) == want
+                assert _position(minor_vals, d) == want
+                assert _lA_over_diagonal(rho, a_sum, d) == want.lA
 
 
 def test_tamagawa_fails_without_the_a2_term(monkeypatch):
@@ -237,8 +246,58 @@ def test_tamagawa_ball_too_small():
 def test_geodesic_criterion_small():
     assert verify_geodesic_criterion(2, 1, 4)
     assert verify_geodesic_criterion(2, 2, 4)
+    assert verify_geodesic_criterion(2, 4, 4)
+    assert verify_geodesic_criterion(3, 3, 3)
+    assert verify_geodesic_criterion(4, 2, 2)
     with pytest.raises(BallTooSmall):
         verify_geodesic_criterion(2, 3, 2)
+
+
+def _drop_last_type1(monkeypatch):
+    full = LocalBuilding.neighbors
+
+    def neighbors(self, v, edge_type):
+        out = full(self, v, edge_type)
+        return out[:-1] if edge_type == 1 else out
+
+    monkeypatch.setattr(LocalBuilding, "neighbors", neighbors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_geodesic_criterion_fails_with_a_missing_type1_coset(monkeypatch, n):
+    """One type-1 coset short, the endpoints fall short of |S(n, 0)|."""
+    _drop_last_type1(monkeypatch)
+    assert not verify_geodesic_criterion(2, n, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geodesic_criterion_fails_when_no_step_is_blocked(monkeypatch, n):
+    """With empty type-2 lists, chamber-completing steps leave S(n, 0)."""
+    full = LocalBuilding.neighbors
+
+    def neighbors(self, v, edge_type):
+        return full(self, v, edge_type) if edge_type == 1 else []
+
+    monkeypatch.setattr(LocalBuilding, "neighbors", neighbors)
+    assert not verify_geodesic_criterion(2, n, n)
+
+
+def test_geodesic_cli_exits_1_on_a_missing_type1_coset(monkeypatch, capsys):
+    _drop_last_type1(monkeypatch)
+    argv = ["building", "geodesic", "--q", "2", "--length", "2", "--radius", "2"]
+    assert cli.main([*argv, "--format", "records"]) == 1
+    assert "geodesic_criterion fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (4, 2)])
+def test_canonical_form_n0_matches_relative_position(q, r):
+    """(n, 0) read off the canonical form equals the relative-position test."""
+    B = LocalBuilding(q)
+    base = B.origin()
+    for v in ball(B, r).vertices:
+        pos = B.relative_position(base, v)
+        for n in range(1, r + 1):
+            assert _at_n0(B.F, v, n) == (pos == RelativePosition(n, 0))
 
 
 @pytest.mark.parametrize(
@@ -246,9 +305,11 @@ def test_geodesic_criterion_small():
     [(2, 1, 7), (2, 2, 28), (2, 3, 112), (2, 4, 448), (3, 1, 13), (3, 2, 117), (3, 3, 1053)],
 )
 def test_sphere_n0_matches_relative_position_filter(q, n, size):
-    """The BFS-derived (n, 0) sphere equals the relative-position filter."""
+    """The canonical-form (n, 0) filter on sphere n of a ball equals the
+    relative-position filter, and has the closed-form size."""
     B = LocalBuilding(q)
-    got = sphere_n0(B, n)
+    bl = ball(B, n)
+    got = {v for v, s in zip(bl.vertices, bl.sphere) if s == n and _at_n0(B.F, v, n)}
     assert got == sphere_n0_by_relative_position(B, n)
     assert len(got) == size == (q * q + q + 1) * q ** (2 * (n - 1))
 
@@ -257,7 +318,7 @@ def test_chamber_violating_step_lands_adjacent(b2):
     """Continuations that complete a chamber end at position (0, 1)."""
     base = b2.origin()
     v1 = b2.neighbors(base, 1)[0]
-    blocked = [w for w in b2.neighbors(v1, 1) if w in b2.adjacent_set(base)]
+    blocked = [w for w in b2.neighbors(v1, 1) if w in b2.neighbors(base, 2)]
     assert len(blocked) == b2.q + 1
     for w in blocked:
         assert b2.relative_position(base, w) == RelativePosition(0, 1)
