@@ -484,11 +484,15 @@ def verify_geodesic_criterion(q, n, r):
     of them (Cartwright-Mantero-Steger-Zappa, Geom. Dedicata 1993), and that
     each is at (n, 0): e_1 = 0, so a 2 x 2 minor has valuation e_1 + e_2 = 0,
     and the pivot exponents sum to e_1 + e_2 + e_3 = n.  Then the endpoints
-    are all of S(n, 0).  r is only checked to be at least n.
+    are all of S(n, 0).  r is only checked to be at least n.  Every endpoint
+    is held at once, so |S(n, 0)| over DEFAULT_VERTEX_CAP raises ResourceLimit.
     """
     if r < n:
         raise BallTooSmall(f"need r >= n = {n}, got {r}")
     B = LocalBuilding(q)
+    size = (q * q + q + 1) * q ** (2 * n - 2) if n else 1
+    if size > DEFAULT_VERTEX_CAP:
+        raise ResourceLimit(f"|S({n}, 0)| = {size} exceeds the cap {DEFAULT_VERTEX_CAP}")
     base = B.origin()
     endpoints = []
     stack = [(base, base, 0)]
@@ -502,7 +506,6 @@ def verify_geodesic_criterion(q, n, r):
             if w not in blocked:
                 stack.append((cur, w, length + 1))
     distinct = set(endpoints)
-    size = (q * q + q + 1) * q ** (2 * n - 2) if n else 1
     return len(distinct) == len(endpoints) == size and all(_at_n0(B.F, v, n) for v in distinct)
 
 

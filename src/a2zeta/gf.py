@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import ParseError, UnsupportedOrder
 
 MAX_ORDER = 1024
+MAX_DEGREE = 1024  # largest exponent of t that parse_poly accepts
 
 
 def _add_table(p, q):
@@ -206,8 +207,8 @@ _TERM = re.compile(r"(-?)(?:([0-9]*)t(?:\^?([0-9]+))?|([0-9]+))")
 def parse_poly(F, text, line=1):
     """Parse a polynomial in t such as '1+t^2+2t' over GF(q).
 
-    A malformed term raises ParseError, reported at the given line and
-    naming the term as written.
+    A malformed term, an over-long number and an exponent over MAX_DEGREE
+    raise ParseError, reported at the given line and naming the term.
     """
     coeffs = {}
     # split before each sign, except a sign right after '^': 't^-1' stays whole
@@ -219,10 +220,13 @@ def parse_poly(F, text, line=1):
         if match is None:
             raise ParseError(line, f"bad polynomial term {term!r}")
         neg, head, tail, const = match.groups()
-        if const is not None:
-            c, e = int(const), 0
-        else:
-            c, e = int(head) if head else 1, int(tail) if tail else 1
+        try:
+            c = int(const or head or 1)
+            e = 0 if const is not None else int(tail or 1)
+        except ValueError:  # past Python's limit on the digits of an int
+            raise ParseError(line, f"number too long in term {term!r}") from None
+        if e > MAX_DEGREE:
+            raise ParseError(line, f"exponent over {MAX_DEGREE} in term {term!r}")
         c %= F.q  # literal coefficients are element ids
         if neg:
             c = F.neg(c)

@@ -1,12 +1,18 @@
-"""Deterministic coordinate construction of PG(2, q).
+"""PG(2, q) from its Singer cycle, and the one projective-plane check.
 
-Points are vectors in F_q^3 normalized so the first nonzero coordinate is 1,
-sorted lexicographically in the fixed element order of gf.GF; lines come
-from the dual the same way.  Everything downstream keys off these ids, so
-the construction must never change.
+A point is a nonzero vector of F_q^3 up to scalars, numbered by the rank of
+its normalized triple (first nonzero coordinate 1) in lexicographic order of
+gf.GF's elements: (0,0,1) is 0, (0,1,c) is 1 + c, (1,b,c) is 1 + q + bq + c.
+The line a x + b y + c z = 0 has the id of the point (a, b, c).  Everything
+downstream keys off these ids, so the numbering must never change.
+
+The Singer cycle sigma, multiplication by x in GF(q^3) = GF(q)[x]/(cubic)
+on a + b x + c x^2 = (a, b, c), is linear and runs through all n = q^2+q+1
+points, so the lines are the n translates of line 0, z = 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 from .gf import GF
 
@@ -14,51 +20,93 @@ from .gf import GF
 @dataclass
 class ProjectivePlane:
     q: int
-    field: GF
     points: list  # normalized coordinate triples
     lines: list  # frozensets of point ids
-    line_index: dict = field(default_factory=dict)
+    orbit: list  # point id of sigma^i(e1), i = 0..n-1
+    base: list  # the i with orbit[i] on line 0, a planar difference set mod n
+    translates: list  # line id of {orbit[i + j] : i in base}, j = 0..n-1
 
     @property
     def n(self):
         return self.q * self.q + self.q + 1
 
-    @property
-    def incidence(self):
-        """Point x line boolean matrix."""
-        return [[p in L for L in self.lines] for p in range(self.n)]
+
+def _point_id(F, v):
+    """Id of the point spanned by the nonzero vector v of F^3."""
+    a, b, c = v
+    if a:
+        return 1 + F.q + F.mul(F.inv(a), b) * F.q + F.mul(F.inv(a), c)
+    return 1 + F.mul(F.inv(b), c) if b else 0
 
 
-def _normalized_triples(q):
-    """Nonzero vectors of F_q^3 with first nonzero coordinate 1, sorted."""
-    tails = [(b, c) for b in range(q) for c in range(q)]
-    return [(0, 0, 1)] + [(0, 1, c) for c in range(q)] + [(1, b, c) for b, c in tails]
+def _times_x(F, cubic, v):
+    """v * x in F[x] / (x^3 + c2 x^2 + c1 x + c0), cubic = (c0, c1, c2).
+
+    v = (a, b, c) stands for a + b x + c x^2; the map is multiplication by
+    the companion matrix of the cubic.
+    """
+    a, b, c = v
+    c0, c1, c2 = cubic
+    return (F.neg(F.mul(c0, c)), F.sub(a, F.mul(c1, c)), F.sub(b, F.mul(c2, c)))
+
+
+def _primitive_cubic(F):
+    """Coefficients (c0, c1, c2) of the first primitive monic cubic over F.
+
+    With c0 != 0, x is a unit of F[x]/(cubic), so stepping 1 by x returns
+    to 1.  It first does so after q^3 - 1 steps exactly when the cubic is
+    primitive: a reducible cubic leaves fewer than q^3 - 1 units, and in
+    the field GF(q^3) the order of x is q^3 - 1 only when x generates it.
+    """
+    q = F.q
+    for c2, c1, c0 in product(range(q), range(q), range(1, q)):
+        cubic = (c0, c1, c2)
+        v, order = _times_x(F, cubic, (1, 0, 0)), 1
+        while v != (1, 0, 0):
+            v, order = _times_x(F, cubic, v), order + 1
+        if order == q**3 - 1:
+            return cubic
+
+
+def singer_orbit(F):
+    """Point ids of sigma^i(e1), i = 0..n-1, for the Singer cycle over F."""
+    cubic = _primitive_cubic(F)
+    orbit = []
+    v = (1, 0, 0)
+    for _ in range(F.q * F.q + F.q + 1):
+        orbit.append(_point_id(F, v))
+        v = _times_x(F, cubic, v)
+    return orbit
 
 
 def build_plane(q):
-    """PG(2, q) for every prime power q <= gf.MAX_ORDER; UnsupportedOrder otherwise."""
+    """PG(2, q) for every prime power q <= gf.MAX_ORDER; UnsupportedOrder otherwise.
+
+    Translate j of line 0 has the id of the cross product of two of its points.
+    """
     F = GF(q)
-    points = _normalized_triples(q)
-
-    def dot(u, v):
-        s = 0
-        for x, y in zip(u, v):
-            s = F.add(s, F.mul(x, y))
-        return s
-
-    lines = [
-        frozenset(i for i, p in enumerate(points) if dot(ell, p) == 0) for ell in points
-    ]
-    plane = ProjectivePlane(
-        q=q,
-        field=F,
-        points=points,
-        lines=lines,
-        line_index={L: j for j, L in enumerate(lines)},
-    )
-    defect = plane_defect(lines, range(len(points)), q)
+    n = q * q + q + 1
+    points = [(0, 0, 1)] + [(0, 1, c) for c in range(q)]
+    points += [(1, b, c) for b in range(q) for c in range(q)]
+    orbit = singer_orbit(F)
+    base = [i for i in range(n) if points[orbit[i]][2] == 0]
+    lines = [None] * n
+    translates = []
+    for j in range(n):
+        line = [orbit[(i + j) % n] for i in base]
+        (a, b, c), (x, y, z) = points[line[0]], points[line[1]]
+        cross = (
+            F.sub(F.mul(b, z), F.mul(c, y)),
+            F.sub(F.mul(c, x), F.mul(a, z)),
+            F.sub(F.mul(a, y), F.mul(b, x)),
+        )
+        k = _point_id(F, cross)
+        assert lines[k] is None, f"two translates give line {k}"
+        lines[k] = frozenset(line)
+        translates.append(k)
+    defect = plane_defect(lines, range(n), q)
     assert defect is None, defect
-    return plane
+    return ProjectivePlane(q, points, lines, orbit, base, translates)
 
 
 def plane_defect(lines, points, q):

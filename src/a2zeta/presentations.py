@@ -10,21 +10,18 @@ become differences in Z/(q^2+q+1) and a presentation collapses to a
 rotation-closed successor system on difference triples; this keeps the
 search space desk-scale at every supported q.
 
-The Singer cycle is multiplication by x in GF(q^3) = GF(q)[x]/(cubic), one
-companion-matrix step (_times_x).  The cubic is the first one, in a fixed
-order, whose x needs q^3 - 1 steps to return to 1, and the orbit of e1 is
-numbered as build_plane numbers points, so singer_action reads the shift
-off a complex without building the plane.
+The Singer cycle and the point and line numbering come from planes; the
+search reads them off the ProjectivePlane, and singer_action reads the
+shift off a complex from planes.singer_orbit, without building the plane.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .complexes import TypedComplex, _least_rotation, require_valid
 from .errors import PresentationInvalid, UnsupportedOrder
 from .gf import GF
-from .planes import ProjectivePlane, _normalized_triples
+from .planes import ProjectivePlane, singer_orbit
 
 
 @dataclass(frozen=True)
@@ -60,58 +57,6 @@ def check_presentation(plane, lam, triples):
         raise PresentationInvalid(
             f"|T| = {len(triples)}, expected {(q + 1) * n}"
         )
-
-
-# ----------------------------------------------------------------------
-# Singer cycle machinery
-
-
-def _times_x(F, cubic, v):
-    """v * x in F[x] / (x^3 + c2 x^2 + c1 x + c0), cubic = (c0, c1, c2).
-
-    v = (a, b, c) stands for a + b x + c x^2; the map is multiplication by
-    the companion matrix of the cubic.
-    """
-    a, b, c = v
-    c0, c1, c2 = cubic
-    return (F.neg(F.mul(c0, c)), F.sub(a, F.mul(c1, c)), F.sub(b, F.mul(c2, c)))
-
-
-def _primitive_cubic(F):
-    """Coefficients (c0, c1, c2) of the first primitive monic cubic over F.
-
-    With c0 != 0, x is a unit of F[x]/(cubic), so stepping 1 by x returns
-    to 1.  It first does so after q^3 - 1 steps exactly when the cubic is
-    primitive: a reducible cubic leaves fewer than q^3 - 1 units, and in
-    the field GF(q^3) the order of x is q^3 - 1 only when x generates it.
-    """
-    q = F.q
-    for c2, c1, c0 in product(range(q), range(q), range(1, q)):
-        cubic = (c0, c1, c2)
-        v, order = _times_x(F, cubic, (1, 0, 0)), 1
-        while v != (1, 0, 0):
-            v, order = _times_x(F, cubic, v), order + 1
-        if order == q**3 - 1:
-            return cubic
-
-
-def _singer_orbit(F):
-    """Point ids of sigma^i(e1), i = 0..n-1, for the Singer cycle over F.
-
-    sigma is multiplication by x in GF(q^3) = F[x]/(primitive cubic), read
-    on the nonzero vectors of F^3 up to scalars; a point's id is its rank
-    among the normalized triples, as build_plane numbers them.
-    """
-    q = F.q
-    point_id = {p: i for i, p in enumerate(_normalized_triples(q))}
-    cubic = _primitive_cubic(F)
-    orbit = []
-    v = (1, 0, 0)
-    for _ in range(q * q + q + 1):
-        inv = F.inv(next(x for x in v if x != 0))
-        orbit.append(point_id[tuple(F.mul(inv, x) for x in v)])
-        v = _times_x(F, cubic, v)
-    return orbit
 
 
 def _successor_systems(D, target, n):
@@ -164,13 +109,7 @@ def search_triangle_presentations(plane, limit, seed=0):
     """
     if limit <= 0:
         return []
-    orbit = _singer_orbit(plane.field)
-    n = plane.n
-    # the planar difference set of the base line: sigma^j of it is line j
-    D = [i for i in range(n) if orbit[i] in plane.lines[0]]
-    line_of = [
-        plane.line_index[frozenset(orbit[(d + j) % n] for d in D)] for j in range(n)
-    ]
+    orbit, D, line_of, n = plane.orbit, plane.base, plane.translates, plane.n
 
     shifts = list(range(n))
     if seed:
@@ -231,9 +170,9 @@ def singer_action(cx):
 
     complex_from_presentation gives point x at slot i the edge i*n + x, and
     search_triangle_presentations builds triple sets closed under the shift
-    orbit[i] -> orbit[i+1] of _singer_orbit.  So on a 3-vertex complex with
-    3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x).  It
-    is kept only if it keeps every edge's endpoints and maps every chamber
+    orbit[i] -> orbit[i+1] of planes.singer_orbit.  So on a 3-vertex complex
+    with 3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x).
+    It is kept only if it keeps every edge's endpoints and maps every chamber
     to a chamber; the chambers of a valid complex are distinct, so it is
     then an automorphism, which acts freely with every orbit of length n.
     The result is the pair (edge images, directed chamber images), directed
@@ -246,7 +185,7 @@ def singer_action(cx):
     if cx.n_vertices != 3 or cx.n_edges != 3 * n:
         return None
     try:
-        orbit = _singer_orbit(GF(q))
+        orbit = singer_orbit(GF(q))
     except UnsupportedOrder:
         return None
     shift = dict(zip(orbit, orbit[1:] + orbit[:1]))

@@ -6,6 +6,7 @@ or slower route, something the program computes another way.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from a2zeta.building import (
     DEFAULT_VERTEX_CAP,
@@ -18,7 +19,7 @@ from a2zeta.building import (
 )
 from a2zeta.complexes import Check
 from a2zeta.errors import A2ZetaError, BallTooSmall
-from a2zeta.gf import pconst
+from a2zeta.gf import GF, pconst
 from a2zeta.polyint import IntPoly, Series, poly_log_derivative
 from a2zeta.satake import sigma
 
@@ -301,3 +302,30 @@ def link_condition_pairwise(cx):
         if len(outs) != m or len(ins) != m:
             return Check("link_condition", False, f"vertex {v}: wrong link size")
     return Check("link_condition", True)
+
+
+# ----------------------------------------------------------------------
+# projective planes
+
+
+def plane_by_dot_product(q):
+    """Points and lines of PG(2, q) as planes numbers them, by dot products.
+
+    The points are the nonzero triples over GF(q) whose first nonzero
+    coordinate is 1, sorted; line j holds every point p with
+    points[j] . p = 0, n^2 dot products in all.
+    """
+    F = GF(q)
+    triples = product(range(q), repeat=3)
+    points = sorted(v for v in triples if any(v) and next(x for x in v if x) == 1)
+
+    def dot(u, v):
+        s = 0
+        for x, y in zip(u, v):
+            s = F.add(s, F.mul(x, y))
+        return s
+
+    lines = [
+        frozenset(i for i, p in enumerate(points) if dot(ell, p) == 0) for ell in points
+    ]
+    return points, lines

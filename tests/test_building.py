@@ -253,6 +253,22 @@ def test_geodesic_criterion_small():
         verify_geodesic_criterion(2, 3, 2)
 
 
+def test_geodesic_criterion_refuses_past_the_vertex_cap(monkeypatch):
+    """|S(n, 0)| over the cap raises before a single neighbor is listed."""
+
+    def no_neighbors(self, v, edge_type):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(LocalBuilding, "neighbors", no_neighbors)
+    for q, n in ((2, 11), (3, 7)):
+        with pytest.raises(ResourceLimit):
+            verify_geodesic_criterion(q, n, n)
+    # the largest admitted lengths reach the search
+    for q, n in ((2, 10), (3, 6)):
+        with pytest.raises(AssertionError, match="the search started"):
+            verify_geodesic_criterion(q, n, n)
+
+
 def _drop_last_type1(monkeypatch):
     full = LocalBuilding.neighbors
 

@@ -132,6 +132,10 @@ def test_usage_error_exit_2():
         "complex_negative_chambers",
         "search_huge_q",
         "build_huge_q",
+        "lcan_exponent_1025",
+        "lcan_exponent_20_digits",
+        "lcan_literal_past_digit_limit",
+        "geodesic_past_vertex_cap",
     ],
 )
 def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
@@ -145,6 +149,13 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     petersen.write_text(serialize_graph(petersen_graph()))
     huge_q = tmp_path / "huge_q.tp"
     huge_q.write_text("trianglepres v1\nq 1000003\n")
+    long_terms = {
+        "exponent_1025": "t^1025",
+        "exponent_20_digits": "t^99999999999999999999",
+        "literal_past_digit_limit": "1" * 5000,
+    }
+    for name, term in long_terms.items():
+        (tmp_path / f"{name}.mat").write_text(f"1 0 0\n0 {term} 0\n0 0 1\n")
     negative_graph = tmp_path / "negative.graph"
     negative_graph.write_text("graph v1\nvertices -1\n")
     negative = {}
@@ -185,6 +196,15 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "complex_negative_chambers": ["check", "identity", str(negative["chambers"])],
         "search_huge_q": ["tp", "search", "--q", "1000003"],
         "build_huge_q": ["tp", "build", str(huge_q)],
+        **{
+            f"lcan_{name}": [
+                "building", "lcan", "--q", "2", "--matrix", str(tmp_path / f"{name}.mat")
+            ]
+            for name in long_terms
+        },
+        "geodesic_past_vertex_cap": [
+            "building", "geodesic", "--q", "2", "--length", "11", "--radius", "11"
+        ],
     }[case]
     # a q past GF's bound exits 2 at once, before any plane of q^2+q+1 points
     code, _, err = run_cli(*argv, timeout=60)
@@ -199,6 +219,10 @@ def test_lcan_names_the_bad_term_as_written(tmp_path):
     assert code == 2
     assert "line 2: bad polynomial term 't^-1'" in err
     assert "Traceback" not in err
+    path.write_text("1 0 0\n0 1 0\n0 0 t^1025+1\n")
+    code, _, err = run_cli("building", "lcan", "--q", "2", "--matrix", str(path))
+    assert code == 2
+    assert "line 3: exponent over 1024 in term 't^1025'" in err
 
 
 def test_satake_cli():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from a2zeta.presentations import (
     complex_from_presentation,
     search_triangle_presentations,
 )
+from oracles import plane_by_dot_product
 
 
 def test_plane_counts_q2():
@@ -52,11 +55,34 @@ def test_unsupported_order():
         build_plane(6)
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 25])
 def test_supported_order_planes(q):
     plane = build_plane(q)  # axioms checked exhaustively inside
-    assert len(plane.points) == q * q + q + 1
-    assert all(sum(row) == q + 1 for row in plane.incidence)
+    assert (plane.points, plane.lines) == plane_by_dot_product(q)
+    n = plane.n
+    assert sorted(plane.orbit) == list(range(n))
+    base = plane.base
+    assert base == [i for i in range(n) if plane.orbit[i] in plane.lines[0]]
+    # a planar difference set: every nonzero residue is one difference
+    assert sorted((a - b) % n for a in base for b in base if a != b) == list(range(1, n))
+    assert sorted(plane.translates) == list(range(n)) and plane.translates[0] == 0
+    for j, k in enumerate(plane.translates):
+        assert plane.lines[k] == {plane.orbit[(i + j) % n] for i in base}
+
+
+# sha256 of the first seed-0 presentation, as `tp search --limit 1` writes it
+PRESENTATION_SHA256 = {
+    9: "2610ce2282cc70aae20e73c4c97c5a7a65bdf8a39ae159aefebcff346e73cc2e",
+    16: "ed013f5cb320afa96e284479bc5e792b78a53779c2ac59aec4172047475d382c",
+    25: "99d4493a5780e654914db9c95c0ca83142a1187cf0f26431cb991ea4da3c542a",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PRESENTATION_SHA256))
+def test_search_built_presentation_pinned(q):
+    tp = search_triangle_presentations(build_plane(q), 1, 0)[0]
+    text = serialize_presentation(tp)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESENTATION_SHA256[q]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])

@@ -14,7 +14,7 @@ from a2zeta.errors import A2ZetaError
 from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.gf import GF
 from a2zeta.operators import SparseOperator, chamber_operator, edge_operator, vertex_hecke
-from a2zeta.planes import build_plane
+from a2zeta.planes import _primitive_cubic, build_plane
 from a2zeta.polyint import (
     IntPoly,
     RationalFunction,
@@ -22,7 +22,6 @@ from a2zeta.polyint import (
     one_minus_power,
 )
 from a2zeta.presentations import (
-    _primitive_cubic,
     complex_from_presentation,
     search_triangle_presentations,
     singer_action,
