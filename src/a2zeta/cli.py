@@ -30,7 +30,6 @@ from .gf import GF
 from .graphs import ihara_zeta, ramanujan_graph_check
 from .operators import chamber_operator, edge_operator, vertex_hecke
 from .planes import build_plane
-from .polyint import RationalFunction
 from .presentations import complex_from_presentation, search_triangle_presentations
 from .satake import verify_recursion_42, verify_sigma3_identity
 from .zeta import (
@@ -38,6 +37,7 @@ from .zeta import (
     check_series_identity,
     ramanujan_check,
     zeta_bundle,
+    zeta_minus,
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -98,8 +98,8 @@ def cmd_zeta(args, out):
     b = zeta_bundle(cx)
     if args.which == "minus":
         # the one selection that is a rational function to reduce
-        zminus = RationalFunction(b.pb, b.pe2)
-        selection = [("Zminus.num", zminus.num), ("Zminus.den", zminus.den)]
+        num, den = zeta_minus(b)
+        selection = [("Zminus.num", num), ("Zminus.den", den)]
     else:
         selection = {
             "vertex": [("dvertex", b.dvertex)],
@@ -123,7 +123,11 @@ def cmd_zeta(args, out):
 
 def cmd_check_identity(args, out):
     cx = _load_complex(args.complex)
-    ok, residual = check_main_identity(cx)
+    b = zeta_bundle(cx)
+    if b.failure is not None:
+        j, p = b.failure
+        out.emit("character", f"fail j={j} p={p}")
+    ok, residual = check_main_identity(cx, b)
     out.emit("identity", "pass" if ok else "fail")
     if not ok:
         out.emit("residual", residual.format())

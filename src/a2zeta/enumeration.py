@@ -222,21 +222,3 @@ def gallery_boundaries(cx, galleries):
                     )
         out.append([tuple(cyc) for cyc in cycles])
     return out
-
-
-def shift_equivalence_classes(galleries):
-    """Partition based galleries into cyclic-shift classes.
-
-    Returns a list of (representative, class size); class sizes divide the
-    length, smaller sizes flagging non-primitive galleries.
-    """
-    seen = set()
-    classes = []
-    for g in galleries:
-        if g in seen:
-            continue
-        L = len(g)
-        shifts = {tuple(g[(i + k) % L] for i in range(L)) for k in range(L)}
-        seen.update(shifts)
-        classes.append((min(shifts), len(shifts)))
-    return classes

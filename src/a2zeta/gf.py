@@ -192,10 +192,6 @@ def punit_inverse(F, u, n):
     return ptrim(out)
 
 
-def pconst(c):
-    return (c,) if c else ()
-
-
 def pfloordiv_tpow(a, k):
     """Coefficients of t^k and above, i.e. a div t^k."""
     return ptrim(a[k:])

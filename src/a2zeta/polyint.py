@@ -10,7 +10,8 @@ with (n = 1 and every row for det_i_minus_pencil); the primes are taken
 = 1 (mod n) and each residue is the product of n small characteristic
 polynomials, one per character of Z/n: the discrete Fourier transform is
 invertible mod such p, so the residue is the same and exactness rests on
-the same bound and CRT.  Series
+the same bound and CRT.  character_dets hands the determinants of the same
+character blocks to zeta's per-character proof of the identity.  Series
 is the one truncated power series type: generic in its coefficient ring, it
 carries exact Fraction coefficients for the zeta identities and SymPoly
 coefficients for the Satake-side recursion checks.
@@ -253,6 +254,44 @@ def one_minus_power(k, m, c=1):
     return IntPoly(coeffs)
 
 
+def times_one_minus_power(p, m):
+    """p (1 - u)^m for m >= 0, by m differences over one object array.
+
+    Each difference is one vectorized subtraction of big integers, so the
+    cost is about m (deg p + m / 2) additions and no product of two big
+    coefficients, as the binomial expansion would take.
+    """
+    if m < 0:
+        raise ValueError(f"p (1 - u)^m needs m >= 0, got {m}")
+    out = np.array(list(p.coeffs) + [0] * m, dtype=object)
+    for top in range(len(p.coeffs), len(out)):
+        out[1 : top + 1] -= out[:top].copy()
+    return IntPoly(out.tolist())
+
+
+def lowest_terms(num, den):
+    """(num / g, den / g) for g = gcd(num, den), when num(0) != 0 and den(0) = 1.
+
+    Reversed, den is monic, so num's remainder by it is exact over Z and
+    takes deg(num) deg(den) steps; the gcd then runs on two polynomials of
+    degree at most deg(den).  So this is cheap for a small den, however
+    large num is.  That gcd is primitive with leading coefficient 1, and it
+    divides the monic reversed den, so by Gauss's lemma g has integer
+    quotients and g(0) = 1: the result keeps den(0) = 1, which makes it
+    the one reduced form.
+    """
+    d = den.degree
+    divisor = den.coeffs[::-1]
+    rem = list(num.coeffs[::-1])
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for t, x in enumerate(divisor):
+                rem[i - d + t] -= c * x
+    g = IntPoly(IntPoly(divisor).gcd(IntPoly(rem[:d])).coeffs[::-1])
+    return num.divexact(g), den.divexact(g)
+
+
 # ----------------------------------------------------------------------
 # polynomial determinants
 
@@ -286,8 +325,9 @@ def det_i_minus_rows(rows, orbits):
     each minor is at most the product of its rows' 2-norms, each at most
     sqrt(r) with r the largest squared row 2-norm, read off the rows given.
     So |e_k| <= C(N, k) r^(k/2), and primes are taken until their product m
-    has m^2 > 4 C(N, k)^2 r^k for every k: m exceeds 2 |e_k|, and the result
-    is exact by proof, with no square root taken.
+    exceeds isqrt(4 C(N, k)^2 r^k) for every k, which for an integer m is
+    m^2 > 4 C(N, k)^2 r^k: m exceeds 2 |e_k|, and the result is exact by
+    proof.
 
     For a prime p = 1 (mod n) with zeta a primitive n-th root of unity mod
     p, the discrete Fourier transform over Z/n, invertible mod p, makes C
@@ -296,7 +336,9 @@ def det_i_minus_rows(rows, orbits):
         charpoly(C) = prod_j charpoly(M_j)  (mod p),
     the same residue for every n, so the bound and the CRT hold as they
     are.  The k-square characteristic polynomials of all n characters and
-    of many primes at once come from one batched Hessenberg pass.  Every
+    of many primes at once come from one batched Hessenberg pass; for
+    1-square blocks (k = 1), prod_j (1 - M_j u) is taken with one
+    shift-add step per character over all primes at once.  Every
     sum of products of residues, in M_j, the Hessenberg pass or the
     product, has at most N + 1 terms below p^2, so int64 holds it.
 
@@ -310,43 +352,86 @@ def det_i_minus_rows(rows, orbits):
     if size == 0:
         return ONE
     k, n = orbits.shape
-    # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b] = rows[a, orbits[b, g]],
-    # flattened over (a, b)
-    g_blocks = rows[:, orbits.T].transpose(1, 0, 2).reshape(n, k * k)
     r = _max_row_norm2(rows)
     bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
-    primes, modulus = [], 1
-    for p in _crt_primes(isqrt((2**63 - 1) // (size + 1)), n):
-        primes.append(p)
-        modulus *= p
-        if modulus**2 > 4 * bound:
-            break
-    exponents = np.outer(np.arange(n), np.arange(n)) % n
+    primes, modulus = primes_past(isqrt(4 * bound), size, n)
     coeffs, crt_mod = [0] * (size + 1), 1
     # primes go through the batched pass together, a stack of at most
     # _BATCH_ENTRIES matrix entries at a time
     per_pass = max(1, _BATCH_ENTRIES // (n * k * k))
     for start in range(0, len(primes), per_pass):
         chunk = primes[start : start + per_pass]
-        mods = np.array(chunk, dtype=np.int64)[:, None, None]
-        powers = []
-        for p in chunk:
-            zeta = _root_of_unity(n, p)
-            powers.append([pow(zeta, e, p) for e in range(n)])
-        m = np.array(powers, dtype=np.int64)[:, exponents] @ (g_blocks % mods) % mods
-        factors = _charpoly_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
-        for p, row in zip(chunk, factors.reshape(len(chunk), n, k + 1)):
-            charpoly = row[0]
-            for f in row[1:]:
-                charpoly = np.convolve(charpoly, f) % p
+        dets, mods = character_dets(rows, orbits, chunk)
+        if k == 1:
+            residues = _linear_product(dets[:, :, 1], mods[:, 0])
+        else:
+            residues = []
+            for p, row in zip(chunk, dets):
+                product = row[0]
+                for f in row[1:]:
+                    product = np.convolve(product, f) % p
+                residues.append(product)
+        for p, residue in zip(chunk, residues):
             inv = pow(crt_mod, -1, p)
             coeffs = [
                 x + crt_mod * ((y - x) * inv % p)
-                for x, y in zip(coeffs, charpoly[::-1].tolist())
+                for x, y in zip(coeffs, residue.tolist())
             ]
             crt_mod *= p
     half = modulus // 2
     return IntPoly([x - modulus if x > half else x for x in coeffs])
+
+
+def primes_past(bound, size, n):
+    """(primes, their product): the primes of det_i_minus_rows for an N x N
+    matrix, N = size, and Z/n, largest first, until their product exceeds bound."""
+    primes, modulus = [], 1
+    for p in _crt_primes(isqrt((2**63 - 1) // (size + 1)), n):
+        primes.append(p)
+        modulus *= p
+        if modulus > bound:
+            break
+    return primes, modulus
+
+
+def character_dets(rows, orbits, primes):
+    """det(I - v M_j) mod p for every prime p and character j of det_i_minus_rows.
+
+    rows and orbits are as det_i_minus_rows takes them (k x N and k x n),
+    and every prime is = 1 (mod n) with (N + 1) p^2 < 2^63.  With zeta =
+    _root_of_unity(n, p) and M_j = sum_g zeta^(jg) G_g, returns the
+    (len(primes), n, k + 1) int64 array of the coefficients of
+    det(I - v M_j) mod p, lowest degree first, and the (len(primes), 1, 1)
+    int64 array of the primes.
+    """
+    k, n = orbits.shape
+    # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b] = rows[a, orbits[b, g]],
+    # flattened over (a, b)
+    g_blocks = rows[:, orbits.T].transpose(1, 0, 2).reshape(n, k * k)
+    mods = np.array(primes, dtype=np.int64)[:, None, None]
+    exponents = np.outer(np.arange(n), np.arange(n)) % n
+    powers = []
+    for p in primes:
+        zeta = _root_of_unity(n, p)
+        powers.append([pow(zeta, e, p) for e in range(n)])
+    m = np.array(powers, dtype=np.int64)[:, exponents] @ (g_blocks % mods) % mods
+    charpolys = _charpoly_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
+    return charpolys.reshape(len(primes), n, k + 1)[:, :, ::-1], mods
+
+
+def _linear_product(c, mods):
+    """prod_j (1 + c[:, j] v) mod each prime, lowest degree first, all primes at once.
+
+    c is the (primes, n) array of the linear coefficients of 1-square
+    character blocks and mods the (primes, 1) array of the primes; each
+    factor is one shift-add step over all primes, a product and a sum of
+    residues below p^2.
+    """
+    acc = np.zeros((len(c), c.shape[1] + 1), dtype=np.int64)
+    acc[:, 0] = 1
+    for j in range(c.shape[1]):
+        acc[:, 1 : j + 2] = (acc[:, 1 : j + 2] + c[:, j, None] * acc[:, : j + 1]) % mods
+    return acc
 
 
 _BATCH_ENTRIES = 2**18
@@ -411,7 +496,9 @@ def _charpoly_mod(stack, mods):
             h[s, m + 1], h[s, i] = h[s, i], h[s, m + 1]
             h[s, :, m + 1], h[s, :, i] = h[s, :, i], h[s, :, m + 1]
             pivots = h[:, m + 1, m].tolist()
-        inv = np.array([[[pow(x, -1, p) if x else 0]] for x, p in zip(pivots, primes)])
+        inv = np.array(
+            [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)], dtype=np.int64
+        ).reshape(b, 1, 1)
         u = h[:, m + 2 :, m, None] * inv % mods
         # rows m+1 and below are already zero left of column m
         h[:, m + 2 :, m:] = (h[:, m + 2 :, m:] - u * h[:, m + 1, None, m:]) % mods

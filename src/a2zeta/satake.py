@@ -80,19 +80,6 @@ class SymPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_symmetric(self):
-        """Invariance under all permutations of (z1, z2, z3)."""
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            moved = {}
-            for (i, j), v in self.terms.items():
-                e = (i, j, 0)
-                p = (e[perm[0]], e[perm[1]], e[perm[2]])
-                k = (p[0] - p[2], p[1] - p[2])
-                moved[k] = moved.get(k, 0) + v
-            if {k: v for k, v in moved.items() if v} != self.terms:
-                return False
-        return True
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(0)"
@@ -130,16 +117,6 @@ def sigma(k, kind):
     else:
         raise ValueError("kind must be 1, 2 or 3")
     return out
-
-
-def transform_a1(q):
-    """Image of the degree-1 vertex operator: q(z1 + z2 + z3)."""
-    return q * sigma(1, 1)
-
-
-def transform_a2(q):
-    """Image of the degree-2 vertex operator: q(z1 z2 + z2 z3 + z3 z1)."""
-    return q * sigma(2, 2)
 
 
 def transform_Tk(q, k):

@@ -28,18 +28,34 @@ characters of Z/n, as in the Artin L-function factorization of
 Stark-Terras: modulo a prime p = 1 (mod n), det(I - v M) = prod_j
 det(I - v M_j) with every M_j only 1-square for ME and (q+1)-square for MB.
 The residues are the same as without the action and the prime count comes
-from the same Hadamard bound, so the result is exact by the same proof.  A
-complex without the action (relabeled, or not built from a presentation)
-takes the trivial group, n = 1: every type-0 index is its own orbit, and
-the same code runs.
+from the same Hadamard bound, so PE is exact by the same proof.
 
-The PB and PE root histograms of ramanujan_check label the roots of a
-squarefree factor that fails its numerical certificate as unclassified;
-only Dvertex decides the verdict.
+With the action, the identity itself splits over the characters:
+character_relations checks one small relation per character j between
+PE_j = 1 - m_j v, PB_j = det(I + v MB_j) and, at j = 0, Dvertex, modulo a
+few primes p = 1 (mod n) whose product exceeds a bound on every residual
+coefficient under every complex embedding.  Then every relation holds
+exactly, so the identity does, and PB is taken from it by exact division,
+    PB(v) = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v),  v = u^3,
+with neither PB's determinant nor the identity's two products formed.  If
+a relation fails, the bundle records the character j and the prime p, and
+PB comes from its own determinant and the identity from the two products,
+as on a complex without the action (relabeled, or not built from a
+presentation).  That one takes the trivial group, n = 1: every type-0
+index is its own orbit, and the same determinant code runs.
+
+ramanujan_check decides its verdict on Dvertex alone.  On a proven bundle
+it checks fact (a) exactly on ME's orbit row (its autocorrelation, its sum
+and Dvertex's three trivial factors) and then labels every PB and PE root
+by the proven factor it comes from, with its exact modulus.  Otherwise,
+or if fact (a) fails, the PB and PE root histograms are numerical and
+label the roots of a squarefree factor that fails its certificate as
+unclassified.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, isqrt
 
 import numpy as np
 
@@ -50,10 +66,14 @@ from .polyint import (
     IntPoly,
     RationalFunction,
     Series,
+    character_dets,
     det_i_minus_pencil,
     det_i_minus_rows,
+    lowest_terms,
     one_minus_power,
     poly_log_derivative,
+    primes_past,
+    times_one_minus_power,
 )
 from .presentations import singer_action
 
@@ -135,6 +155,66 @@ def det_i_minus_u3(rows, sign, orbits):
 
 
 # ----------------------------------------------------------------------
+# the identity, one Singer character at a time
+
+
+def character_relations(q, dvertex, me, edge_orbits, mb, chamber_orbits):
+    """Check the identity one character of Z/n at a time: (primes, failure).
+
+    me, edge_orbits and mb, chamber_orbits are the orbit rows of ME and MB
+    from type0_orbit_rows under the Singer action, one orbit of ME and
+    q + 1 of MB.  With m_j and MB_j the character blocks of
+    det_i_minus_rows, PE_j(v) = 1 - m_j v and PB_j(v) = det(I + v MB_j),
+    the relations are, in v = u^3,
+        (1-v)^(q-2) PE_-j(v) PE_j(v^2) = PB_j(v)             for j != 0,
+        (1-v)^(q+1) PE_0(v) PE_0(v^2) = Dvertex(v) PB_0(v),
+    and their product over j is the identity, since (q + 1) + (n - 1)(q - 2)
+    is chi.  Each residual coefficient c is one integer polynomial in
+    zeta^j, so a prime p = 1 (mod n) that kills it at every j of one order
+    d lies under every prime ideal of Z[zeta_d] above p: the primes that
+    all kill it divide it, and their product to the power phi(d) divides
+    its norm.  That norm is at most B^phi(d), B a bound on |c| under every
+    complex embedding; so primes are taken until their product exceeds B,
+    and then every relation holds exactly.  B is 2^(q+1) (1 + s)^2 plus
+    the 1-norm of Dvertex times max_t C(q+1, t) r^(t/2), with s = sum |G|
+    bounding |m_j| and r the largest squared row 2-norm of the sums over
+    the orbit blocks of |MB|, which by Hadamard bounds PB_j's coefficients.
+
+    All primes and characters are checked at once.  failure is None, or
+    (j, p) for the first prime and then the least character whose
+    residual is nonzero mod p.
+    """
+    n = edge_orbits.shape[1]
+    k = chamber_orbits.shape[0]
+    dv = _compress_cube(dvertex)
+    s = sum(abs(x) for x in me[0].tolist())
+    sums = np.abs(mb)[:, chamber_orbits].sum(axis=2).tolist()
+    r = max(sum(x * x for x in row) for row in sums)
+    pb_bound = max(comb(k, t) * (isqrt(r**t - 1) + 1) for t in range(k + 1))
+    bound = 2 ** (q + 1) * (1 + s) ** 2 + sum(map(abs, dv.coeffs)) * pb_bound
+    primes, _ = primes_past(bound, mb.shape[1], n)
+    pe, mods = character_dets(me, edge_orbits, primes)
+    pb, _ = character_dets(-mb, chamber_orbits, primes)  # det(I + v MB_j)
+    # (1 - m_-j v)(1 - m_j v^2) = (1 + a v)(1 + e v^2), then q - 2 times (1 - v)
+    e = pe[:, :, 1]
+    a = e[:, (-np.arange(n)) % n]
+    lhs = np.zeros_like(pb)
+    lhs[:, :, :4] = np.stack([np.ones_like(e), a, e, a * e % mods[:, 0]], axis=2)
+    for _ in range(q - 2):
+        lhs[:, :, 1:] = (lhs[:, :, 1:] - lhs[:, :, :-1]) % mods
+    failed = (lhs != pb).any(axis=2)
+    # j = 0 over the integers, one prime at a time
+    cube = one_minus_power(1, 3)
+    for i, p in enumerate(primes):
+        residual = IntPoly(lhs[i, 0].tolist()) * cube - IntPoly(pb[i, 0].tolist()) * dv
+        failed[i, 0] = any(c % p for c in residual.coeffs)
+    if failed.any():
+        i, j = np.argwhere(failed)[0]
+        return primes, (int(j), primes[i])
+    return primes, None
+
+
+# ----------------------------------------------------------------------
 # the bundle
 
 
@@ -146,6 +226,11 @@ class ZetaBundle:
     pb: IntPoly
     pe: IntPoly
     pe2: IntPoly
+    # how PB was reached, outside equality: proof is (primes, G) when
+    # character_relations proved the identity, G_g = ME[rep, sigma^g rep] as
+    # Python ints, and failure the (j, p) where a relation failed
+    proof: tuple = field(default=None, compare=False)
+    failure: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("dvertex", "pb", "pe", "pe2"):
@@ -170,12 +255,18 @@ def vertex_determinant(cx, A1=None, A2=None):
 
 
 def zeta_bundle(cx):
-    """All four exact polynomials and the Euler characteristic."""
+    """All four exact polynomials and the Euler characteristic.
+
+    With the Singer action, PB is the exact quotient of the identity once
+    character_relations has proven it; if a relation fails, or without the
+    action, PB is its own determinant.
+    """
     require_valid(cx)
     A1, A2 = vertex_hecke(cx)
     LE = edge_operator(cx)
     LB = chamber_operator(cx)
     dvertex = vertex_determinant(cx, A1, A2)
+    chi = euler_characteristic(cx)
     # source types: of each edge, and of the distinguished edge of 3*C + slot
     edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
     chamber_types = [edge_types[e] for tri in cx.chambers for e in tri]
@@ -183,20 +274,61 @@ def zeta_bundle(cx):
     me, edge_orbits = type0_orbit_rows(LE, edge_types, 1, edge_images)
     pe = det_i_minus_u3(me, 1, edge_orbits)
     mb, chamber_orbits = type0_orbit_rows(LB, chamber_types, 2, chamber_images)
-    pb = det_i_minus_u3(mb, -1, chamber_orbits)
-    pe2 = pe.substitute_power(2)
+    proof = failure = None
+    if edge_images is not None:
+        primes, failure = character_relations(
+            cx.q, dvertex, me, edge_orbits, mb, chamber_orbits
+        )
+        if failure is None:
+            proof = primes, me[0, edge_orbits[0]].tolist()
+    if proof is None:
+        pb = det_i_minus_u3(mb, -1, chamber_orbits)
+    else:
+        # PB = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v), v = u^3
+        pe_v = _compress_cube(pe)
+        product = times_one_minus_power(pe_v * pe_v.substitute_power(2), chi)
+        pb = product.divexact(_compress_cube(dvertex)).substitute_power(3)
     return ZetaBundle(
-        q=cx.q, chi=euler_characteristic(cx), dvertex=dvertex, pb=pb, pe=pe, pe2=pe2
+        q=cx.q,
+        chi=chi,
+        dvertex=dvertex,
+        pb=pb,
+        pe=pe,
+        pe2=pe.substitute_power(2),
+        proof=proof,
+        failure=failure,
     )
 
 
 def check_main_identity(cx, bundle=None):
-    """(1-u^3)^chi PE PE2 == Dvertex PB; returns (passed, residual)."""
+    """(1-u^3)^chi PE PE2 == Dvertex PB; returns (passed, residual).
+
+    A bundle proven character by character passes with residual 0 and no
+    product formed; any other bundle is checked by the two products.
+    """
     b = bundle if bundle is not None else zeta_bundle(cx)
+    if b.proof is not None:
+        return True, IntPoly()
     lhs = one_minus_power(3, b.chi) * b.pe * b.pe2
     rhs = b.dvertex * b.pb
     residual = lhs - rhs
     return residual.is_zero(), residual
+
+
+def zeta_minus(b):
+    """(num, den) of Zminus = PB / PE2 in lowest terms, den(0) = 1.
+
+    On a proven bundle PB / PE2 = (1 - u^3)^chi PE / Dvertex, which a gcd
+    with the degree-9 Dvertex reduces; otherwise PB / PE2 is reduced as it
+    stands.  The reduced form with den(0) = 1 is unique, so both give the
+    same pair.
+    """
+    if b.proof is None:
+        z = RationalFunction(b.pb, b.pe2)
+        return z.num, z.den
+    num = times_one_minus_power(_compress_cube(b.pe), b.chi)
+    num, den = lowest_terms(num, _compress_cube(b.dvertex))
+    return num.substitute_power(3), den.substitute_power(3)
 
 
 def zeta_functions(cx, bundle=None):
@@ -440,9 +572,13 @@ def ramanujan_check(cx, tol=1e-6, bundle=None):
 
     Dvertex gets a hard verdict: after removing the nine trivial zeros
     (cube roots of unity times 1, 1/q, 1/q^2), all remaining roots must
-    have modulus within tol of 1/q.  PB and PE get modulus histograms
-    against their expected values; PE's exact reciprocal-integer root
-    moduli (its u^3-cyclotomic-type factors) join its reference set.
+    have modulus within tol of 1/q.  PB and PE get every root labeled by
+    its exact modulus on a bundle proven by characters where fact (a)
+    holds (_character_spectra); otherwise they get numerical modulus
+    histograms against their expected values, and PE's exact
+    reciprocal-integer root moduli (its u^3-cyclotomic-type factors) join
+    its reference set.  pe_reference_moduli is that set, or PE's two exact
+    moduli q^-2 and q^-1/2 on the proven route.
     """
     if not 0 < tol <= 1e-3:
         raise A2ZetaError("tol must be in (0, 1e-3]")
@@ -471,19 +607,71 @@ def ramanujan_check(cx, tol=1e-6, bundle=None):
         label = "ramanujan" if abs(abs(r) - 1.0 / q) <= tol else "exceptional"
         records.append(RootRecord(r, abs(r), label))
 
-    pb_factors = _rooted_factors(b.pb)
-    pe_factors = _rooted_factors(b.pe)
-    pb_reference = [1.0, q**-0.5, q**-0.25] + _exact_factor_moduli(pb_factors)
-    pe_reference = _exact_factor_moduli(pe_factors)
-    return RamanujanReport(
-        verdict=verdict,
-        tol=tol,
-        vertex_roots=records,
-        surplus_trivial=surplus,
-        pb_roots=_histogram(pb_factors, pb_reference, tol),
-        pe_roots=_histogram(pe_factors, [1.0 / q, q**-0.5] + pe_reference, tol),
-        pe_reference_moduli=pe_reference,
-    )
+    spectra = _character_spectra(b)
+    if spectra is None:
+        pb_factors = _rooted_factors(b.pb)
+        pe_factors = _rooted_factors(b.pe)
+        pb_reference = [1.0, q**-0.5, q**-0.25] + _exact_factor_moduli(pb_factors)
+        pe_reference = _exact_factor_moduli(pe_factors)
+        spectra = (
+            _histogram(pb_factors, pb_reference, tol),
+            _histogram(pe_factors, [1.0 / q, q**-0.5] + pe_reference, tol),
+            pe_reference,
+        )
+    return RamanujanReport(verdict, tol, records, surplus, *spectra)
+
+
+def _character_spectra(b):
+    """(PB roots, PE roots, PE's exact moduli) of a proven bundle, or None.
+
+    Fact (a) is checked exactly on ME's orbit row G: its autocorrelation
+    A(s) = sum_g G_g G_(g+s) is constant for s != 0, A(0) - A(1) = q^3 and
+    sum G = q^6, and Dvertex = (1-v)(1-q^3 v)(1-q^6 v).  Then m_0 = q^6 and
+    |m_j|^2 = A(0) - A(1) = q^3 for j != 0, so the proven relations
+    PB_j = (1-v)^(q-2) (1 - m_-j v)(1 - m_j v^2) and, from the j = 0 one,
+    PB_0 = (1-v)^q (1 + q^3 v) give every root of PB and PE = prod_j
+    (1 - m_j v) with its exact modulus:
+        PB: |u| = 1 (from 1 - v), 1/q (1 + q^3 v), q^-1/2 (1 - m_-j v),
+            q^-1/4 (1 - m_j v^2);
+        PE: |u| = q^-2 (j = 0), q^-1/2 (j != 0).
+    The printed approximate roots come from m_j, a floating-point DFT of
+    G.  None when the bundle is unproven or fact (a) fails.
+    """
+    if b.proof is None:
+        return None
+    q, g = b.q, b.proof[1]
+    n = len(g)
+    auto = [sum(x * y for x, y in zip(g, g[s:] + g[:s])) for s in range(n)]
+    trivial = [one_minus_power(3, 1, c) for c in (1, q**3, q**6)]
+    if (
+        len(set(auto[1:])) != 1
+        or auto[0] - auto[1] != q**3
+        or sum(g) != q**6
+        or b.dvertex != trivial[0] * trivial[1] * trivial[2]
+    ):
+        return None
+    # m_j for j = 1..n-1, as a DFT in floating point
+    m = np.exp(-2j * np.pi * (np.outer(np.arange(1, n), np.arange(n)) % n) / n) @ g
+    pe = [(1.0 / q**6, q**-2.0)] + [(1.0 / x, q**-0.5) for x in m]
+    pb = [(1.0, 1.0)] * ((q - 2) * (n - 1) + q) + [(-1.0 / q**3, 1.0 / q)]
+    pb += [(1.0 / x, q**-0.5) for x in m]
+    pb += [(s / np.sqrt(x), q**-0.25) for x in m for s in (1.0, -1.0)]
+    return _labeled(pb), _labeled(pe), [q**-2.0, q**-0.5]
+
+
+def _labeled(roots):
+    """Root records of the cube roots u of (v, exact |u|) pairs, by exact |u|
+    and then by root, rounded so that float noise does not order roots that
+    print alike."""
+    v = np.array([v for v, _ in roots], dtype=complex)
+    moduli = np.repeat([modulus for _, modulus in roots], 3)
+    a = np.angle(v)[:, None] / 3.0 + 2.0 * np.pi * np.arange(3) / 3.0
+    u = (np.abs(v)[:, None] ** (1.0 / 3.0) * np.exp(1j * a)).ravel()
+    order = np.lexsort((u.imag.round(9), u.real.round(9), moduli))
+    return [
+        RootRecord(x, abs(x), f"|u|={modulus:.6f}")
+        for x, modulus in zip(u[order].tolist(), moduli[order].tolist())
+    ]
 
 
 def _histogram(factors, references, tol):

@@ -19,8 +19,8 @@ from a2zeta.building import (
 )
 from a2zeta.complexes import Check
 from a2zeta.errors import A2ZetaError, BallTooSmall
-from a2zeta.gf import GF, pconst
-from a2zeta.polyint import IntPoly, Series, poly_log_derivative
+from a2zeta.gf import GF
+from a2zeta.polyint import IntPoly, Series, one_minus_power, poly_log_derivative
 from a2zeta.satake import sigma
 
 
@@ -58,6 +58,11 @@ def power_by_multiplication(p, m):
     for _ in range(m):
         out = out * p
     return out
+
+
+def product_identity_residual(b):
+    """(1-u^3)^chi PE PE2 - Dvertex PB of a zeta bundle, by the two products."""
+    return one_minus_power(3, b.chi) * b.pe * b.pe2 - b.dvertex * b.pb
 
 
 def bareiss_det_int(rows):
@@ -120,6 +125,11 @@ def newton_power_sums(p, order):
 
 
 T = (0, 1)
+
+
+def pconst(c):
+    """The constant c as a polynomial over GF(q)."""
+    return (c,) if c else ()
 
 
 def type1_reps(q):
@@ -209,6 +219,30 @@ def trace_power_by_multiplication(op, n):
     return sum(power[i][i] for i in range(op.dim))
 
 
+def transform_a1(q):
+    """Image of the degree-1 vertex operator: q(z1 + z2 + z3)."""
+    return q * sigma(1, 1)
+
+
+def transform_a2(q):
+    """Image of the degree-2 vertex operator: q(z1 z2 + z2 z3 + z3 z1)."""
+    return q * sigma(2, 2)
+
+
+def is_symmetric(p):
+    """Invariance of a SymPoly under all permutations of (z1, z2, z3)."""
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        moved = {}
+        for (i, j), v in p.terms.items():
+            e = (i, j, 0)
+            x = (e[perm[0]], e[perm[1]], e[perm[2]])
+            k = (x[0] - x[2], x[1] - x[2])
+            moved[k] = moved.get(k, 0) + v
+        if {k: v for k, v in moved.items() if v} != p.terms:
+            return False
+    return True
+
+
 def transform_Tk_fraction(q, k):
     """q^k (s_k1 + s_k2 + (q^3-1)/q^3 s_k3) with Fraction coefficients."""
     return (q**k) * (
@@ -237,6 +271,24 @@ def walk_tree_size(succ, length):
         return 1 + (sum(nodes(w, left - 1) for w in succ[v]) if left > 1 else 0)
 
     return sum(nodes(s, length) for s in range(len(succ)))
+
+
+def shift_equivalence_classes(galleries):
+    """Partition based galleries into cyclic-shift classes.
+
+    Returns a list of (representative, class size); class sizes divide the
+    length, smaller sizes flagging non-primitive galleries.
+    """
+    seen = set()
+    classes = []
+    for g in galleries:
+        if g in seen:
+            continue
+        L = len(g)
+        shifts = {tuple(g[(i + k) % L] for i in range(L)) for k in range(L)}
+        seen.update(shifts)
+        classes.append((min(shifts), len(shifts)))
+    return classes
 
 
 def closed_walk_count(succ, length):

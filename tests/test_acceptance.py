@@ -28,13 +28,7 @@ from a2zeta.graphs import (
 )
 from a2zeta.operators import chamber_operator, edge_operator
 from a2zeta.polyint import one_minus_power
-from a2zeta.satake import (
-    sigma,
-    transform_a1,
-    transform_a2,
-    verify_recursion_42,
-    verify_sigma3_identity,
-)
+from a2zeta.satake import sigma, verify_recursion_42, verify_sigma3_identity
 from a2zeta.zeta import (
     check_main_identity,
     check_series_identity,
@@ -42,7 +36,13 @@ from a2zeta.zeta import (
     zeta_bundle,
     zeta_functions,
 )
-from oracles import divides, newton_power_sums, series_log_derivative
+from oracles import (
+    divides,
+    newton_power_sums,
+    series_log_derivative,
+    transform_a1,
+    transform_a2,
+)
 
 
 def report(number, name, passed=True):

@@ -21,8 +21,10 @@ from a2zeta.polyint import (
     _primes_descending,
     det_i_minus_pencil,
     det_i_minus_rows,
+    lowest_terms,
     one_minus_power,
     poly_log_derivative,
+    times_one_minus_power,
 )
 from a2zeta.presentations import singer_action
 from a2zeta.zeta import type0_orbit_rows
@@ -391,6 +393,37 @@ def test_rational_function_reduction_and_den_constraint():
     assert r.num == IntPoly((1, 2)) and r.den == ONE
     with pytest.raises(A2ZetaError):
         RationalFunction(ONE, IntPoly((2, 1)))
+
+
+small_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, st.integers(0, 40))
+@example(IntPoly(), 3)
+@example(IntPoly((2**70, -1)), 0)
+def test_times_one_minus_power_matches_the_product(p, m):
+    assert times_one_minus_power(p, m) == p * one_minus_power(1, m)
+
+
+def test_times_one_minus_power_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        times_one_minus_power(ONE, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys, small_polys, small_polys, st.integers(1, 5))
+@example(ONE, ONE, IntPoly((1, -1)), 1)
+@example(IntPoly((1, -4, 4)), IntPoly((1, -2)), ONE, 1)  # the gcd is all of den
+def test_lowest_terms_matches_the_prs_reduction(a, b, g, c):
+    """num = a g and den = b g with num(0) != 0 and den(0) = 1 (b and g taken
+    with constant term +-1, and sign fixed), against RationalFunction."""
+    a, b, g = a + c, IntPoly((1,) + b.coeffs[1:]), IntPoly((1,) + g.coeffs[1:])
+    num, den = a * g, b * g
+    if num[0] == 0:
+        return
+    want = RationalFunction(num, den)
+    assert lowest_terms(num, den) == (want.num, want.den)
 
 
 def test_rational_series_expansion():

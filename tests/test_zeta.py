@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2zeta import cli, planes, presentations
+from a2zeta import cli, planes, presentations, zeta
 from a2zeta.complexes import TypedComplex, validate
 from a2zeta.errors import A2ZetaError
 from a2zeta.fileio import parse_complex, serialize_complex
@@ -27,6 +30,7 @@ from a2zeta.presentations import (
     singer_action,
 )
 from a2zeta.zeta import (
+    character_relations,
     check_main_identity,
     check_series_identity,
     det_i_minus_u3,
@@ -37,7 +41,7 @@ from a2zeta.zeta import (
     zeta_bundle,
     zeta_functions,
 )
-from oracles import divides, series_log_derivative
+from oracles import divides, product_identity_residual, series_log_derivative
 
 ONE = IntPoly.const(1)
 
@@ -462,3 +466,170 @@ def test_q7_ramanujan_exits_0(q7_cx, tmp_path, capsys):
     path.write_text(serialize_complex(q7_cx))
     assert cli.main(["check", "ramanujan", str(path), "--format", "records"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "verdict RAMANUJAN"
+
+
+# ----------------------------------------------------------------------
+# the identity one Singer character at a time
+
+
+def orbit_rows_of(cx):
+    """(me, edge orbits, mb, chamber orbits) of a complex under its Singer action."""
+    edge_types, chamber_types = source_types(cx)
+    edge_images, chamber_images = singer_action(cx)
+    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, 1, edge_images)
+    mb, chamber_orbits = type0_orbit_rows(
+        chamber_operator(cx), chamber_types, 2, chamber_images
+    )
+    return me, edge_orbits, mb, chamber_orbits
+
+
+@pytest.fixture(scope="module")
+def q5_cx():
+    tp = search_triangle_presentations(build_plane(5), limit=1, seed=0)[0]
+    return complex_from_presentation(tp)
+
+
+def test_character_route_agrees_with_the_product_check(digest_texts, q5_cx, q7_cx):
+    """Every search-built complex of the digests and of the q = 5, 7 pins is
+    proven by characters, and the two products agree with the quotient PB;
+    its sha256 is pinned by the digest and pin tests above."""
+    cxs = [parse_complex(text) for text in digest_texts] + [q5_cx, q7_cx]
+    for cx in cxs:
+        b = zeta_bundle(cx)
+        assert b.proof is not None and b.failure is None
+        n = cx.q**2 + cx.q + 1
+        assert all(p % n == 1 for p in b.proof[0])
+        assert product_identity_residual(b).is_zero()
+        assert check_main_identity(cx, b) == (True, IntPoly())
+
+
+def test_proven_route_forms_no_pb_determinant(q7_cx, monkeypatch):
+    signs = []
+    original = zeta.det_i_minus_u3
+
+    def recording(rows, sign, orbits):
+        signs.append(sign)
+        return original(rows, sign, orbits)
+
+    monkeypatch.setattr(zeta, "det_i_minus_u3", recording)
+    zeta_bundle(q7_cx)
+    assert signs == [1]  # PE only
+
+
+def perturbed_orbit(op, images):
+    """op with 1 added to every entry of the Singer orbit of its first entry."""
+    entries = dict(op.entries)
+    r, c = min(entries)
+    for _ in range(len(images)):
+        entries[(r, c)] += 1
+        r, c = images[r], images[c]
+        if (r, c) == min(op.entries):
+            break
+    return SparseOperator(op.space, op.dim, entries)
+
+
+def test_perturbed_lb_orbit_names_a_character_and_exits_1(q3_cx, tmp_path, monkeypatch, capsys):
+    """A sigma-invariant change to LB keeps the action, so the character
+    check runs and fails; PB then comes from its determinant and the product
+    check fails too."""
+    _, chamber_images = singer_action(q3_cx)
+    lb = perturbed_orbit(chamber_operator(q3_cx), chamber_images)
+    changed = sum(lb.entries[key] != v for key, v in chamber_operator(q3_cx).entries.items())
+    assert changed == 13
+    monkeypatch.setattr(zeta, "chamber_operator", lambda cx: lb)
+    b = zeta_bundle(q3_cx)
+    assert b.proof is None
+    j, p = b.failure
+    assert 0 <= j < 13 and p % 13 == 1
+    path = tmp_path / "q3.cx3"
+    path.write_text(serialize_complex(q3_cx))
+    assert cli.main(["check", "identity", str(path), "--format", "records"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"character fail j={j} p={p}", "identity fail"]
+    assert lines[2].startswith("residual poly ")
+
+
+def test_character_primes_cover_the_bound(q3_cx):
+    """A residual coefficient c equal to the product of every prime the
+    unperturbed proof takes vanishes mod each of them; the bound grows with
+    |c|, so one prime more is taken, and that one catches it at j = 0."""
+    me, edge_orbits, mb, chamber_orbits = orbit_rows_of(q3_cx)
+    dvertex = zeta_bundle(q3_cx).dvertex
+    primes, failure = character_relations(3, dvertex, me, edge_orbits, mb, chamber_orbits)
+    assert failure is None and len(primes) == 2
+    c = prod(primes)
+    # Dvertex + c u^9 makes the j = 0 residual c v^3 PB_0(v), PB_0(0) = 1
+    more, failure = character_relations(
+        3, dvertex + IntPoly.monomial(9, c), me, edge_orbits, mb, chamber_orbits
+    )
+    assert more[: len(primes)] == primes
+    assert failure == (0, more[len(primes)])
+
+
+def test_relabeled_complex_keeps_the_determinant_route(q3_cx):
+    """No action, so no proof: the product check and the numerical
+    histograms, whose classes are those the characters give."""
+    cx = relabeled(q3_cx, random.Random(0))
+    b = zeta_bundle(cx)
+    assert b.proof is None and b.failure is None
+    assert check_main_identity(cx, b)[0]
+    report = ramanujan_check(cx, 1e-6, b)
+    assert report.verdict == "RAMANUJAN"
+    pb = Counter(r.label for r in report.pb_roots)
+    pe = Counter(r.label for r in report.pe_roots)
+    assert pb == {"|u|=0.333333": 3, "|u|=0.577350": 36, "|u|=0.759836": 72, "|u|=1.000000": 45}
+    assert pe == {"|u|=0.111111": 3, "|u|=0.577350": 36}
+    assert report.pe_reference_moduli == pytest.approx([1 / 9])
+    proven = ramanujan_check(q3_cx)
+    assert Counter(r.label for r in proven.pb_roots) == pb
+    assert Counter(r.label for r in proven.pe_roots) == pe
+
+
+def test_fact_a_failure_falls_back_to_the_histograms(bundled_cx, bundle):
+    primes, row = bundle.proof
+    row = [row[0] + 1, row[1] - 1] + row[2:]  # same sum, another autocorrelation
+    broken = dataclasses.replace(bundle, proof=(primes, row))
+    numerical = dataclasses.replace(bundle, proof=None)
+    assert ramanujan_check(bundled_cx, 1e-6, broken) == ramanujan_check(
+        bundled_cx, 1e-6, numerical
+    )
+
+
+@pytest.fixture(scope="module")
+def q9_cx():
+    tp = search_triangle_presentations(build_plane(9), limit=1, seed=0)[0]
+    return complex_from_presentation(tp)
+
+
+@pytest.mark.parametrize(
+    "q, pb, pe",
+    [
+        (7, {1.0: 861, 7**-0.5: 168, 7**-0.25: 336, 1 / 7: 3}, {7**-0.5: 168, 7**-2: 3}),
+        (9, {1.0: 1917, 9**-0.5: 270, 9**-0.25: 540, 1 / 9: 3}, {9**-0.5: 270, 9**-2: 3}),
+    ],
+)
+def test_ramanujan_classes_pinned(q, pb, pe, q7_cx, q9_cx):
+    cx = {7: q7_cx, 9: q9_cx}[q]
+    report = ramanujan_check(cx)
+    assert report.verdict == "RAMANUJAN"
+    for roots, want in ((report.pb_roots, pb), (report.pe_roots, pe)):
+        assert Counter(r.label for r in roots) == {f"|u|={m:.6f}": c for m, c in want.items()}
+        label_of = {f"|u|={m:.6f}": m for m in want}
+        assert all(abs(r.modulus - label_of[r.label]) < 1e-9 for r in roots)
+
+
+# sha256 of the stdout of `zeta <cx3> --which minus` for the seed-0 q = 5 and
+# q = 7 complexes, recorded from PB / PE2 reduced by the PRS gcd
+ZMINUS_TEXT_DIGESTS = {
+    5: "6de314e381663b647761affb56429499fd6d1ba4c9eff7fab79db08e51313107",
+    7: "0985fcc6d0b4a4581169317b3a363dbe5f026a31911bbb72b9dfd951a4899428",
+}
+
+
+def test_zeta_minus_text_unchanged(q5_cx, q7_cx, tmp_path, capsys):
+    for q, cx in ((5, q5_cx), (7, q7_cx)):
+        path = tmp_path / f"q{q}.cx3"
+        path.write_text(serialize_complex(cx))
+        assert cli.main(["zeta", str(path), "--which", "minus"]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == ZMINUS_TEXT_DIGESTS[q]
