@@ -20,7 +20,7 @@ coefficients for the Satake-side recursion checks.
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -152,12 +152,7 @@ class IntPoly:
     # -- gcd over Z (primitive PRS)
 
     def content(self):
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self):
         g = self.content()
@@ -178,17 +173,18 @@ class IntPoly:
             if shift < 0:
                 a, b = b, a
                 continue
-            r = a * (lead ** (shift + 1))
-            q_deg = r.degree - b.degree
+            # a divisor with leading coefficient +-1 divides exactly
+            r = a if lead in (1, -1) else a * (lead ** (shift + 1))
+            d, divisor = b.degree, b.coeffs
             rem = list(r.coeffs)
-            for i in range(q_deg, -1, -1):
-                c = rem[i + b.degree]
+            for i in range(r.degree - d, -1, -1):
+                c = rem[i + d]
                 if c == 0:
                     continue
                 f = c // lead
                 assert f * lead == c
-                for j in range(b.degree + 1):
-                    rem[i + j] -= f * b.coeffs[j]
+                for j in range(d + 1):
+                    rem[i + j] -= f * divisor[j]
             a, b = b, IntPoly(rem).primitive()
         if a.coeffs and a.coeffs[-1] < 0:
             a = -a
@@ -269,29 +265,6 @@ def times_one_minus_power(p, m):
     return IntPoly(out.tolist())
 
 
-def lowest_terms(num, den):
-    """(num / g, den / g) for g = gcd(num, den), when num(0) != 0 and den(0) = 1.
-
-    Reversed, den is monic, so num's remainder by it is exact over Z and
-    takes deg(num) deg(den) steps; the gcd then runs on two polynomials of
-    degree at most deg(den).  So this is cheap for a small den, however
-    large num is.  That gcd is primitive with leading coefficient 1, and it
-    divides the monic reversed den, so by Gauss's lemma g has integer
-    quotients and g(0) = 1: the result keeps den(0) = 1, which makes it
-    the one reduced form.
-    """
-    d = den.degree
-    divisor = den.coeffs[::-1]
-    rem = list(num.coeffs[::-1])
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            for t, x in enumerate(divisor):
-                rem[i - d + t] -= c * x
-    g = IntPoly(IntPoly(divisor).gcd(IntPoly(rem[:d])).coeffs[::-1])
-    return num.divexact(g), den.divexact(g)
-
-
 # ----------------------------------------------------------------------
 # polynomial determinants
 
@@ -336,11 +309,11 @@ def det_i_minus_rows(rows, orbits):
         charpoly(C) = prod_j charpoly(M_j)  (mod p),
     the same residue for every n, so the bound and the CRT hold as they
     are.  The k-square characteristic polynomials of all n characters and
-    of many primes at once come from one batched Hessenberg pass; for
-    1-square blocks (k = 1), prod_j (1 - M_j u) is taken with one
-    shift-add step per character over all primes at once.  Every
-    sum of products of residues, in M_j, the Hessenberg pass or the
-    product, has at most N + 1 terms below p^2, so int64 holds it.
+    of many primes at once come from one batched Hessenberg pass, and
+    their product over j with k shift-add steps per character over all
+    primes at once.  Every sum of products of residues, in M_j, the
+    Hessenberg pass or the product, has at most N + 1 terms below p^2, so
+    int64 holds it.
 
     The primes are the largest p = 1 (mod n) with (N + 1) p^2 < 2^63, in
     descending order.  They come from a table kept for the life of the
@@ -362,20 +335,10 @@ def det_i_minus_rows(rows, orbits):
     for start in range(0, len(primes), per_pass):
         chunk = primes[start : start + per_pass]
         dets, mods = character_dets(rows, orbits, chunk)
-        if k == 1:
-            residues = _linear_product(dets[:, :, 1], mods[:, 0])
-        else:
-            residues = []
-            for p, row in zip(chunk, dets):
-                product = row[0]
-                for f in row[1:]:
-                    product = np.convolve(product, f) % p
-                residues.append(product)
-        for p, residue in zip(chunk, residues):
+        for p, residue in zip(chunk, _product_mod(dets, mods[:, 0]).tolist()):
             inv = pow(crt_mod, -1, p)
             coeffs = [
-                x + crt_mod * ((y - x) * inv % p)
-                for x, y in zip(coeffs, residue.tolist())
+                x + crt_mod * ((y - x) * inv % p) for x, y in zip(coeffs, residue)
             ]
             crt_mod *= p
     half = modulus // 2
@@ -419,18 +382,26 @@ def character_dets(rows, orbits, primes):
     return charpolys.reshape(len(primes), n, k + 1)[:, :, ::-1], mods
 
 
-def _linear_product(c, mods):
-    """prod_j (1 + c[:, j] v) mod each prime, lowest degree first, all primes at once.
+def _product_mod(factors, mods):
+    """prod_j factors[:, j] mod each prime, lowest degree first, all primes at once.
 
-    c is the (primes, n) array of the linear coefficients of 1-square
-    character blocks and mods the (primes, 1) array of the primes; each
-    factor is one shift-add step over all primes, a product and a sum of
-    residues below p^2.
+    factors is the (primes, n, k + 1) array of character_dets, every factor
+    with constant term 1, and mods the (primes, 1) array of the primes.
+    Each further factor takes k shift-add steps over all primes, a sum of
+    at most k + 1 terms below p^2 before it is reduced; n = 1 takes none.
     """
-    acc = np.zeros((len(c), c.shape[1] + 1), dtype=np.int64)
-    acc[:, 0] = 1
-    for j in range(c.shape[1]):
-        acc[:, 1 : j + 2] = (acc[:, 1 : j + 2] + c[:, j, None] * acc[:, : j + 1]) % mods
+    b, n, width = factors.shape
+    k = width - 1
+    if n == 1:
+        return factors[:, 0]
+    acc = np.zeros((b, n * k + 1), dtype=np.int64)
+    acc[:, :width] = factors[:, 0]
+    for j in range(1, n):
+        # acc has degree j k; times factor j it has degree (j + 1) k
+        old = acc[:, : j * k + 1].copy()
+        for t in range(1, width):
+            acc[:, t : j * k + 1 + t] += factors[:, j, t, None] * old
+        acc[:, : (j + 1) * k + 1] %= mods
     return acc
 
 
@@ -565,14 +536,19 @@ class RationalFunction:
             den = IntPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
+        if num[0] and den[0] in (1, -1):
+            # reversed, den has leading coefficient +-1, so the gcd's first
+            # remainder, of num by den, takes no power of it however large
+            # num is; and as u divides neither, the reversed gcd is theirs
+            g = IntPoly(num.coeffs[::-1]).gcd(IntPoly(den.coeffs[::-1]))
+            g = IntPoly(g.coeffs[::-1])
+        else:
+            g = num.gcd(den)
         if not g.is_zero() and g != ONE:
             num = num.divexact(g)
             den = den.divexact(g)
         # also cancel integer content
-        from math import gcd as igcd
-
-        c = igcd(num.content(), den.content())
+        c = gcd(num.content(), den.content())
         if c > 1:
             num = IntPoly([x // c for x in num.coeffs])
             den = IntPoly([x // c for x in den.coeffs])

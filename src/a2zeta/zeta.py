@@ -69,7 +69,6 @@ from .polyint import (
     character_dets,
     det_i_minus_pencil,
     det_i_minus_rows,
-    lowest_terms,
     one_minus_power,
     poly_log_derivative,
     primes_past,
@@ -318,17 +317,17 @@ def check_main_identity(cx, bundle=None):
 def zeta_minus(b):
     """(num, den) of Zminus = PB / PE2 in lowest terms, den(0) = 1.
 
-    On a proven bundle PB / PE2 = (1 - u^3)^chi PE / Dvertex, which a gcd
-    with the degree-9 Dvertex reduces; otherwise PB / PE2 is reduced as it
-    stands.  The reduced form with den(0) = 1 is unique, so both give the
-    same pair.
+    On a proven bundle PB / PE2 = (1 - u^3)^chi PE / Dvertex, whose
+    reduction is a gcd with the degree-9 Dvertex; otherwise PB / PE2 is
+    reduced as it stands.  The reduced form with den(0) = 1 is unique, so
+    both give the same pair.
     """
     if b.proof is None:
         z = RationalFunction(b.pb, b.pe2)
         return z.num, z.den
     num = times_one_minus_power(_compress_cube(b.pe), b.chi)
-    num, den = lowest_terms(num, _compress_cube(b.dvertex))
-    return num.substitute_power(3), den.substitute_power(3)
+    z = RationalFunction(num, _compress_cube(b.dvertex))
+    return z.num.substitute_power(3), z.den.substitute_power(3)
 
 
 def zeta_functions(cx, bundle=None):
@@ -650,8 +649,7 @@ def _character_spectra(b):
         or b.dvertex != trivial[0] * trivial[1] * trivial[2]
     ):
         return None
-    # m_j for j = 1..n-1, as a DFT in floating point
-    m = np.exp(-2j * np.pi * (np.outer(np.arange(1, n), np.arange(n)) % n) / n) @ g
+    m = np.fft.fft(np.array(g, dtype=float))[1:]  # m_j for j = 1..n-1
     pe = [(1.0 / q**6, q**-2.0)] + [(1.0 / x, q**-0.5) for x in m]
     pb = [(1.0, 1.0)] * ((q - 2) * (n - 1) + q) + [(-1.0 / q**3, 1.0 / q)]
     pb += [(1.0 / x, q**-0.5) for x in m]

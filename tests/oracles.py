@@ -60,6 +60,39 @@ def power_by_multiplication(p, m):
     return out
 
 
+def _divmod_over_q(a, b):
+    """(quotient, remainder) of Fraction coefficient lists, lowest degree first."""
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        quot[len(rem) - len(b)] = f
+        for i, x in enumerate(b):
+            rem[len(rem) - len(b) + i] -= f * x
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def gcd_over_q(x, y):
+    """The monic gcd of two integer polynomials, not both zero, as a
+    Fraction coefficient list: Euclid's algorithm over the rationals."""
+    a, b = [Fraction(c) for c in x.coeffs], [Fraction(c) for c in y.coeffs]
+    while b:
+        a, b = b, _divmod_over_q(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def reduced_by_euclid(num, den):
+    """num / den in lowest terms over Q, scaled to den(0) = 1, as Fraction
+    coefficient lists."""
+    g = gcd_over_q(num, den)
+    top, bottom = (
+        _divmod_over_q([Fraction(c) for c in p.coeffs], g)[0] for p in (num, den)
+    )
+    return [c / bottom[0] for c in top], [c / bottom[0] for c in bottom]
+
+
 def product_identity_residual(b):
     """(1-u^3)^chi PE PE2 - Dvertex PB of a zeta bundle, by the two products."""
     return one_minus_power(3, b.chi) * b.pe * b.pe2 - b.dvertex * b.pb

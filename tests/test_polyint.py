@@ -21,7 +21,6 @@ from a2zeta.polyint import (
     _primes_descending,
     det_i_minus_pencil,
     det_i_minus_rows,
-    lowest_terms,
     one_minus_power,
     poly_log_derivative,
     times_one_minus_power,
@@ -31,10 +30,12 @@ from a2zeta.zeta import type0_orbit_rows
 from oracles import (
     bareiss_det_int,
     eval_int,
+    gcd_over_q,
     newton_power_sums,
     parse_poly_line,
     power_by_multiplication,
     rational_series,
+    reduced_by_euclid,
     series_log_derivative,
 )
 
@@ -412,18 +413,29 @@ def test_times_one_minus_power_rejects_negative_exponent():
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_polys, small_polys, small_polys, st.integers(1, 5))
+@given(small_polys, small_polys, small_polys, st.sampled_from((1, -1)))
 @example(ONE, ONE, IntPoly((1, -1)), 1)
 @example(IntPoly((1, -4, 4)), IntPoly((1, -2)), ONE, 1)  # the gcd is all of den
-def test_lowest_terms_matches_the_prs_reduction(a, b, g, c):
-    """num = a g and den = b g with num(0) != 0 and den(0) = 1 (b and g taken
-    with constant term +-1, and sign fixed), against RationalFunction."""
-    a, b, g = a + c, IntPoly((1,) + b.coeffs[1:]), IntPoly((1,) + g.coeffs[1:])
+@example(IntPoly((0, 3)), IntPoly((1, 1)), IntPoly((1, 2)), -1)  # num(0) = 0
+def test_rational_function_matches_euclid_over_q(a, b, g, s):
+    """num = a g and den = b g with den(0) = s = +-1 (b and g taken with
+    constant term s and 1), so the reduced denominator keeps constant term
+    +-1; num(0) != 0 takes the reversed gcd, num(0) = 0 the plain one."""
+    b, g = IntPoly((s,) + b.coeffs[1:]), IntPoly((1,) + g.coeffs[1:])
     num, den = a * g, b * g
-    if num[0] == 0:
-        return
-    want = RationalFunction(num, den)
-    assert lowest_terms(num, den) == (want.num, want.den)
+    z = RationalFunction(num, den)
+    assert (list(z.num.coeffs), list(z.den.coeffs)) == reduced_by_euclid(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, small_polys, small_polys, st.sampled_from((1, -1)))
+def test_gcd_with_a_unit_leading_divisor_matches_euclid_over_q(a, b, g, s):
+    """y = (b + s u^(deg b + 1)) (g + u^(deg g + 1)) has leading coefficient
+    s = +-1, so the pseudo-remainder by it takes no power of it."""
+    g = g + IntPoly.monomial(g.degree + 1)
+    x, y = a * g, (b + IntPoly.monomial(b.degree + 1, s)) * g
+    got = x.gcd(y)
+    assert [Fraction(c, got.coeffs[-1]) for c in got.coeffs] == gcd_over_q(x, y)
 
 
 def test_rational_series_expansion():

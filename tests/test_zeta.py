@@ -468,6 +468,48 @@ def test_q7_ramanujan_exits_0(q7_cx, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "verdict RAMANUJAN"
 
 
+def test_q7_numerical_histograms_exit_0(q7_cx, tmp_path, monkeypatch, capsys):
+    """The numerical PB and PE histograms at q = 7, as a complex without a
+    proof takes them: factors whose roots miss their certificate are
+    labeled unclassified, and the verdict, from Dvertex alone, stands."""
+    monkeypatch.setattr(zeta, "_character_spectra", lambda b: None)
+    path = tmp_path / "q7.cx3"
+    path.write_text(serialize_complex(q7_cx))
+    assert cli.main(["check", "ramanujan", str(path), "--format", "records"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verdict RAMANUJAN"
+    labels = {"root.pb": Counter(), "root.pe": Counter()}
+    for line in lines:
+        key = line.split()[0]
+        if key in labels:
+            labels[key][line.split()[-1]] += 1
+    moduli = {"root.pb": (1.0, 7**-0.25, 7**-0.5, 1 / 7), "root.pe": (7**-0.5, 7**-2)}
+    for key, counts in labels.items():
+        assert set(counts) <= {f"|u|={m:.6f}" for m in moduli[key]} | {"unclassified"}
+    assert sum(labels["root.pb"].values()) == 3 * 456
+    assert sum(labels["root.pe"].values()) == 3 * 57
+
+
+def test_uncertified_factors_are_labeled_unclassified(q3_cx, monkeypatch):
+    """Every PB and PE factor past degree 3 misses its certificate here;
+    their roots are labeled unclassified, with no error, and Dvertex, whose
+    factors have degree at most 3 in u^3, still gives the verdict."""
+    original = zeta._approx_roots
+
+    def uncertified(p):
+        found = original(p)
+        return found if p.degree <= 3 else [(r, float("inf")) for r, _ in found]
+
+    monkeypatch.setattr(zeta, "_approx_roots", uncertified)
+    report = ramanujan_check(relabeled(q3_cx, random.Random(0)))
+    assert report.verdict == "RAMANUJAN"
+    pb = Counter(r.label for r in report.pb_roots)
+    pe = Counter(r.label for r in report.pe_roots)
+    # the degree-1 factors keep theirs: 1 - v and 1 + 27 v of PB, 1 - 729 v of PE
+    assert pb == {"unclassified": 108, "|u|=1.000000": 45, "|u|=0.333333": 3}
+    assert pe == {"unclassified": 36, "|u|=0.111111": 3}
+
+
 # ----------------------------------------------------------------------
 # the identity one Singer character at a time
 
@@ -633,3 +675,11 @@ def test_zeta_minus_text_unchanged(q5_cx, q7_cx, tmp_path, capsys):
         assert cli.main(["zeta", str(path), "--which", "minus"]) == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == ZMINUS_TEXT_DIGESTS[q]
+
+
+def test_zeta_minus_is_the_same_from_pb_over_pe2(q5_cx, q7_cx):
+    """PB / PE2 reduced as it stands, as an unproven bundle reduces it, in
+    reversed coordinates since PE2(0) = 1, gives the pinned pair."""
+    for cx in (q5_cx, q7_cx):
+        b = zeta_bundle(cx)
+        assert zeta.zeta_minus(dataclasses.replace(b, proof=None)) == zeta.zeta_minus(b)
