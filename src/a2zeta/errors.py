@@ -50,10 +50,6 @@ class NotAGallery(A2ZetaError):
     """A chamber sequence is not a closed gallery of the required shape."""
 
 
-class RootFindingFailure(A2ZetaError):
-    """A numerically computed root failed its residual certificate."""
-
-
 class DegreeTooLow(A2ZetaError):
     """Graph degrees too low: zeta functions need at least 2, the spectral test 1."""
 

@@ -167,53 +167,34 @@ class IntPoly:
         if b.is_zero():
             return a
         while not b.is_zero():
-            # pseudo-remainder, then strip content
-            lead = b.coeffs[-1]
-            shift = a.degree - b.degree
-            if shift < 0:
+            if a.degree < b.degree:
                 a, b = b, a
                 continue
-            # a divisor with leading coefficient +-1 divides exactly
-            r = a if lead in (1, -1) else a * (lead ** (shift + 1))
-            d, divisor = b.degree, b.coeffs
-            rem = list(r.coeffs)
-            for i in range(r.degree - d, -1, -1):
-                c = rem[i + d]
-                if c == 0:
-                    continue
-                f = c // lead
-                assert f * lead == c
-                for j in range(d + 1):
-                    rem[i + j] -= f * divisor[j]
-            a, b = b, IntPoly(rem).primitive()
+            a, b = b, a.pseudo_remainder(b).primitive()
         if a.coeffs and a.coeffs[-1] < 0:
             a = -a
         return a
 
-    def squarefree_decomposition(self):
-        """Yun's algorithm: [(factor, multiplicity)] with factors squarefree.
+    def pseudo_remainder(self, other):
+        """The remainder of |lc|^(d+1) self by other, lc other's leading
+        coefficient and d = deg self - deg other >= 0.
 
-        Factors are primitive and only determined up to sign, which is all
-        root finding needs.  Exact integer arithmetic throughout.
+        The factor is positive, so the remainder has the sign that a Sturm
+        sequence needs; a divisor with leading coefficient +-1 takes none.
         """
-        p = self.primitive()
-        if p.degree < 1:
-            return []
-        g = p.gcd(p.derivative())
-        if g.degree < 1:
-            return [(p, 1)]
-        c = p.divexact(g)
-        d = p.derivative().divexact(g) - c.derivative()
-        out = []
-        i = 1
-        while c.degree > 0:
-            a = c.gcd(d)
-            if a.degree > 0:
-                out.append((a, i))
-            c = c.divexact(a) if not a.is_zero() else c
-            d = d.divexact(a) - c.derivative()
-            i += 1
-        return out
+        lead = other.coeffs[-1]
+        d, divisor = other.degree, other.coeffs
+        scale = abs(lead) ** (self.degree - d + 1)
+        rem = [c * scale for c in self.coeffs] if scale != 1 else list(self.coeffs)
+        for i in range(self.degree - d, -1, -1):
+            c = rem[i + d]
+            if c == 0:
+                continue
+            f = c // lead
+            assert f * lead == c
+            for j in range(d + 1):
+                rem[i + j] -= f * divisor[j]
+        return IntPoly(rem)
 
     # -- formatting
 
@@ -263,6 +244,52 @@ def times_one_minus_power(p, m):
     for top in range(len(p.coeffs), len(out)):
         out[1 : top + 1] -= out[:top].copy()
     return IntPoly(out.tolist())
+
+
+def roots_on_unit_circle(p):
+    """Whether every root of a nonzero integer polynomial p has |s| = 1, exactly.
+
+    The factors s - 1 and s + 1 go first.  What is left has every root on
+    the circle only if it is self-reciprocal up to sign, since the roots
+    then come in pairs s, 1/conj(s) = conj(s) of the real polynomial; and
+    with no root at 1 or -1 it cannot be anti-reciprocal or of odd degree,
+    so it is self-reciprocal of even degree 2m and p(s) = s^m T(s + 1/s).
+    A root s is on the circle exactly when x = s + 1/s is real in [-2, 2],
+    and T(2) and T(-2) are nonzero, so the test is that the Sturm count of
+    T on (-2, 2) equals the number of distinct roots of T (Basu, Pollack
+    and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+    """
+    for root in (1, -1):
+        while p.degree > 0 and _evaluate(p, root) == 0:
+            p = p.divexact(IntPoly((-root, 1)))
+    c = p.coeffs
+    if c != c[::-1]:
+        return False
+    m = p.degree // 2
+    # T = c_m + sum_k c_(m+k) D_k(x), D_k(s + 1/s) = s^k + s^-k,
+    # D_0 = 2, D_1 = x, D_(k+1) = x D_k - D_(k-1)
+    t, before, dk = IntPoly.const(c[m]), IntPoly.const(2), U
+    for k in range(1, m + 1):
+        t = t + dk * c[m + k]
+        before, dk = dk, U * dk - before
+    # the Sturm chain T, T', -rem, ... ends at gcd(T, T')
+    chain = [t, t.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-chain[-2].pseudo_remainder(chain[-1]).primitive())
+    chain.pop()
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (_evaluate(f, x) for f in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(-2) - sign_changes(2) == t.degree - chain[-1].degree
+
+
+def _evaluate(p, x):
+    value = 0
+    for c in reversed(p.coeffs):
+        value = value * x + c
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -368,18 +395,27 @@ def character_dets(rows, orbits, primes):
     int64 array of the primes.
     """
     k, n = orbits.shape
-    # orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b] = rows[a, orbits[b, g]],
-    # flattened over (a, b)
-    g_blocks = rows[:, orbits.T].transpose(1, 0, 2).reshape(n, k * k)
     mods = np.array(primes, dtype=np.int64)[:, None, None]
+    g = orbit_blocks(rows, orbits).reshape(n, k * k)
     exponents = np.outer(np.arange(n), np.arange(n)) % n
-    powers = []
-    for p in primes:
-        zeta = _root_of_unity(n, p)
-        powers.append([pow(zeta, e, p) for e in range(n)])
-    m = np.array(powers, dtype=np.int64)[:, exponents] @ (g_blocks % mods) % mods
+    m = np.empty((len(primes), n, k * k), dtype=np.int64)
+    # one product by the n x n DFT matrix mod each prime, the matrices of
+    # a few primes, at most _BATCH_ENTRIES entries or one matrix, at a time
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    for i in range(0, len(primes), step):
+        p = mods[i : i + step]
+        powers = [
+            [pow(_root_of_unity(n, x), e, x) for e in range(n)] for x in primes[i : i + step]
+        ]
+        m[i : i + step] = np.array(powers, dtype=np.int64)[:, exponents] @ (g % p) % p
     charpolys = _charpoly_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
     return charpolys.reshape(len(primes), n, k + 1)[:, :, ::-1], mods
+
+
+def orbit_blocks(rows, orbits):
+    """The (n, k, k) orbit blocks G[g, a, b] = C[rep_a, sigma^g rep_b] =
+    rows[a, orbits[b, g]] of det_i_minus_rows's input."""
+    return rows[:, orbits.T].transpose(1, 0, 2)
 
 
 def _product_mod(factors, mods):

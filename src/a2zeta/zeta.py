@@ -44,13 +44,15 @@ as on a complex without the action (relabeled, or not built from a
 presentation).  That one takes the trivial group, n = 1: every type-0
 index is its own orbit, and the same determinant code runs.
 
-ramanujan_check decides its verdict on Dvertex alone.  On a proven bundle
-it checks fact (a) exactly on ME's orbit row (its autocorrelation, its sum
-and Dvertex's three trivial factors) and then labels every PB and PE root
-by the proven factor it comes from, with its exact modulus.  Otherwise,
-or if fact (a) fails, the PB and PE root histograms are numerical and
-label the roots of a squarefree factor that fails its certificate as
-unclassified.
+ramanujan_check is exact on one route for every complex.  Its verdict
+comes from Dvertex in integers: the three trivial factors are divided out
+exactly, and the remainder must have every root on |u| = 1/q, decided by
+a Sturm count after x = s + 1/s, s = q^3 u^3.  PB's and PE's roots are
+labeled by their exact moduli from fact (a), checked exactly on ME's orbit
+rows (row and column sums q^6, ME ME^T = q^3 I + c J), with the identity
+proven by characters or by the two products; without fact (a) they are
+reported as uncertified, with their degrees.  Floating point only gives
+the printed approximate roots.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +62,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .complexes import euler_characteristic, require_valid
-from .errors import A2ZetaError, RootFindingFailure
+from .errors import A2ZetaError
 from .operators import chamber_operator, edge_operator, vertex_hecke
 from .polyint import (
     IntPoly,
@@ -70,8 +72,10 @@ from .polyint import (
     det_i_minus_pencil,
     det_i_minus_rows,
     one_minus_power,
+    orbit_blocks,
     poly_log_derivative,
     primes_past,
+    roots_on_unit_circle,
     times_one_minus_power,
 )
 from .presentations import singer_action
@@ -225,11 +229,13 @@ class ZetaBundle:
     pb: IntPoly
     pe: IntPoly
     pe2: IntPoly
-    # how PB was reached, outside equality: proof is (primes, G) when
-    # character_relations proved the identity, G_g = ME[rep, sigma^g rep] as
-    # Python ints, and failure the (j, p) where a relation failed
-    proof: tuple = field(default=None, compare=False)
+    # outside equality: how PB was reached, proof the primes with which
+    # character_relations proved the identity and failure the (j, p) where
+    # a relation failed; and me, ME's (orbit rows, orbits) from
+    # type0_orbit_rows, for ramanujan_check
+    proof: list = field(default=None, compare=False)
     failure: tuple = field(default=None, compare=False)
+    me: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("dvertex", "pb", "pe", "pe2"):
@@ -279,7 +285,7 @@ def zeta_bundle(cx):
             cx.q, dvertex, me, edge_orbits, mb, chamber_orbits
         )
         if failure is None:
-            proof = primes, me[0, edge_orbits[0]].tolist()
+            proof = primes
     if proof is None:
         pb = det_i_minus_u3(mb, -1, chamber_orbits)
     else:
@@ -296,6 +302,7 @@ def zeta_bundle(cx):
         pe2=pe.substitute_power(2),
         proof=proof,
         failure=failure,
+        me=(me, edge_orbits),
     )
 
 
@@ -315,7 +322,7 @@ def check_main_identity(cx, bundle=None):
 
 
 def zeta_minus(b):
-    """(num, den) of Zminus = PB / PE2 in lowest terms, den(0) = 1.
+    """Zminus = PB / PE2 in lowest terms, den(0) = 1, as a RationalFunction.
 
     On a proven bundle PB / PE2 = (1 - u^3)^chi PE / Dvertex, whose
     reduction is a gcd with the degree-9 Dvertex; otherwise PB / PE2 is
@@ -323,11 +330,9 @@ def zeta_minus(b):
     both give the same pair.
     """
     if b.proof is None:
-        z = RationalFunction(b.pb, b.pe2)
-        return z.num, z.den
+        return RationalFunction(b.pb, b.pe2)
     num = times_one_minus_power(_compress_cube(b.pe), b.chi)
-    z = RationalFunction(num, _compress_cube(b.dvertex))
-    return z.num.substitute_power(3), z.den.substitute_power(3)
+    return RationalFunction(num, _compress_cube(b.dvertex)).substitute_power(3)
 
 
 def zeta_functions(cx, bundle=None):
@@ -337,7 +342,7 @@ def zeta_functions(cx, bundle=None):
         "Z": RationalFunction(ONE, b.pe * b.pe2),
         "Z1": RationalFunction(ONE, b.pe),
         "Z2": RationalFunction(ONE, b.pb.substitute_neg()),
-        "Zminus": RationalFunction(b.pb, b.pe2),
+        "Zminus": zeta_minus(b),
     }
 
 
@@ -433,238 +438,151 @@ def check_series_identity(cx, order, bundle=None):
 
 
 # ----------------------------------------------------------------------
-# numerical root classification
+# exact root classes
 
 
 @dataclass
 class RootRecord:
     value: complex
     modulus: float
-    label: str  # trivial | ramanujan | exceptional | reference-<m>
+    label: str  # trivial | ramanujan | nontrivial | |u|=<exact modulus>
 
 
 @dataclass
 class RamanujanReport:
     verdict: str
-    tol: float
     vertex_roots: list
-    surplus_trivial: list
     pb_roots: list
     pe_roots: list
-    pe_reference_moduli: list
+    # name -> degree in u of PB or PE when its root classes are unproven;
+    # its root list is then empty
+    uncertified: dict
 
     @property
     def passed(self):
         return self.verdict == "RAMANUJAN"
 
 
-def _approx_roots(p):
-    """Double-precision roots of an IntPoly, each with its relative residual.
-
-    The residual is |p(r)| / sum |c_i| |r|^i with p scaled to unit maximum
-    coefficient; it is infinite where that denominator is 0 or not finite.
-    """
-    scale = max(abs(c) for c in p.coeffs)
-    coeffs = [c / scale for c in p.coeffs]
-    out = []
-    for r in np.roots(list(reversed(coeffs))):
-        val = 0.0
-        mag = 0.0
-        for c in reversed(coeffs):
-            val = val * r + c
-            mag = mag * abs(r) + abs(c)
-        ok = np.isfinite(mag) and mag != 0
-        out.append((complex(r), abs(val) / mag if ok else float("inf")))
-    return out
-
-
-def _rooted_factors(p):
-    """(factor, multiplicity, approximate roots) for p in u^3, rooted in v = u^3.
-
-    Rooting det polynomials directly in u is badly conditioned once the
-    degree grows, and repeated roots smear by eps^(1/multiplicity); so the
-    compression in v = u^3 is split into exact squarefree factors first and
-    only simple roots ever reach the numerical solver.
-    """
-    return [
-        (factor, mult, _approx_roots(factor))
-        for factor, mult in _compress_cube(p).squarefree_decomposition()
-    ]
-
-
-def _cube_roots(factors, tol):
-    """(u-root, certified) for the rooted factors of a polynomial in u^3.
-
-    A factor is certified when every one of its roots has relative residual
-    at most tol.  Each v-root expands to its three cube roots; the result is
-    sorted by root.
-    """
-    out = []
-    for _, mult, found in factors:
-        certified = all(residual <= tol for _, residual in found)
-        for v, _ in found * mult:
-            r = abs(v) ** (1.0 / 3.0)
-            theta = np.angle(v) / 3.0
-            for k in range(3):
-                a = theta + 2.0 * np.pi * k / 3.0
-                out.append((complex(r * np.cos(a), r * np.sin(a)), certified))
-    return sorted(out, key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
-
-
-def roots_via_cube(p, tol):
-    """Roots of a polynomial in u^3; RootFindingFailure unless all certified."""
-    pairs = _cube_roots(_rooted_factors(p), tol)
-    if not all(certified for _, certified in pairs):
-        raise RootFindingFailure(f"a root has relative residual above {tol}")
-    return [z for z, _ in pairs]
-
-
-def _match_and_remove(roots, targets, tol):
-    """Match each target to at most one root within tol; return leftovers."""
-    remaining = list(roots)
-    matched = []
-    surplus = []
-    for t in targets:
-        hits = [r for r in remaining if abs(r - t) <= tol]
-        hits.sort(key=lambda r: abs(r - t))
-        if hits:
-            matched.append(hits[0])
-            remaining.remove(hits[0])
-            for extra in hits[1:]:
-                surplus.append((t, extra))
-        else:
-            matched.append(None)
-    return matched, remaining, surplus
-
-
-def _rational_reciprocal_roots(factors):
-    """Exact roots v = ±1/d, d a positive integer, of the rooted factors.
-
-    The polynomial has constant term 1, so these are all its rational
-    roots.  Candidates come from the numerical roots of the squarefree
-    factors, certified or not, and are then confirmed by exact integer
-    evaluation, so the returned values (Fractions, with multiplicity) are
-    proven roots.
-    """
-    found = []
-    for factor, mult, roots in factors:
-        deg = factor.degree
-        for r, _ in roots:
-            if abs(r.imag) > 1e-9 or abs(r.real) < 1e-12:
-                continue
-            recip = 1.0 / r.real
-            d = round(abs(recip))
-            s = 1 if recip > 0 else -1
-            if d == 0 or abs(abs(recip) - d) > 1e-6 * d:
-                continue
-            # factor(s/d) == 0 iff sum c_i s^i d^(deg-i) == 0
-            val = sum(
-                c * (s**i) * (d ** (deg - i)) for i, c in enumerate(factor.coeffs)
-            )
-            if val == 0:
-                found.extend([Fraction(s, d)] * mult)
-    return found
-
-
-def ramanujan_check(cx, tol=1e-6, bundle=None):
+def ramanujan_check(cx, bundle=None):
     """Classify the zeros of the three determinants against the RH criteria.
 
-    Dvertex gets a hard verdict: after removing the nine trivial zeros
-    (cube roots of unity times 1, 1/q, 1/q^2), all remaining roots must
-    have modulus within tol of 1/q.  PB and PE get every root labeled by
-    its exact modulus on a bundle proven by characters where fact (a)
-    holds (_character_spectra); otherwise they get numerical modulus
-    histograms against their expected values, and PE's exact
-    reciprocal-integer root moduli (its u^3-cyclotomic-type factors) join
-    its reference set.  pe_reference_moduli is that set, or PE's two exact
-    moduli q^-2 and q^-1/2 on the proven route.
+    Dvertex gives the verdict, in integers only: its nine trivial zeros,
+    the cube roots of v = 1, 1/q^3, 1/q^6, are the factors (1 - v),
+    (1 - q^3 v) and (1 - q^6 v), divided out exactly, and every other zero
+    has |u| = 1/q exactly when the remainder, in s = q^3 v, has every root
+    on the unit circle (polyint.roots_on_unit_circle).  PB's and PE's roots
+    are labeled by their exact modulus when fact (a) holds on ME's orbit
+    rows (_fact_a_spectrum): every PE root, and, when also Dvertex is the
+    trivial product and the identity holds, every PB root.  Otherwise they
+    are reported as uncertified, with their degree.
     """
-    if not 0 < tol <= 1e-3:
-        raise A2ZetaError("tol must be in (0, 1e-3]")
     b = bundle if bundle is not None else zeta_bundle(cx)
-    q = cx.q
-
-    vroots = roots_via_cube(b.dvertex, tol)
-    trivial = [
-        complex(m * np.exp(2j * np.pi * k / 3))
-        for m in (1.0, 1.0 / q, 1.0 / q**2)
-        for k in range(3)
-    ]
-    matched, nontrivial, surplus = _match_and_remove(vroots, trivial, tol)
-    missing = [t for t, m in zip(trivial, matched) if m is None]
-    verdict = "RAMANUJAN"
-    if missing:
-        verdict = "TRIVIAL-ZEROS-MISSING"
-    elif any(abs(abs(r) - 1.0 / q) > tol for r in nontrivial):
-        verdict = "NOT-RAMANUJAN"
-
-    records = []
-    for t, m in zip(trivial, matched):
-        if m is not None:
-            records.append(RootRecord(m, abs(m), "trivial"))
-    for r in nontrivial:
-        label = "ramanujan" if abs(abs(r) - 1.0 / q) <= tol else "exceptional"
-        records.append(RootRecord(r, abs(r), label))
-
-    spectra = _character_spectra(b)
-    if spectra is None:
-        pb_factors = _rooted_factors(b.pb)
-        pe_factors = _rooted_factors(b.pe)
-        pb_reference = [1.0, q**-0.5, q**-0.25] + _exact_factor_moduli(pb_factors)
-        pe_reference = _exact_factor_moduli(pe_factors)
-        spectra = (
-            _histogram(pb_factors, pb_reference, tol),
-            _histogram(pe_factors, [1.0 / q, q**-0.5] + pe_reference, tol),
-            pe_reference,
-        )
-    return RamanujanReport(verdict, tol, records, surplus, *spectra)
+    q = b.q
+    verdict, vertex_roots, trivial_only = _dvertex_zeros(_compress_cube(b.dvertex), q)
+    pb = pe = None
+    m = _fact_a_spectrum(b)
+    if m is not None:
+        # PE = (1 - q^6 v) P(v), P(v) = prod (1 - m v) over the other m
+        pe = [(1.0 / q**6, q**-2.0)] + [(1.0 / x, q**-0.5) for x in m]
+        if trivial_only and check_main_identity(cx, b)[0]:
+            # PB = (1 - v)^(chi - 1) (1 + q^3 v) P(v) P(v^2)
+            pb = [(1.0, 1.0)] * (b.chi - 1) + [(-1.0 / q**3, 1.0 / q)]
+            pb += [(1.0 / x, q**-0.5) for x in m]
+            pb += [(s / np.sqrt(x), q**-0.25) for x in m for s in (1.0, -1.0)]
+    uncertified = {
+        name: getattr(b, name).degree for name, roots in (("pb", pb), ("pe", pe)) if roots is None
+    }
+    return RamanujanReport(
+        verdict, vertex_roots, _labeled(pb or []), _labeled(pe or []), uncertified
+    )
 
 
-def _character_spectra(b):
-    """(PB roots, PE roots, PE's exact moduli) of a proven bundle, or None.
+def _dvertex_zeros(dv, q):
+    """(verdict, root records, whether dv is the trivial product) for
+    Dvertex in v = u^3.
 
-    Fact (a) is checked exactly on ME's orbit row G: its autocorrelation
-    A(s) = sum_g G_g G_(g+s) is constant for s != 0, A(0) - A(1) = q^3 and
-    sum G = q^6, and Dvertex = (1-v)(1-q^3 v)(1-q^6 v).  Then m_0 = q^6 and
-    |m_j|^2 = A(0) - A(1) = q^3 for j != 0, so the proven relations
-    PB_j = (1-v)^(q-2) (1 - m_-j v)(1 - m_j v^2) and, from the j = 0 one,
-    PB_0 = (1-v)^q (1 + q^3 v) give every root of PB and PE = prod_j
-    (1 - m_j v) with its exact modulus:
-        PB: |u| = 1 (from 1 - v), 1/q (1 + q^3 v), q^-1/2 (1 - m_-j v),
-            q^-1/4 (1 - m_j v^2);
-        PE: |u| = q^-2 (j = 0), q^-1/2 (j != 0).
-    The printed approximate roots come from m_j, a floating-point DFT of
-    G.  None when the bundle is unproven or fact (a) fails.
+    Each trivial factor 1 - c v, c = 1, q^3, q^6, that divides dv exactly
+    gives the three trivial zeros u^3 = 1/c; a factor that does not makes
+    the verdict TRIVIAL-ZEROS-MISSING.  The remainder R is RAMANUJAN when
+    S(s) = q^(3d) R(s / q^3), d = deg R, has every root on |s| = 1; its
+    zeros are then labeled ramanujan, and otherwise nontrivial (some of
+    them, not necessarily each, are off the circle).
     """
-    if b.proof is None:
+    records, missing = [], False
+    for c in (1, q**3, q**6):
+        try:
+            dv = dv.divexact(IntPoly((1, -c)))
+        except A2ZetaError:
+            missing = True
+            continue
+        for u in _u_of_v([1.0 / c])[0].tolist():
+            records.append(RootRecord(u, abs(u), "trivial"))
+    d = dv.degree
+    s = IntPoly([r * q ** (3 * (d - i)) for i, r in enumerate(dv.coeffs)]).primitive()
+    on_circle = roots_on_unit_circle(s)
+    if d > 0:
+        # the roots of S as the eigenvalues of its companion matrix
+        companion = np.eye(d, k=-1)
+        companion[0] = [-x / s.coeffs[-1] for x in s.coeffs[-2::-1]]
+        roots = _u_of_v(np.linalg.eigvals(companion) / q**3).ravel().tolist()
+        label = "ramanujan" if on_circle else "nontrivial"
+        for u in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
+            records.append(RootRecord(u, abs(u), label))
+    if missing:
+        return "TRIVIAL-ZEROS-MISSING", records, False
+    return ("RAMANUJAN" if on_circle else "NOT-RAMANUJAN"), records, d == 0
+
+
+def _fact_a_spectrum(b):
+    """ME's eigenvalues other than q^6, approximately, if fact (a) holds; else None.
+
+    Fact (a) is checked exactly on ME's orbit blocks G_g (the bundle's me):
+    every row and column sum of ME is q^6, and ME ME^T = q^3 I + c J with
+    c = (q^12 - q^3) / N, N = n k.  By the action, the rows of ME ME^T at
+    the representatives are A(s)[a, c] = sum_(g, b) G_g[a, b] G_(g-s)[c, b],
+    which must be c + q^3 [s = 0][a = c]; with one orbit (the Singer route)
+    this is G's autocorrelation.  Then the all-ones vector is an eigenvector
+    of ME and ME^T for q^6, its complement is invariant, and on it ME ME^T
+    = q^3 I, so every other eigenvalue m has |m| = q^(3/2), and PE =
+    (1 - q^6 v) prod (1 - m v).  The values come from the eigenvalues of
+    the character blocks, a floating-point FFT of G over the orbit index:
+    on the Singer route the DFT of G, with one orbit per index ME itself.
+    """
+    if b.me is None:
         return None
-    q, g = b.q, b.proof[1]
-    n = len(g)
-    auto = [sum(x * y for x, y in zip(g, g[s:] + g[:s])) for s in range(n)]
-    trivial = [one_minus_power(3, 1, c) for c in (1, q**3, q**6)]
-    if (
-        len(set(auto[1:])) != 1
-        or auto[0] - auto[1] != q**3
-        or sum(g) != q**6
-        or b.dvertex != trivial[0] * trivial[1] * trivial[2]
-    ):
+    q = b.q
+    g = orbit_blocks(*b.me)
+    n, k, _ = g.shape
+    c, r = divmod(q**12 - q**3, n * k)
+    big = int(np.abs(g).max())
+    if big * big * n * k >= 2**63:  # sums of products in Python ints
+        g = g.astype(object)
+    if r or (g.sum(axis=(0, 2)) != q**6).any() or (g.sum(axis=(0, 1)) != q**6).any():
         return None
-    m = np.fft.fft(np.array(g, dtype=float))[1:]  # m_j for j = 1..n-1
-    pe = [(1.0 / q**6, q**-2.0)] + [(1.0 / x, q**-0.5) for x in m]
-    pb = [(1.0, 1.0)] * ((q - 2) * (n - 1) + q) + [(-1.0 / q**3, 1.0 / q)]
-    pb += [(1.0 / x, q**-0.5) for x in m]
-    pb += [(s / np.sqrt(x), q**-0.25) for x in m for s in (1.0, -1.0)]
-    return _labeled(pb), _labeled(pe), [q**-2.0, q**-0.5]
+    shifted = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [s, g] -> g - s
+    rows = g.transpose(1, 0, 2).reshape(k, n * k)  # [a, (g, b)]
+    gram = rows @ g[shifted].transpose(2, 0, 1, 3).reshape(k * n, n * k).T
+    want = np.full((k, k * n), c, dtype=object)
+    want[np.arange(k), np.arange(k) * n] += q**3
+    if (gram != want).any():
+        return None
+    m = np.linalg.eigvals(np.fft.fft(g.astype(float), axis=0)).ravel()
+    return np.delete(m, np.argmax(np.abs(m)))
+
+
+def _u_of_v(v):
+    """The three cube roots u of each v, as a (len(v), 3) complex array."""
+    v = np.asarray(v, dtype=complex)
+    a = np.angle(v)[:, None] / 3.0 + 2.0 * np.pi * np.arange(3) / 3.0
+    return np.abs(v)[:, None] ** (1.0 / 3.0) * np.exp(1j * a)
 
 
 def _labeled(roots):
     """Root records of the cube roots u of (v, exact |u|) pairs, by exact |u|
     and then by root, rounded so that float noise does not order roots that
     print alike."""
-    v = np.array([v for v, _ in roots], dtype=complex)
+    u = _u_of_v([v for v, _ in roots]).ravel()
     moduli = np.repeat([modulus for _, modulus in roots], 3)
-    a = np.angle(v)[:, None] / 3.0 + 2.0 * np.pi * np.arange(3) / 3.0
-    u = (np.abs(v)[:, None] ** (1.0 / 3.0) * np.exp(1j * a)).ravel()
     order = np.lexsort((u.imag.round(9), u.real.round(9), moduli))
     return [
         RootRecord(x, abs(x), f"|u|={modulus:.6f}")
@@ -672,38 +590,8 @@ def _labeled(roots):
     ]
 
 
-def _histogram(factors, references, tol):
-    """Root records of the rooted factors, labeled by nearest reference modulus.
-
-    The roots of a squarefree factor that fails its certificate are labeled
-    unclassified: the histograms never decide the verdict.
-    """
-    records = []
-    for r, certified in _cube_roots(factors, tol):
-        label = _nearest_label(abs(r), references, tol) if certified else "unclassified"
-        records.append(RootRecord(r, abs(r), label))
-    return records
-
-
-def _exact_factor_moduli(factors):
-    """Moduli contributed by exact (1 - c u^3) factors, c = ±integer reciprocal.
-
-    These are the u^3-cyclotomic-type factors; their root moduli are exact
-    reference values for the histograms.
-    """
-    exact = _rational_reciprocal_roots(factors)
-    return sorted({abs(float(v)) ** (1.0 / 3.0) for v in exact})
-
-
 def _compress_cube(p):
     """p with only u^{3k} terms -> the polynomial in v = u^3."""
     if any(c and i % 3 for i, c in enumerate(p.coeffs)):
         raise A2ZetaError("polynomial is not a polynomial in u^3")
     return IntPoly(p.coeffs[::3])
-
-
-def _nearest_label(modulus, references, tol):
-    best = min(references, key=lambda m: abs(modulus - m))
-    if abs(modulus - best) <= tol:
-        return f"|u|={best:.6f}"
-    return "unclassified"

@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from a2zeta.building import (
     DEFAULT_VERTEX_CAP,
     ONE,
@@ -123,6 +125,52 @@ def bareiss_det_int(rows):
             row_i[k] = 0
         prev = pkk
     return sign * m[n - 1][n - 1]
+
+
+def squarefree_decomposition(p):
+    """Yun's algorithm: [(factor, multiplicity)] with factors squarefree.
+
+    Factors are primitive and only determined up to sign, which is all
+    root finding needs.  Exact integer arithmetic throughout.
+    """
+    p = p.primitive()
+    if p.degree < 1:
+        return []
+    g = p.gcd(p.derivative())
+    if g.degree < 1:
+        return [(p, 1)]
+    c = p.divexact(g)
+    d = p.derivative().divexact(g) - c.derivative()
+    out = []
+    i = 1
+    while c.degree > 0:
+        a = c.gcd(d)
+        if a.degree > 0:
+            out.append((a, i))
+        c = c.divexact(a) if not a.is_zero() else c
+        d = d.divexact(a) - c.derivative()
+        i += 1
+    return out
+
+
+def approx_roots(p):
+    """Double-precision roots of an IntPoly, each with its relative residual.
+
+    The residual is |p(r)| / sum |c_i| |r|^i with p scaled to unit maximum
+    coefficient; it is infinite where that denominator is 0 or not finite.
+    """
+    scale = max(abs(c) for c in p.coeffs)
+    coeffs = [c / scale for c in p.coeffs]
+    out = []
+    for r in np.roots(list(reversed(coeffs))):
+        val = 0.0
+        mag = 0.0
+        for c in reversed(coeffs):
+            val = val * r + c
+            mag = mag * abs(r) + abs(c)
+        ok = np.isfinite(mag) and mag != 0
+        out.append((complex(r), abs(val) / mag if ok else float("inf")))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_criterion_11_geodesic_criterion():
 
 
 def test_criterion_12_spectral_classification(bundled_cx):
-    rep = ramanujan_check(bundled_cx, tol=1e-6)
+    rep = ramanujan_check(bundled_cx)
     assert rep.verdict == "RAMANUJAN"
     trivial = [r for r in rep.vertex_roots if r.label == "trivial"]
     assert len(trivial) == 9
@@ -185,8 +185,7 @@ def test_criterion_12_spectral_classification(bundled_cx):
     ]
     for rec in trivial:
         assert min(abs(rec.value - t) for t in targets) < 1e-9
-    assert all(r.label != "unclassified" for r in rep.pe_roots)
+    assert rep.uncertified == {}
     for rec in rep.pe_roots:
-        refs = [0.5, 2**-0.5] + rep.pe_reference_moduli
-        assert min(abs(rec.modulus - m) for m in refs) < 1e-6
+        assert min(abs(rec.modulus - m) for m in (2**-2, 2**-0.5)) < 1e-6
     report(12, "spectral classification: trivial zeros and RH criterion")

@@ -190,6 +190,7 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "graph_tol_negative": ["graph", "check", str(petersen), "--tol", "-1"],
         "graph_tol_nan": ["graph", "check", str(petersen), "--tol", "nan"],
         "graph_tol_inf": ["graph", "check", str(petersen), "--tol", "inf"],
+        "ramanujan_tol": ["check", "ramanujan", cx_path, "--tol", "1e-6"],
         "graph_negative_vertices": ["graph", "zeta", str(negative_graph)],
         "complex_negative_vertices": ["check", "identity", str(negative["vertices"])],
         "complex_negative_edges": ["check", "identity", str(negative["edges"])],
@@ -318,22 +319,23 @@ def test_repeated_main_calls_match_fresh_processes(cx_path, tmp_path):
     petersen.write_text(serialize_graph(petersen_graph()))
     records = ["--format", "records"]
     sequence = [
-        ["check", "ramanujan", cx_path, "--tol", "1e-5", *records],
-        ["check", "ramanujan", cx_path, *records],
-        ["check", "ramanujan", cx_path, "--tol"],
-        ["zeta", cx_path, "--which", "edge", *records],
+        # a tolerance past 1e-3 is refused, so the first call's value shows
+        ["graph", "check", str(petersen), "--tol", "0.5", *records],
         ["graph", "check", str(petersen), *records],
+        ["graph", "check", str(petersen), "--tol"],
+        ["check", "ramanujan", cx_path, *records],
+        ["check", "ramanujan", cx_path, "--tol", "1e-6"],
+        ["zeta", cx_path, "--which", "edge", *records],
     ]
     results = [main_in_process(argv) for argv in sequence]
-    assert "tol 1e-05" in results[0][1].splitlines()
-    assert "tol 1e-06" in results[1][1].splitlines()
-    assert [code for code, _ in results] == [0, 0, 2, 0, 0]
+    assert [code for code, _ in results] == [2, 0, 2, 0, 2, 0]
+    assert results[1][1].splitlines()[0] == "verdict RAMANUJAN"
     for argv, result in zip(sequence, results):
         assert run_cli(*argv)[:2] == result
     parser = cli.build_parser()
     assert parser is cli.build_parser()
     assert parser.parse_args(["graph", "check", str(petersen)]).tol == 1e-9
-    assert parser.parse_args(["check", "ramanujan", cx_path]).tol == 1e-6
+    assert not hasattr(parser.parse_args(["check", "ramanujan", cx_path]), "tol")
 
 
 def test_enumerate_cli(cx_path):

@@ -14,6 +14,7 @@ from a2zeta.graphs import (
     random_regular_graph,
 )
 from a2zeta.polyint import IntPoly
+from oracles import approx_roots, squarefree_decomposition
 
 
 def test_cycle_edge_adjacency_is_two_cycles():
@@ -126,15 +127,13 @@ def test_random_graphs_forms_agree():
 
 def test_rh_equivalence_on_regular_graphs():
     """Ramanujan verdict agrees with nontrivial pole moduli being q^-1/2."""
-    from a2zeta.zeta import _approx_roots
-
     for g in (complete_graph(4), petersen_graph(), random_regular_graph(10, 3, 1)):
         q = g.degrees()[0] - 1
         verdict = ramanujan_graph_check(g).passed
         hden, _, _ = ihara_zeta(g)
         roots = []
-        for factor, mult in hden.squarefree_decomposition():
-            found = _approx_roots(factor)
+        for factor, mult in squarefree_decomposition(hden):
+            found = approx_roots(factor)
             assert all(residual <= 1e-9 for _, residual in found)
             roots.extend([r for r, _ in found] * mult)
         assert len(roots) == hden.degree

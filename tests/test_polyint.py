@@ -23,11 +23,13 @@ from a2zeta.polyint import (
     det_i_minus_rows,
     one_minus_power,
     poly_log_derivative,
+    roots_on_unit_circle,
     times_one_minus_power,
 )
 from a2zeta.presentations import singer_action
 from a2zeta.zeta import type0_orbit_rows
 from oracles import (
+    approx_roots,
     bareiss_det_int,
     eval_int,
     gcd_over_q,
@@ -37,6 +39,7 @@ from oracles import (
     rational_series,
     reduced_by_euclid,
     series_log_derivative,
+    squarefree_decomposition,
 )
 
 U = IntPoly.monomial(1)
@@ -457,10 +460,70 @@ def test_divexact_raises_on_inexact():
 
 def test_squarefree_decomposition():
     p = one_minus_power(1, 3) * IntPoly((1, 0, 2))
-    parts = p.squarefree_decomposition()
+    parts = squarefree_decomposition(p)
     by_mult = {m: f for f, m in parts}
     assert sorted(by_mult) == [1, 3]
     assert by_mult[3].degree == 1 and by_mult[1].degree == 2
+
+
+def reciprocal_product(xs, linear=()):
+    """prod (s^2 - x s + 1) over xs, times s - r for each r in linear."""
+    p = ONE
+    for x in xs:
+        p = p * IntPoly((1, -x, 1))
+    for r in linear:
+        p = p * IntPoly((-r, 1))
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    xs=st.sets(st.sampled_from([-4, -3, -1, 0, 1, 3, 4]), min_size=1),
+    linear=st.sets(st.sampled_from([1, -1])),
+)
+def test_unit_circle_test_agrees_with_numerical_roots(xs, linear):
+    """On squarefree products the numerical roots are accurate, and the
+    exact test agrees with them: s^2 - x s + 1 has its roots on the circle
+    exactly when |x| < 2."""
+    p = reciprocal_product(sorted(xs), sorted(linear))
+    found = approx_roots(p)
+    assert all(residual <= 1e-9 for _, residual in found)
+    numerical = all(abs(abs(r) - 1.0) < 1e-6 for r, _ in found)
+    assert roots_on_unit_circle(p) == numerical == all(abs(x) < 2 for x in xs)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        power_by_multiplication(IntPoly((1, 1)), 5),
+        power_by_multiplication(IntPoly((1, -1)), 4),
+        power_by_multiplication(IntPoly((1, 1)), 4) * IntPoly((1, 1, 1)),
+    ],
+    ids=["one_plus_s_to_5", "one_minus_s_to_4", "one_plus_s_to_4_times_s2_s_1"],
+)
+def test_repeated_roots_are_on_the_unit_circle(p):
+    """Exact where the numerical roots of the same polynomial smear off the
+    circle by more than 1e-4."""
+    assert roots_on_unit_circle(p)
+    assert max(abs(abs(r) - 1.0) for r, _ in approx_roots(p)) > 1e-4
+
+
+@pytest.mark.parametrize(
+    "p, on_circle",
+    [
+        (IntPoly((7,)), True),
+        (IntPoly((1, -3, 1)), False),  # x = 3: real roots off the circle
+        (IntPoly((-1, 3, -3, 1)) * IntPoly((1, -3, 1)), False),
+        (IntPoly((1, 2)), False),  # not self-reciprocal
+        (IntPoly((1, 0, 0, 1)), True),  # s^3 + 1 = (s + 1)(s^2 - s + 1)
+        (IntPoly((1, -1, 1)) * IntPoly((1, -1, 1)) * IntPoly((1, 4, 1)), False),
+        (IntPoly((1, -1, 1)) * IntPoly((1, -1, 1)) * IntPoly((1, 1, 1)), True),
+        (IntPoly((-1, 0, 1)) * IntPoly((1, 0, 1)), True),
+    ],
+)
+def test_roots_on_unit_circle_cases(p, on_circle):
+    assert roots_on_unit_circle(p) == on_circle
+    assert roots_on_unit_circle(p * 6) == on_circle
 
 
 def test_series_inverse_and_integer_coeffs():

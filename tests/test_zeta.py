@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2zeta import cli, planes, presentations, zeta
+from a2zeta import cli, planes, polyint, presentations, zeta
 from a2zeta.complexes import TypedComplex, validate
 from a2zeta.errors import A2ZetaError
 from a2zeta.fileio import parse_complex, serialize_complex
@@ -36,7 +36,6 @@ from a2zeta.zeta import (
     det_i_minus_u3,
     hecke_series,
     ramanujan_check,
-    roots_via_cube,
     type0_orbit_rows,
     zeta_bundle,
     zeta_functions,
@@ -277,40 +276,33 @@ def test_zminus_log_derivative_nonnegative(bundled_cx, bundle):
 
 
 def test_ramanujan_verdict(bundled_cx, bundle):
-    report = ramanujan_check(bundled_cx, 1e-6, bundle)
+    report = ramanujan_check(bundled_cx, bundle)
     assert report.verdict == "RAMANUJAN"
-    trivial = [r for r in report.vertex_roots if r.label == "trivial"]
-    assert len(trivial) == 9
-    assert not report.surplus_trivial
-    assert all(r.label != "unclassified" for r in report.pe_roots)
+    assert [r.label for r in report.vertex_roots] == ["trivial"] * 9
+    assert report.uncertified == {}
+    assert len(report.pb_roots) == bundle.pb.degree
+    assert len(report.pe_roots) == bundle.pe.degree
 
 
-def test_ramanujan_tol_validation(bundled_cx):
-    with pytest.raises(A2ZetaError):
-        ramanujan_check(bundled_cx, tol=0.5)
+def test_roots_of_one_minus_u_cubed(bundle):
+    """Dvertex = 1 - u^3 alone: its three zeros are the trivial ones at
+    |u| = 1, and the two missing factors decide the verdict."""
+    report = ramanujan_check(None, dataclasses.replace(bundle, dvertex=one_minus_cube()))
+    assert report.verdict == "TRIVIAL-ZEROS-MISSING"
+    assert [r.label for r in report.vertex_roots] == ["trivial"] * 3
+    want = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
+    assert [r.value for r in report.vertex_roots] == pytest.approx(want, abs=1e-15)
 
 
-def test_roots_of_one_minus_u_cubed():
-    roots = roots_via_cube(one_minus_cube(), 1e-9)
-    assert len(roots) == 3
-    assert all(abs(abs(r) - 1.0) < 1e-12 for r in roots)
-
-
-def test_trivial_zero_matcher_on_cube_factor_alone():
-    """1 - u^3 alone: every root matches a trivial zero, nontrivial empty."""
-    import numpy as np
-
-    from a2zeta.zeta import _match_and_remove
-
-    roots = roots_via_cube(one_minus_cube(), 1e-9)
-    trivial = [
-        complex(m * np.exp(2j * np.pi * k / 3))
-        for m in (1.0, 0.5, 0.25)
-        for k in range(3)
-    ]
-    matched, nontrivial, surplus = _match_and_remove(roots, trivial, 1e-6)
-    assert nontrivial == [] and surplus == []
-    assert sum(1 for m in matched if m is not None) == 3
+def test_trivial_zero_matcher_on_cube_factor_alone(bundle):
+    """Every trivial factor of Dvertex goes exactly once: a second 1 - u^3
+    stays in the remainder, as a zero off |u| = 1/q."""
+    dvertex = bundle.dvertex * one_minus_cube()
+    report = ramanujan_check(None, dataclasses.replace(bundle, dvertex=dvertex))
+    assert report.verdict == "NOT-RAMANUJAN"
+    labels = [r.label for r in report.vertex_roots]
+    assert labels == ["trivial"] * 9 + ["nontrivial"] * 3
+    assert [r.modulus for r in report.vertex_roots[9:]] == pytest.approx([1.0] * 3)
 
 
 def test_hecke_aggregates_nonnegative_q3(q3_cx):
@@ -468,13 +460,20 @@ def test_q7_ramanujan_exits_0(q7_cx, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "verdict RAMANUJAN"
 
 
-def test_q7_numerical_histograms_exit_0(q7_cx, tmp_path, monkeypatch, capsys):
-    """The numerical PB and PE histograms at q = 7, as a complex without a
-    proof takes them: factors whose roots miss their certificate are
-    labeled unclassified, and the verdict, from Dvertex alone, stands."""
-    monkeypatch.setattr(zeta, "_character_spectra", lambda b: None)
+def test_q7_relabeled_exact_classes_exit_0(q7_cx, tmp_path, monkeypatch, capsys):
+    """The n = 1 route at q = 7: every PB and PE root of a relabeled complex
+    gets its exact class, the same counts as on the Singer route, through
+    the CLI.  Its determinants, which take about 30 s without the action,
+    are those of the Singer bundle, so its bundle is that one with no proof
+    and the relabeled complex's ME: every type-0 row, each its own orbit."""
+    cx = relabeled(q7_cx, random.Random(0))
+    edge_types, _ = source_types(cx)
+    me = type0_orbit_rows(edge_operator(cx), edge_types, 1, None)
+    assert me[1].shape == (57, 1)
+    n1 = dataclasses.replace(zeta_bundle(q7_cx), proof=None, me=me)
+    monkeypatch.setattr(zeta, "zeta_bundle", lambda cx: n1)
     path = tmp_path / "q7.cx3"
-    path.write_text(serialize_complex(q7_cx))
+    path.write_text(serialize_complex(cx))
     assert cli.main(["check", "ramanujan", str(path), "--format", "records"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "verdict RAMANUJAN"
@@ -483,31 +482,10 @@ def test_q7_numerical_histograms_exit_0(q7_cx, tmp_path, monkeypatch, capsys):
         key = line.split()[0]
         if key in labels:
             labels[key][line.split()[-1]] += 1
-    moduli = {"root.pb": (1.0, 7**-0.25, 7**-0.5, 1 / 7), "root.pe": (7**-0.5, 7**-2)}
-    for key, counts in labels.items():
-        assert set(counts) <= {f"|u|={m:.6f}" for m in moduli[key]} | {"unclassified"}
-    assert sum(labels["root.pb"].values()) == 3 * 456
-    assert sum(labels["root.pe"].values()) == 3 * 57
-
-
-def test_uncertified_factors_are_labeled_unclassified(q3_cx, monkeypatch):
-    """Every PB and PE factor past degree 3 misses its certificate here;
-    their roots are labeled unclassified, with no error, and Dvertex, whose
-    factors have degree at most 3 in u^3, still gives the verdict."""
-    original = zeta._approx_roots
-
-    def uncertified(p):
-        found = original(p)
-        return found if p.degree <= 3 else [(r, float("inf")) for r, _ in found]
-
-    monkeypatch.setattr(zeta, "_approx_roots", uncertified)
-    report = ramanujan_check(relabeled(q3_cx, random.Random(0)))
-    assert report.verdict == "RAMANUJAN"
-    pb = Counter(r.label for r in report.pb_roots)
-    pe = Counter(r.label for r in report.pe_roots)
-    # the degree-1 factors keep theirs: 1 - v and 1 + 27 v of PB, 1 - 729 v of PE
-    assert pb == {"unclassified": 108, "|u|=1.000000": 45, "|u|=0.333333": 3}
-    assert pe == {"unclassified": 36, "|u|=0.111111": 3}
+    pb = {1.0: 861, 7**-0.5: 168, 7**-0.25: 336, 1 / 7: 3}
+    pe = {7**-0.5: 168, 7**-2: 3}
+    assert labels["root.pb"] == {f"|u|={m:.6f}": c for m, c in pb.items()}
+    assert labels["root.pe"] == {f"|u|={m:.6f}": c for m, c in pe.items()}
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +518,7 @@ def test_character_route_agrees_with_the_product_check(digest_texts, q5_cx, q7_c
         b = zeta_bundle(cx)
         assert b.proof is not None and b.failure is None
         n = cx.q**2 + cx.q + 1
-        assert all(p % n == 1 for p in b.proof[0])
+        assert all(p % n == 1 for p in b.proof)
         assert product_identity_residual(b).is_zero()
         assert check_main_identity(cx, b) == (True, IntPoly())
 
@@ -609,32 +587,107 @@ def test_character_primes_cover_the_bound(q3_cx):
 
 
 def test_relabeled_complex_keeps_the_determinant_route(q3_cx):
-    """No action, so no proof: the product check and the numerical
-    histograms, whose classes are those the characters give."""
+    """No action, so no proof: the product check, and the classes from
+    fact (a) on every row of ME, which are those the characters give."""
     cx = relabeled(q3_cx, random.Random(0))
     b = zeta_bundle(cx)
     assert b.proof is None and b.failure is None
     assert check_main_identity(cx, b)[0]
-    report = ramanujan_check(cx, 1e-6, b)
+    report = ramanujan_check(cx, b)
     assert report.verdict == "RAMANUJAN"
     pb = Counter(r.label for r in report.pb_roots)
     pe = Counter(r.label for r in report.pe_roots)
     assert pb == {"|u|=0.333333": 3, "|u|=0.577350": 36, "|u|=0.759836": 72, "|u|=1.000000": 45}
     assert pe == {"|u|=0.111111": 3, "|u|=0.577350": 36}
-    assert report.pe_reference_moduli == pytest.approx([1 / 9])
+    assert report.uncertified == {}
     proven = ramanujan_check(q3_cx)
     assert Counter(r.label for r in proven.pb_roots) == pb
     assert Counter(r.label for r in proven.pe_roots) == pe
 
 
-def test_fact_a_failure_falls_back_to_the_histograms(bundled_cx, bundle):
-    primes, row = bundle.proof
-    row = [row[0] + 1, row[1] - 1] + row[2:]  # same sum, another autocorrelation
-    broken = dataclasses.replace(bundle, proof=(primes, row))
-    numerical = dataclasses.replace(bundle, proof=None)
-    assert ramanujan_check(bundled_cx, 1e-6, broken) == ramanujan_check(
-        bundled_cx, 1e-6, numerical
-    )
+def test_fact_a_failure_leaves_pb_and_pe_uncertified(bundled_cx, bundle):
+    """A sigma-invariant change to ME that keeps its row and column sums
+    breaks its Gram matrix: PB and PE are uncertified, and the verdict,
+    from Dvertex alone, stands."""
+    rows, orbits = bundle.me
+    g = orbits[0]
+    assert rows[0, g].sum() == 2**6
+    broken = rows.copy()
+    broken[0, g[0]] += 1  # same sum, another autocorrelation
+    broken[0, g[1]] -= 1
+    report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, me=(broken, orbits)))
+    assert report.verdict == "RAMANUJAN"
+    assert report.uncertified == {"pb": 63, "pe": 21}
+    assert report.pb_roots == report.pe_roots == []
+    assert report.vertex_roots == ramanujan_check(bundled_cx, bundle).vertex_roots
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relabeling_keeps_the_root_classes(singer_reports, seed):
+    """A relabeled complex takes the n = 1 route, and its verdict and label
+    counts are those of its Singer original."""
+    for cx, want in singer_reports:
+        report = ramanujan_check(relabeled(cx, random.Random(seed)))
+        got = [report.verdict] + [
+            Counter(r.label for r in roots)
+            for roots in (report.vertex_roots, report.pb_roots, report.pe_roots)
+        ]
+        assert got == want
+
+
+@pytest.fixture(scope="module")
+def singer_reports(q3_cx, q4_cx, q5_cx):
+    out = []
+    for cx in (q3_cx, q4_cx, q5_cx):
+        report = ramanujan_check(cx)
+        assert report.uncertified == {}
+        counts = [
+            Counter(r.label for r in roots)
+            for roots in (report.vertex_roots, report.pb_roots, report.pe_roots)
+        ]
+        out.append((cx, [report.verdict] + counts))
+    return out
+
+
+@pytest.mark.parametrize(
+    "extra, verdict, label",
+    [
+        (None, "RAMANUJAN", None),
+        ((1, -1), "NOT-RAMANUJAN", "nontrivial"),  # one more 1 - v
+        ((1, -3 * 8, 64), "NOT-RAMANUJAN", "nontrivial"),  # s^2 - 3 s + 1, s = 8 v
+        ((1, -8, 64), "RAMANUJAN", "ramanujan"),  # s^2 - s + 1
+        ((1, 8), "RAMANUJAN", "ramanujan"),  # s + 1
+    ],
+    ids=["trivial_only", "extra_one_minus_v", "x_3", "x_1", "s_plus_1"],
+)
+def test_dvertex_verdict_is_exact(bundled_cx, bundle, extra, verdict, label):
+    """Synthetic Dvertex = (1-v)(1-8v)(1-64v) R(v) at q = 2: the verdict
+    comes from R by integers alone, and R's zeros are labeled by it."""
+    dvertex = bundle.dvertex
+    if extra is not None:
+        dvertex = dvertex * IntPoly(extra).substitute_power(3)
+    report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, dvertex=dvertex))
+    assert report.verdict == verdict
+    labels = [r.label for r in report.vertex_roots]
+    degree = 0 if extra is None else 3 * (len(extra) - 1)
+    assert labels == ["trivial"] * 9 + [label] * degree
+    if label == "ramanujan":
+        assert [r.modulus for r in report.vertex_roots[9:]] == pytest.approx([0.5] * degree)
+    # PB's classes need Dvertex to be the trivial product; PE's do not
+    assert ("pb" in report.uncertified) == (extra is not None)
+    assert "pe" not in report.uncertified
+
+
+def test_missing_trivial_factor_is_reported(bundled_cx, bundle):
+    """Dvertex without its factor 1 - 64 v: TRIVIAL-ZEROS-MISSING, with the
+    six trivial zeros that are there."""
+    dvertex = bundle.dvertex.divexact(one_minus_cube(64))
+    report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, dvertex=dvertex))
+    assert report.verdict == "TRIVIAL-ZEROS-MISSING"
+    assert [r.label for r in report.vertex_roots] == ["trivial"] * 6
+    assert [r.modulus for r in report.vertex_roots] == pytest.approx([1.0] * 3 + [0.5] * 3)
+    assert report.uncertified == {"pb": 63}
 
 
 @pytest.fixture(scope="module")
@@ -675,6 +728,20 @@ def test_zeta_minus_text_unchanged(q5_cx, q7_cx, tmp_path, capsys):
         assert cli.main(["zeta", str(path), "--which", "minus"]) == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == ZMINUS_TEXT_DIGESTS[q]
+
+
+def test_small_batches_keep_the_pins(q5_cx, q7_cx, monkeypatch):
+    """With _BATCH_ENTRIES so small that each pass of det_i_minus_rows takes
+    a few primes, or one for MB, PE and PB, also PB by its determinant,
+    still equal the pins."""
+    monkeypatch.setattr(polyint, "_BATCH_ENTRIES", 2**8)
+    for cx, pins in ((q5_cx, Q5_DIGESTS), (q7_cx, Q7_DIGESTS)):
+        b = zeta_bundle(cx)
+        _, _, mb, chamber_orbits = orbit_rows_of(cx)
+        pb = det_i_minus_u3(mb, -1, chamber_orbits)
+        assert [poly_digest(p) for p in (b.pe, b.pb, pb)] == [
+            pins["pe"], pins["pb"], pins["pb"]
+        ]
 
 
 def test_zeta_minus_is_the_same_from_pb_over_pe2(q5_cx, q7_cx):
