@@ -3,8 +3,9 @@
 Finite undirected multigraphs with the non-backtracking edge operator, the
 Ihara-Bass identity between the two determinant forms of the graph zeta
 function checked as an exact polynomial equation, a brute-force cycle
-counter, and the spectral expander test.
-"""
+counter, and the spectral expander test, an exact count in integers of the
+nontrivial adjacency eigenvalues past 2 sqrt(q) by Descartes' rule of
+signs."""
 
 import random
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import A2ZetaError, DegreeTooLow, NotRegular
 from .enumeration import DEFAULT_BUDGET, count_walks, reachable_count
 from .operators import SparseOperator
-from .polyint import det_i_minus_pencil, one_minus_power
+from .polyint import IntPoly, det_i_minus_pencil, one_minus_power, real_roots_above
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,19 @@ def edge_adjacency(graph):
     (u -> v) connects to every directed edge out of v except its own
     reverse; a parallel edge back to u is a legitimate neighbor.
     """
+    succ = _successors(graph)
+    entries = {(i, j): 1 for i, row in enumerate(succ) for j in row}
+    return SparseOperator("directedEdges", len(succ), entries)
+
+
+def _successors(graph):
+    """For each directed edge i = (u -> v), the directed edges out of v but
+    its reverse i ^ 1, as lists indexed by i."""
     de = directed_edges(graph)
     by_src = {}
     for i, (s, _) in enumerate(de):
         by_src.setdefault(s, []).append(i)
-    entries = {}
-    for i, (_, v) in enumerate(de):
-        rev = i ^ 1
-        for j in by_src.get(v, ()):
-            if j != rev:
-                entries[(i, j)] = 1
-    return SparseOperator("directedEdges", len(de), entries)
+    return [[j for j in by_src.get(v, ()) if j != (i ^ 1)] for i, (_, v) in enumerate(de)]
 
 
 def ihara_zeta(graph):
@@ -112,13 +115,7 @@ def count_closed_walks(graph, length, budget=DEFAULT_BUDGET):
 
     Based count over directed edges; equals Tr Ae^n without using matrices.
     """
-    de = directed_edges(graph)
-    by_src = {}
-    for i, (s, _) in enumerate(de):
-        by_src.setdefault(s, []).append(i)
-    succ = [
-        [j for j in by_src.get(v, ()) if j != (i ^ 1)] for i, (_, v) in enumerate(de)
-    ]
+    succ = _successors(graph)
     return count_walks(succ, length, budget)
 
 
@@ -126,19 +123,24 @@ def count_closed_walks(graph, length, budget=DEFAULT_BUDGET):
 class GraphSpectrumReport:
     verdict: str
     valency: int
-    bound: float
-    trivial: list
-    nontrivial: list
+    outside: int  # nontrivial adjacency eigenvalues with lambda^2 > 4q
 
     @property
     def passed(self):
         return self.verdict == "RAMANUJAN"
 
 
-def ramanujan_graph_check(graph, tol=1e-9):
-    """Spectral expander test for a (q+1)-regular graph."""
-    if not 0 < tol <= 1e-3:
-        raise A2ZetaError("tol must be in (0, 1e-3]")
+def ramanujan_graph_check(graph):
+    """Spectral expander test for a (q+1)-regular graph, exactly.
+
+    With P(x) = det(x I - A), the reversed det(I - u A) padded to degree n,
+    the even polynomial P(x) P(-x) is (-1)^n S(x^2), S(y) = prod (y -
+    lambda^2) over the eigenvalues.  The trivial eigenvalue k = q + 1 leaves
+    S as one factor y - k^2, and -k, when P(-k) = 0, as one more.  A is
+    symmetric, so every root of S is real, and polyint.real_roots_above
+    counts those with lambda^2 > 4q exactly, by Descartes' rule of signs;
+    one at lambda^2 = 4q is not counted.
+    """
     graph.require_edge_at_every_vertex()
     degs = graph.degrees()
     if len(set(degs)) != 1:
@@ -147,22 +149,14 @@ def ramanujan_graph_check(graph, tol=1e-9):
     if k == 0:
         raise DegreeTooLow("the spectral test needs valency at least 1, got 0")
     q = k - 1
-    eig = sorted(np.linalg.eigvalsh(graph.adjacency()))
-    trivial, nontrivial = [], list(eig)
-    for target in (float(k), float(-k)):
-        hits = [x for x in nontrivial if abs(x - target) <= tol]
-        if hits:
-            closest = min(hits, key=lambda x: abs(x - target))
-            trivial.append(closest)
-            nontrivial.remove(closest)
-    bound = 2.0 * np.sqrt(q)
-    ok = all(abs(x) <= bound + tol for x in nontrivial)
+    c = det_i_minus_pencil([graph.adjacency()]).coeffs
+    p = IntPoly((0,) * (graph.n + 1 - len(c)) + c[::-1])
+    s = IntPoly((p * p.substitute_neg()).coeffs[::2]).divexact(IntPoly((-k * k, 1)))
+    if p(-k) == 0:
+        s = s.divexact(IntPoly((-k * k, 1)))
+    outside = real_roots_above(s, 4 * q)
     return GraphSpectrumReport(
-        verdict="RAMANUJAN" if ok else "NOT-RAMANUJAN",
-        valency=k,
-        bound=bound,
-        trivial=trivial,
-        nontrivial=nontrivial,
+        verdict="NOT-RAMANUJAN" if outside else "RAMANUJAN", valency=k, outside=outside
     )
 
 

@@ -70,6 +70,13 @@ class IntPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
+    def __call__(self, x):
+        """The value at x, by Horner's rule."""
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value
+
     # -- ring operations
 
     def __add__(self, other):
@@ -260,7 +267,7 @@ def roots_on_unit_circle(p):
     and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
     """
     for root in (1, -1):
-        while p.degree > 0 and _evaluate(p, root) == 0:
+        while p.degree > 0 and p(root) == 0:
             p = p.divexact(IntPoly((-root, 1)))
     c = p.coeffs
     if c != c[::-1]:
@@ -278,18 +285,30 @@ def roots_on_unit_circle(p):
         chain.append(-chain[-2].pseudo_remainder(chain[-1]).primitive())
     chain.pop()
 
-    def sign_changes(x):
-        signs = [v > 0 for v in (_evaluate(f, x) for f in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return sign_changes(-2) - sign_changes(2) == t.degree - chain[-1].degree
+    at_minus_2, at_2 = (_sign_changes(f(x) for f in chain) for x in (-2, 2))
+    return at_minus_2 - at_2 == t.degree - chain[-1].degree
 
 
-def _evaluate(p, x):
-    value = 0
-    for c in reversed(p.coeffs):
-        value = value * x + c
-    return value
+def real_roots_above(p, a):
+    """The number of roots y > a, with multiplicity, of a nonzero integer
+    polynomial p whose roots are all real.
+
+    By Descartes' rule of signs the sign changes of p(y + a)'s coefficients
+    bound its positive roots, and equal their number when every root is
+    real; a root at y = a is not counted.  p(y + a) is a Taylor shift by
+    repeated synthetic division.
+    """
+    c = list(p.coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return _sign_changes(c)
+
+
+def _sign_changes(values):
+    """Sign changes along a sequence of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 # ----------------------------------------------------------------------

@@ -44,15 +44,15 @@ as on a complex without the action (relabeled, or not built from a
 presentation).  That one takes the trivial group, n = 1: every type-0
 index is its own orbit, and the same determinant code runs.
 
-ramanujan_check is exact on one route for every complex.  Its verdict
-comes from Dvertex in integers: the three trivial factors are divided out
-exactly, and the remainder must have every root on |u| = 1/q, decided by
-a Sturm count after x = s + 1/s, s = q^3 u^3.  PB's and PE's roots are
-labeled by their exact moduli from fact (a), checked exactly on ME's orbit
-rows (row and column sums q^6, ME ME^T = q^3 I + c J), with the identity
-proven by characters or by the two products; without fact (a) they are
-reported as uncertified, with their degrees.  Floating point only gives
-the printed approximate roots.
+ramanujan_check is exact on one route for every complex, with no floating
+point.  Its verdict comes from Dvertex in integers: the three trivial
+factors are divided out exactly, and the remainder must have every root on
+|u| = 1/q, decided by a Sturm count after x = s + 1/s, s = q^3 u^3.  PB's
+and PE's zeros are counted per exact modulus from fact (a), checked exactly
+on ME's orbit rows (row and column sums q^6, ME ME^T = q^3 I + c J), with
+the identity proven by characters or by the two products; each count
+follows from N, the number of type-0 edges, and chi.  Without fact (a) they
+are reported as uncertified, with their degrees.
 """
 
 from dataclasses import dataclass, field
@@ -190,8 +190,8 @@ def character_relations(q, dvertex, me, edge_orbits, mb, chamber_orbits):
     n = edge_orbits.shape[1]
     k = chamber_orbits.shape[0]
     dv = _compress_cube(dvertex)
-    s = sum(abs(x) for x in me[0].tolist())
-    sums = np.abs(mb)[:, chamber_orbits].sum(axis=2).tolist()
+    s = sum(abs(int(x)) for x in me[0])
+    sums = np.abs(mb)[:, chamber_orbits].sum(axis=2).astype(object)
     r = max(sum(x * x for x in row) for row in sums)
     pb_bound = max(comb(k, t) * (isqrt(r**t - 1) + 1) for t in range(k + 1))
     bound = 2 ** (q + 1) * (1 + s) ** 2 + sum(map(abs, dv.coeffs)) * pb_bound
@@ -209,7 +209,7 @@ def character_relations(q, dvertex, me, edge_orbits, mb, chamber_orbits):
     # j = 0 over the integers, one prime at a time
     cube = one_minus_power(1, 3)
     for i, p in enumerate(primes):
-        residual = IntPoly(lhs[i, 0].tolist()) * cube - IntPoly(pb[i, 0].tolist()) * dv
+        residual = IntPoly(map(int, lhs[i, 0])) * cube - IntPoly(map(int, pb[i, 0])) * dv
         failed[i, 0] = any(c % p for c in residual.coeffs)
     if failed.any():
         i, j = np.argwhere(failed)[0]
@@ -442,20 +442,16 @@ def check_series_identity(cx, order, bundle=None):
 
 
 @dataclass
-class RootRecord:
-    value: complex
-    modulus: float
-    label: str  # trivial | ramanujan | nontrivial | |u|=<exact modulus>
-
-
-@dataclass
 class RamanujanReport:
     verdict: str
-    vertex_roots: list
-    pb_roots: list
-    pe_roots: list
-    # name -> degree in u of PB or PE when its root classes are unproven;
-    # its root list is then empty
+    # (label, count) for each class of zeros of Dvertex, PB and PE, the
+    # count of zeros in u; a label is trivial, ramanujan, nontrivial or
+    # |u|=<exact modulus>
+    dvertex: list
+    pb: list
+    pe: list
+    # name -> degree in u of PB or PE when its classes are unproven; its
+    # class list is then empty
     uncertified: dict
 
     @property
@@ -470,86 +466,71 @@ def ramanujan_check(cx, bundle=None):
     the cube roots of v = 1, 1/q^3, 1/q^6, are the factors (1 - v),
     (1 - q^3 v) and (1 - q^6 v), divided out exactly, and every other zero
     has |u| = 1/q exactly when the remainder, in s = q^3 v, has every root
-    on the unit circle (polyint.roots_on_unit_circle).  PB's and PE's roots
-    are labeled by their exact modulus when fact (a) holds on ME's orbit
-    rows (_fact_a_spectrum): every PE root, and, when also Dvertex is the
-    trivial product and the identity holds, every PB root.  Otherwise they
-    are reported as uncertified, with their degree.
+    on the unit circle (polyint.roots_on_unit_circle).  When fact (a) holds
+    on ME's orbit rows (_fact_a), PE = (1 - q^6 v) P(v) with the other
+    N - 1 roots of P at |v| = q^(-3/2), N the number of type-0 edges; when
+    also Dvertex is the trivial product and the identity holds,
+        PB = (1 - v)^(chi - 1) (1 + q^3 v) P(v) P(v^2).
+    Each factor gives one class, three zeros in u per root in v.  Otherwise
+    PB and PE are reported as uncertified, with their degree.
     """
     b = bundle if bundle is not None else zeta_bundle(cx)
-    q = b.q
-    verdict, vertex_roots, trivial_only = _dvertex_zeros(_compress_cube(b.dvertex), q)
-    pb = pe = None
-    m = _fact_a_spectrum(b)
-    if m is not None:
-        # PE = (1 - q^6 v) P(v), P(v) = prod (1 - m v) over the other m
-        pe = [(1.0 / q**6, q**-2.0)] + [(1.0 / x, q**-0.5) for x in m]
+    verdict, dvertex, trivial_only = _dvertex_classes(_compress_cube(b.dvertex), b.q)
+    classes = {}
+    if _fact_a(b):
+        m = 3 * (b.me[0].shape[1] - 1)
+        classes["pe"] = [("|u|=q^-2", 3), ("|u|=q^-1/2", m)]
         if trivial_only and check_main_identity(cx, b)[0]:
-            # PB = (1 - v)^(chi - 1) (1 + q^3 v) P(v) P(v^2)
-            pb = [(1.0, 1.0)] * (b.chi - 1) + [(-1.0 / q**3, 1.0 / q)]
-            pb += [(1.0 / x, q**-0.5) for x in m]
-            pb += [(s / np.sqrt(x), q**-0.25) for x in m for s in (1.0, -1.0)]
-    uncertified = {
-        name: getattr(b, name).degree for name, roots in (("pb", pb), ("pe", pe)) if roots is None
-    }
-    return RamanujanReport(
-        verdict, vertex_roots, _labeled(pb or []), _labeled(pe or []), uncertified
-    )
+            classes["pb"] = [("|u|=q^-1", 3), ("|u|=q^-1/2", m), ("|u|=q^-1/4", 2 * m)]
+            classes["pb"].append(("|u|=1", 3 * (b.chi - 1)))
+    uncertified = {name: getattr(b, name).degree for name in ("pb", "pe") if name not in classes}
+    # N = 1 or chi = 1 leaves a class empty
+    pb, pe = ([(label, n) for label, n in classes.get(name, ()) if n] for name in ("pb", "pe"))
+    return RamanujanReport(verdict, dvertex, pb, pe, uncertified)
 
 
-def _dvertex_zeros(dv, q):
-    """(verdict, root records, whether dv is the trivial product) for
-    Dvertex in v = u^3.
+def _dvertex_classes(dv, q):
+    """(verdict, classes, whether dv is the trivial product) for Dvertex in v = u^3.
 
     Each trivial factor 1 - c v, c = 1, q^3, q^6, that divides dv exactly
-    gives the three trivial zeros u^3 = 1/c; a factor that does not makes
-    the verdict TRIVIAL-ZEROS-MISSING.  The remainder R is RAMANUJAN when
-    S(s) = q^(3d) R(s / q^3), d = deg R, has every root on |s| = 1; its
+    gives three trivial zeros, u^3 = 1/c; a factor that does not makes the
+    verdict TRIVIAL-ZEROS-MISSING.  The remainder R is RAMANUJAN when
+    S(s) = q^(3d) R(s / q^3), d = deg R, has every root on |s| = 1; its 3d
     zeros are then labeled ramanujan, and otherwise nontrivial (some of
-    them, not necessarily each, are off the circle).
+    them, not necessarily each, are off |u| = 1/q).
     """
-    records, missing = [], False
+    found = 0
     for c in (1, q**3, q**6):
         try:
             dv = dv.divexact(IntPoly((1, -c)))
+            found += 1
         except A2ZetaError:
-            missing = True
-            continue
-        for u in _u_of_v([1.0 / c])[0].tolist():
-            records.append(RootRecord(u, abs(u), "trivial"))
+            pass
     d = dv.degree
     s = IntPoly([r * q ** (3 * (d - i)) for i, r in enumerate(dv.coeffs)]).primitive()
     on_circle = roots_on_unit_circle(s)
+    classes = [("trivial", 3 * found)] if found else []
     if d > 0:
-        # the roots of S as the eigenvalues of its companion matrix
-        companion = np.eye(d, k=-1)
-        companion[0] = [-x / s.coeffs[-1] for x in s.coeffs[-2::-1]]
-        roots = _u_of_v(np.linalg.eigvals(companion) / q**3).ravel().tolist()
-        label = "ramanujan" if on_circle else "nontrivial"
-        for u in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
-            records.append(RootRecord(u, abs(u), label))
-    if missing:
-        return "TRIVIAL-ZEROS-MISSING", records, False
-    return ("RAMANUJAN" if on_circle else "NOT-RAMANUJAN"), records, d == 0
+        classes.append(("ramanujan" if on_circle else "nontrivial", 3 * d))
+    if found < 3:
+        return "TRIVIAL-ZEROS-MISSING", classes, False
+    return ("RAMANUJAN" if on_circle else "NOT-RAMANUJAN"), classes, d == 0
 
 
-def _fact_a_spectrum(b):
-    """ME's eigenvalues other than q^6, approximately, if fact (a) holds; else None.
+def _fact_a(b):
+    """Whether fact (a) holds, checked exactly on ME's orbit blocks G_g (the bundle's me).
 
-    Fact (a) is checked exactly on ME's orbit blocks G_g (the bundle's me):
-    every row and column sum of ME is q^6, and ME ME^T = q^3 I + c J with
-    c = (q^12 - q^3) / N, N = n k.  By the action, the rows of ME ME^T at
-    the representatives are A(s)[a, c] = sum_(g, b) G_g[a, b] G_(g-s)[c, b],
-    which must be c + q^3 [s = 0][a = c]; with one orbit (the Singer route)
-    this is G's autocorrelation.  Then the all-ones vector is an eigenvector
-    of ME and ME^T for q^6, its complement is invariant, and on it ME ME^T
-    = q^3 I, so every other eigenvalue m has |m| = q^(3/2), and PE =
-    (1 - q^6 v) prod (1 - m v).  The values come from the eigenvalues of
-    the character blocks, a floating-point FFT of G over the orbit index:
-    on the Singer route the DFT of G, with one orbit per index ME itself.
+    Fact (a) is that every row and column sum of ME is q^6, and ME ME^T =
+    q^3 I + c J with c = (q^12 - q^3) / N, N = n k.  By the action, the
+    rows of ME ME^T at the representatives are A(s)[a, c] = sum_(g, b)
+    G_g[a, b] G_(g-s)[c, b], which must be c + q^3 [s = 0][a = c]; with one
+    orbit (the Singer route) this is G's autocorrelation.  Then the all-ones
+    vector is an eigenvector of ME and ME^T for q^6, its complement is
+    invariant, and on it ME ME^T = q^3 I, so every other eigenvalue m has
+    |m| = q^(3/2), and PE = (1 - q^6 v) prod (1 - m v).
     """
     if b.me is None:
-        return None
+        return False
     q = b.q
     g = orbit_blocks(*b.me)
     n, k, _ = g.shape
@@ -558,36 +539,13 @@ def _fact_a_spectrum(b):
     if big * big * n * k >= 2**63:  # sums of products in Python ints
         g = g.astype(object)
     if r or (g.sum(axis=(0, 2)) != q**6).any() or (g.sum(axis=(0, 1)) != q**6).any():
-        return None
+        return False
     shifted = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [s, g] -> g - s
     rows = g.transpose(1, 0, 2).reshape(k, n * k)  # [a, (g, b)]
     gram = rows @ g[shifted].transpose(2, 0, 1, 3).reshape(k * n, n * k).T
     want = np.full((k, k * n), c, dtype=object)
     want[np.arange(k), np.arange(k) * n] += q**3
-    if (gram != want).any():
-        return None
-    m = np.linalg.eigvals(np.fft.fft(g.astype(float), axis=0)).ravel()
-    return np.delete(m, np.argmax(np.abs(m)))
-
-
-def _u_of_v(v):
-    """The three cube roots u of each v, as a (len(v), 3) complex array."""
-    v = np.asarray(v, dtype=complex)
-    a = np.angle(v)[:, None] / 3.0 + 2.0 * np.pi * np.arange(3) / 3.0
-    return np.abs(v)[:, None] ** (1.0 / 3.0) * np.exp(1j * a)
-
-
-def _labeled(roots):
-    """Root records of the cube roots u of (v, exact |u|) pairs, by exact |u|
-    and then by root, rounded so that float noise does not order roots that
-    print alike."""
-    u = _u_of_v([v for v, _ in roots]).ravel()
-    moduli = np.repeat([modulus for _, modulus in roots], 3)
-    order = np.lexsort((u.imag.round(9), u.real.round(9), moduli))
-    return [
-        RootRecord(x, abs(x), f"|u|={modulus:.6f}")
-        for x, modulus in zip(u[order].tolist(), moduli[order].tolist())
-    ]
+    return not (gram != want).any()
 
 
 def _compress_cube(p):

@@ -173,6 +173,22 @@ def approx_roots(p):
     return out
 
 
+def eigvalsh_graph_check(graph, tol=1e-9):
+    """(verdict, outside) of the spectral expander test in double precision.
+
+    One eigenvalue within tol of k, the valency, and one within tol of -k
+    are trivial; every other one with |x| > 2 sqrt(k - 1) + tol is outside.
+    """
+    k = graph.degrees()[0]
+    eig = list(np.linalg.eigvalsh(graph.adjacency()))
+    for target in (k, -k):
+        hits = [x for x in eig if abs(x - target) <= tol]
+        if hits:
+            eig.remove(min(hits, key=lambda x: abs(x - target)))
+    outside = sum(abs(x) > 2 * np.sqrt(k - 1) + tol for x in eig)
+    return ("NOT-RAMANUJAN" if outside else "RAMANUJAN"), int(outside)
+
+
 # ----------------------------------------------------------------------
 # series
 

@@ -37,9 +37,11 @@ from a2zeta.zeta import (
     zeta_functions,
 )
 from oracles import (
+    approx_roots,
     divides,
     newton_power_sums,
     series_log_derivative,
+    squarefree_decomposition,
     transform_a1,
     transform_a2,
 )
@@ -174,18 +176,20 @@ def test_criterion_11_geodesic_criterion():
 
 
 def test_criterion_12_spectral_classification(bundled_cx):
-    rep = ramanujan_check(bundled_cx)
+    b = zeta_bundle(bundled_cx)
+    rep = ramanujan_check(bundled_cx, b)
     assert rep.verdict == "RAMANUJAN"
-    trivial = [r for r in rep.vertex_roots if r.label == "trivial"]
-    assert len(trivial) == 9
-    targets = [
-        m * np.exp(2j * np.pi * k / 3)
-        for m in (1.0, 0.5, 0.25)
-        for k in range(3)
-    ]
-    for rec in trivial:
-        assert min(abs(rec.value - t) for t in targets) < 1e-9
+    assert rep.dvertex == [("trivial", 9)]
+    # the nine trivial zeros are the cube roots of 1, 1/8 and 1/64
+    targets = [m * np.exp(2j * np.pi * k / 3) for m in (1.0, 0.5, 0.25) for k in range(3)]
+    for r, _ in approx_roots(b.dvertex):
+        assert min(abs(r - t) for t in targets) < 1e-9
     assert rep.uncertified == {}
-    for rec in rep.pe_roots:
-        assert min(abs(rec.modulus - m) for m in (2**-2, 2**-0.5)) < 1e-6
+    assert rep.pe == [("|u|=q^-2", 3), ("|u|=q^-1/2", 18)]
+    moduli = sorted(
+        abs(r)
+        for factor, mult in squarefree_decomposition(b.pe)
+        for r, _ in approx_roots(factor) * mult
+    )
+    assert moduli == pytest.approx([2**-2] * 3 + [2**-0.5] * 18, abs=1e-6)
     report(12, "spectral classification: trivial zeros and RH criterion")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,8 @@ def test_usage_error_exit_2():
         "graph_tol_negative",
         "graph_tol_nan",
         "graph_tol_inf",
+        "graph_tol_valid",
+        "ramanujan_tol",
         "graph_negative_vertices",
         "complex_negative_vertices",
         "complex_negative_edges",
@@ -190,6 +193,7 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "graph_tol_negative": ["graph", "check", str(petersen), "--tol", "-1"],
         "graph_tol_nan": ["graph", "check", str(petersen), "--tol", "nan"],
         "graph_tol_inf": ["graph", "check", str(petersen), "--tol", "inf"],
+        "graph_tol_valid": ["graph", "check", str(petersen), "--tol", "1e-9"],
         "ramanujan_tol": ["check", "ramanujan", cx_path, "--tol", "1e-6"],
         "graph_negative_vertices": ["graph", "zeta", str(negative_graph)],
         "complex_negative_vertices": ["check", "identity", str(negative["vertices"])],
@@ -273,6 +277,36 @@ def test_graph_check_on_edgeless_graph_exits_2(vertices, tmp_path):
         assert "Warning" not in err
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize(
+    "command, edges",
+    [
+        ("check", [(2 * i, 2 * i + 1) for i in range(30000)]),
+        ("zeta", [(i, (i + 1) % 60000) for i in range(60000)]),
+    ],
+    ids=["check_perfect_matching", "zeta_cycle"],
+)
+def test_out_of_memory_exits_2_without_traceback(command, edges, tmp_path):
+    """A 60000-vertex graph whose dense matrices do not fit in a 3 GB address
+    space, set in the child only, so that the kernel cannot overcommit."""
+    gpath = tmp_path / "big.graph"
+    gpath.write_text("graph v1\nvertices 60000\n" + "".join(f"edge {u} {v}\n" for u, v in edges))
+    proc = subprocess.run(
+        [sys.executable, "-m", "a2zeta.cli", "graph", command, str(gpath)],
+        capture_output=True,
+        text=True,
+        env=CLI_ENV,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
+
+
 HUGE = 10**21
 HUGE_GRAPH = f"graph v1\nvertices {HUGE}\nedge 0 1\nedge 1 2\nedge 2 0\n"
 
@@ -319,22 +353,26 @@ def test_repeated_main_calls_match_fresh_processes(cx_path, tmp_path):
     petersen.write_text(serialize_graph(petersen_graph()))
     records = ["--format", "records"]
     sequence = [
-        # a tolerance past 1e-3 is refused, so the first call's value shows
-        ["graph", "check", str(petersen), "--tol", "0.5", *records],
+        # the second call's default --which prints chi first, so the first
+        # call's value shows if it leaks
+        ["zeta", cx_path, "--which", "minus", *records],
+        ["zeta", cx_path, *records],
+        ["graph", "check", str(petersen), "--tol", "1e-9", *records],
         ["graph", "check", str(petersen), *records],
-        ["graph", "check", str(petersen), "--tol"],
         ["check", "ramanujan", cx_path, *records],
         ["check", "ramanujan", cx_path, "--tol", "1e-6"],
         ["zeta", cx_path, "--which", "edge", *records],
     ]
     results = [main_in_process(argv) for argv in sequence]
-    assert [code for code, _ in results] == [2, 0, 2, 0, 2, 0]
-    assert results[1][1].splitlines()[0] == "verdict RAMANUJAN"
+    assert [code for code, _ in results] == [0, 0, 2, 0, 0, 2, 0]
+    assert results[0][1].splitlines()[0].startswith("Zminus.num poly ")
+    assert results[1][1].splitlines()[0].startswith("chi ")
+    assert results[3][1].splitlines()[0] == "verdict RAMANUJAN"
     for argv, result in zip(sequence, results):
         assert run_cli(*argv)[:2] == result
     parser = cli.build_parser()
     assert parser is cli.build_parser()
-    assert parser.parse_args(["graph", "check", str(petersen)]).tol == 1e-9
+    assert not hasattr(parser.parse_args(["graph", "check", str(petersen)]), "tol")
     assert not hasattr(parser.parse_args(["check", "ramanujan", cx_path]), "tol")
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2zeta.errors import DegreeTooLow, NotRegular
 from a2zeta.graphs import (
@@ -14,7 +16,7 @@ from a2zeta.graphs import (
     random_regular_graph,
 )
 from a2zeta.polyint import IntPoly
-from oracles import approx_roots, squarefree_decomposition
+from oracles import approx_roots, eigvalsh_graph_check, squarefree_decomposition
 
 
 def test_cycle_edge_adjacency_is_two_cycles():
@@ -85,14 +87,54 @@ def test_multigraph_forms_agree():
     assert ihara_zeta(Graph(3, ((0, 1), (1, 2), (2, 0), (0, 0))))[2]
 
 
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
 def test_ramanujan_check_known_graphs():
-    rep = ramanujan_graph_check(complete_graph(4))
-    assert rep.verdict == "RAMANUJAN"
-    assert all(abs(x + 1) < 1e-9 for x in rep.nontrivial)
-    rep = ramanujan_graph_check(petersen_graph())
-    assert rep.verdict == "RAMANUJAN"
-    vals = sorted(set(round(x, 6) for x in rep.nontrivial))
-    assert vals == [-2.0, 1.0]
+    """The exact count agrees with the eigenvalues in double precision.
+    K_{3,3} and the cube are bipartite, so -3 is trivial as well as 3; two
+    disjoint Petersens have a second eigenvalue 3 past 2 sqrt(2)."""
+    petersen = petersen_graph()
+    k33 = Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6)))
+    cube = Graph(8, tuple((u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b))
+    cases = [
+        (k33, "RAMANUJAN", 0),
+        (cube, "RAMANUJAN", 0),
+        (complete_graph(4), "RAMANUJAN", 0),
+        (complete_graph(5), "RAMANUJAN", 0),
+        (petersen, "RAMANUJAN", 0),
+        (cycle_graph(7), "RAMANUJAN", 0),
+        (cycle_graph(8), "RAMANUJAN", 0),
+        (disjoint_union(petersen, petersen), "NOT-RAMANUJAN", 1),
+    ]
+    for g, verdict, outside in cases:
+        rep = ramanujan_graph_check(g)
+        assert (rep.verdict, rep.outside) == (verdict, outside)
+        assert (rep.verdict, rep.outside) == eigvalsh_graph_check(g)
+        assert rep.valency == g.degrees()[0]
+
+
+def test_eigenvalues_on_the_bound_stay_ramanujan():
+    """Two disjoint C4 (q = 1): the nontrivial eigenvalues 2 and -2 are
+    exactly +-2 sqrt(q), a root of S at y = 4q, which is not counted."""
+    c4 = cycle_graph(4)
+    rep = ramanujan_graph_check(disjoint_union(c4, c4))
+    assert (rep.verdict, rep.outside) == ("RAMANUJAN", 0)
+
+
+@st.composite
+def regular_graphs(draw):
+    degree = draw(st.integers(3, 5))
+    n = draw(st.sampled_from([n for n in range(degree + 1, 21) if n * degree % 2 == 0]))
+    return random_regular_graph(n, degree, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=regular_graphs())
+def test_exact_check_agrees_with_eigvalsh(g):
+    rep = ramanujan_graph_check(g)
+    assert (rep.verdict, rep.outside) == eigvalsh_graph_check(g)
 
 
 def test_not_regular():
@@ -112,10 +154,8 @@ def test_joined_k4_pair_reported_per_spectrum():
     g = Graph(8, tuple(edges))
     assert set(g.degrees()) == {3}
     rep = ramanujan_graph_check(g)
-    assert len(rep.nontrivial) == 7
-    assert rep.verdict in ("RAMANUJAN", "NOT-RAMANUJAN")
-    # the built-in verdict matches a direct reading of the reported spectrum
-    assert rep.passed == all(abs(x) <= rep.bound + 1e-9 for x in rep.nontrivial)
+    assert (rep.verdict, rep.outside) == ("RAMANUJAN", 0)
+    assert (rep.verdict, rep.outside) == eigvalsh_graph_check(g)
 
 
 def test_random_graphs_forms_agree():

@@ -23,6 +23,7 @@ from a2zeta.polyint import (
     det_i_minus_rows,
     one_minus_power,
     poly_log_derivative,
+    real_roots_above,
     roots_on_unit_circle,
     times_one_minus_power,
 )
@@ -524,6 +525,28 @@ def test_repeated_roots_are_on_the_unit_circle(p):
 def test_roots_on_unit_circle_cases(p, on_circle):
     assert roots_on_unit_circle(p) == on_circle
     assert roots_on_unit_circle(p * 6) == on_circle
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.integers(-9, 9), max_size=8),
+    squares=st.lists(st.integers(1, 90), max_size=4),
+    a=st.integers(-10, 10),
+    scale=st.sampled_from([1, -3]),
+)
+@example(roots=[2, 2, 2], squares=[4], a=2, scale=1)
+def test_real_roots_above_counts_the_roots(roots, squares, a, scale):
+    """Roots r of the factors y - r and +-sqrt(d) of y^2 - d: those past a,
+    compared in integers; one at y = a is not counted."""
+    p = IntPoly((scale,))
+    for r in roots:
+        p = p * IntPoly((-r, 1))
+    for d in squares:
+        p = p * IntPoly((-d, 0, 1))
+    # sqrt(d) > a and -sqrt(d) > a, without the square root
+    want = sum(r > a for r in roots)
+    want += sum((a < 0 or d > a * a) + (a < 0 and d < a * a) for d in squares)
+    assert real_roots_above(p, a) == want
 
 
 def test_series_inverse_and_integer_coeffs():

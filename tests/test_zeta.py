@@ -40,7 +40,13 @@ from a2zeta.zeta import (
     zeta_bundle,
     zeta_functions,
 )
-from oracles import divides, product_identity_residual, series_log_derivative
+from oracles import (
+    approx_roots,
+    divides,
+    product_identity_residual,
+    series_log_derivative,
+    squarefree_decomposition,
+)
 
 ONE = IntPoly.const(1)
 
@@ -278,10 +284,27 @@ def test_zminus_log_derivative_nonnegative(bundled_cx, bundle):
 def test_ramanujan_verdict(bundled_cx, bundle):
     report = ramanujan_check(bundled_cx, bundle)
     assert report.verdict == "RAMANUJAN"
-    assert [r.label for r in report.vertex_roots] == ["trivial"] * 9
+    assert report.dvertex == [("trivial", 9)]
     assert report.uncertified == {}
-    assert len(report.pb_roots) == bundle.pb.degree
-    assert len(report.pe_roots) == bundle.pe.degree
+    assert sum(c for _, c in report.pb) == bundle.pb.degree
+    assert sum(c for _, c in report.pe) == bundle.pe.degree
+
+
+def test_classes_agree_with_numerical_roots(bundled_cx, bundle):
+    """At q = 2 the exact classes are those of the double-precision roots
+    of each polynomial, each root put in the class of its modulus."""
+    report = ramanujan_check(bundled_cx, bundle)
+    moduli = {"|u|=1": 1.0, "|u|=q^-1": 0.5, "|u|=q^-1/2": 2**-0.5}
+    moduli.update({"|u|=q^-1/4": 2**-0.25, "|u|=q^-2": 0.25})
+    for poly, classes in ((bundle.pb, report.pb), (bundle.pe, report.pe)):
+        got = Counter()
+        for factor, mult in squarefree_decomposition(poly):
+            for r, residual in approx_roots(factor):
+                assert residual <= 1e-9
+                near = [label for label, m in moduli.items() if abs(abs(r) - m) < 1e-6]
+                assert len(near) == 1
+                got[near[0]] += mult
+        assert got == dict(classes)
 
 
 def test_roots_of_one_minus_u_cubed(bundle):
@@ -289,20 +312,16 @@ def test_roots_of_one_minus_u_cubed(bundle):
     |u| = 1, and the two missing factors decide the verdict."""
     report = ramanujan_check(None, dataclasses.replace(bundle, dvertex=one_minus_cube()))
     assert report.verdict == "TRIVIAL-ZEROS-MISSING"
-    assert [r.label for r in report.vertex_roots] == ["trivial"] * 3
-    want = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
-    assert [r.value for r in report.vertex_roots] == pytest.approx(want, abs=1e-15)
+    assert report.dvertex == [("trivial", 3)]
 
 
 def test_trivial_zero_matcher_on_cube_factor_alone(bundle):
     """Every trivial factor of Dvertex goes exactly once: a second 1 - u^3
-    stays in the remainder, as a zero off |u| = 1/q."""
+    stays in the remainder, as three zeros off |u| = 1/q."""
     dvertex = bundle.dvertex * one_minus_cube()
     report = ramanujan_check(None, dataclasses.replace(bundle, dvertex=dvertex))
     assert report.verdict == "NOT-RAMANUJAN"
-    labels = [r.label for r in report.vertex_roots]
-    assert labels == ["trivial"] * 9 + ["nontrivial"] * 3
-    assert [r.modulus for r in report.vertex_roots[9:]] == pytest.approx([1.0] * 3)
+    assert report.dvertex == [("trivial", 9), ("nontrivial", 3)]
 
 
 def test_hecke_aggregates_nonnegative_q3(q3_cx):
@@ -477,15 +496,15 @@ def test_q7_relabeled_exact_classes_exit_0(q7_cx, tmp_path, monkeypatch, capsys)
     assert cli.main(["check", "ramanujan", str(path), "--format", "records"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "verdict RAMANUJAN"
-    labels = {"root.pb": Counter(), "root.pe": Counter()}
-    for line in lines:
-        key = line.split()[0]
-        if key in labels:
-            labels[key][line.split()[-1]] += 1
-    pb = {1.0: 861, 7**-0.5: 168, 7**-0.25: 336, 1 / 7: 3}
-    pe = {7**-0.5: 168, 7**-2: 3}
-    assert labels["root.pb"] == {f"|u|={m:.6f}": c for m, c in pb.items()}
-    assert labels["root.pe"] == {f"|u|={m:.6f}": c for m, c in pe.items()}
+    assert lines[1:] == [
+        "root.dvertex trivial 9",
+        "root.pb |u|=q^-1 3",
+        "root.pb |u|=q^-1/2 168",
+        "root.pb |u|=q^-1/4 336",
+        "root.pb |u|=1 861",
+        "root.pe |u|=q^-2 3",
+        "root.pe |u|=q^-1/2 168",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -595,14 +614,11 @@ def test_relabeled_complex_keeps_the_determinant_route(q3_cx):
     assert check_main_identity(cx, b)[0]
     report = ramanujan_check(cx, b)
     assert report.verdict == "RAMANUJAN"
-    pb = Counter(r.label for r in report.pb_roots)
-    pe = Counter(r.label for r in report.pe_roots)
-    assert pb == {"|u|=0.333333": 3, "|u|=0.577350": 36, "|u|=0.759836": 72, "|u|=1.000000": 45}
-    assert pe == {"|u|=0.111111": 3, "|u|=0.577350": 36}
+    assert report.pb == [("|u|=q^-1", 3), ("|u|=q^-1/2", 36), ("|u|=q^-1/4", 72), ("|u|=1", 45)]
+    assert report.pe == [("|u|=q^-2", 3), ("|u|=q^-1/2", 36)]
     assert report.uncertified == {}
     proven = ramanujan_check(q3_cx)
-    assert Counter(r.label for r in proven.pb_roots) == pb
-    assert Counter(r.label for r in proven.pe_roots) == pe
+    assert (proven.pb, proven.pe) == (report.pb, report.pe)
 
 
 def test_fact_a_failure_leaves_pb_and_pe_uncertified(bundled_cx, bundle):
@@ -618,22 +634,18 @@ def test_fact_a_failure_leaves_pb_and_pe_uncertified(bundled_cx, bundle):
     report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, me=(broken, orbits)))
     assert report.verdict == "RAMANUJAN"
     assert report.uncertified == {"pb": 63, "pe": 21}
-    assert report.pb_roots == report.pe_roots == []
-    assert report.vertex_roots == ramanujan_check(bundled_cx, bundle).vertex_roots
+    assert report.pb == report.pe == []
+    assert report.dvertex == ramanujan_check(bundled_cx, bundle).dvertex
 
 
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_relabeling_keeps_the_root_classes(singer_reports, seed):
-    """A relabeled complex takes the n = 1 route, and its verdict and label
+    """A relabeled complex takes the n = 1 route, and its verdict and class
     counts are those of its Singer original."""
     for cx, want in singer_reports:
         report = ramanujan_check(relabeled(cx, random.Random(seed)))
-        got = [report.verdict] + [
-            Counter(r.label for r in roots)
-            for roots in (report.vertex_roots, report.pb_roots, report.pe_roots)
-        ]
-        assert got == want
+        assert [report.verdict, report.dvertex, report.pb, report.pe] == want
 
 
 @pytest.fixture(scope="module")
@@ -642,11 +654,7 @@ def singer_reports(q3_cx, q4_cx, q5_cx):
     for cx in (q3_cx, q4_cx, q5_cx):
         report = ramanujan_check(cx)
         assert report.uncertified == {}
-        counts = [
-            Counter(r.label for r in roots)
-            for roots in (report.vertex_roots, report.pb_roots, report.pe_roots)
-        ]
-        out.append((cx, [report.verdict] + counts))
+        out.append((cx, [report.verdict, report.dvertex, report.pb, report.pe]))
     return out
 
 
@@ -663,17 +671,19 @@ def singer_reports(q3_cx, q4_cx, q5_cx):
 )
 def test_dvertex_verdict_is_exact(bundled_cx, bundle, extra, verdict, label):
     """Synthetic Dvertex = (1-v)(1-8v)(1-64v) R(v) at q = 2: the verdict
-    comes from R by integers alone, and R's zeros are labeled by it."""
+    comes from R by integers alone, and R's zeros are labeled by it; the
+    double-precision roots of R(u^3) agree with the label."""
     dvertex = bundle.dvertex
     if extra is not None:
         dvertex = dvertex * IntPoly(extra).substitute_power(3)
     report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, dvertex=dvertex))
     assert report.verdict == verdict
-    labels = [r.label for r in report.vertex_roots]
-    degree = 0 if extra is None else 3 * (len(extra) - 1)
-    assert labels == ["trivial"] * 9 + [label] * degree
-    if label == "ramanujan":
-        assert [r.modulus for r in report.vertex_roots[9:]] == pytest.approx([0.5] * degree)
+    if extra is None:
+        assert report.dvertex == [("trivial", 9)]
+    else:
+        assert report.dvertex == [("trivial", 9), (label, 3 * (len(extra) - 1))]
+        moduli = [abs(r) for r, _ in approx_roots(IntPoly(extra).substitute_power(3))]
+        assert (label == "ramanujan") == all(abs(m - 0.5) < 1e-9 for m in moduli)
     # PB's classes need Dvertex to be the trivial product; PE's do not
     assert ("pb" in report.uncertified) == (extra is not None)
     assert "pe" not in report.uncertified
@@ -685,8 +695,7 @@ def test_missing_trivial_factor_is_reported(bundled_cx, bundle):
     dvertex = bundle.dvertex.divexact(one_minus_cube(64))
     report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, dvertex=dvertex))
     assert report.verdict == "TRIVIAL-ZEROS-MISSING"
-    assert [r.label for r in report.vertex_roots] == ["trivial"] * 6
-    assert [r.modulus for r in report.vertex_roots] == pytest.approx([1.0] * 3 + [0.5] * 3)
+    assert report.dvertex == [("trivial", 6)]
     assert report.uncertified == {"pb": 63}
 
 
@@ -699,18 +708,30 @@ def q9_cx():
 @pytest.mark.parametrize(
     "q, pb, pe",
     [
-        (7, {1.0: 861, 7**-0.5: 168, 7**-0.25: 336, 1 / 7: 3}, {7**-0.5: 168, 7**-2: 3}),
-        (9, {1.0: 1917, 9**-0.5: 270, 9**-0.25: 540, 1 / 9: 3}, {9**-0.5: 270, 9**-2: 3}),
+        (7, [3, 168, 336, 861], [3, 168]),
+        (9, [3, 270, 540, 1917], [3, 270]),
     ],
 )
 def test_ramanujan_classes_pinned(q, pb, pe, q7_cx, q9_cx):
-    cx = {7: q7_cx, 9: q9_cx}[q]
-    report = ramanujan_check(cx)
+    report = ramanujan_check({7: q7_cx, 9: q9_cx}[q])
     assert report.verdict == "RAMANUJAN"
-    for roots, want in ((report.pb_roots, pb), (report.pe_roots, pe)):
-        assert Counter(r.label for r in roots) == {f"|u|={m:.6f}": c for m, c in want.items()}
-        label_of = {f"|u|={m:.6f}": m for m in want}
-        assert all(abs(r.modulus - label_of[r.label]) < 1e-9 for r in roots)
+    assert report.dvertex == [("trivial", 9)]
+    assert report.pb == list(zip(["|u|=q^-1", "|u|=q^-1/2", "|u|=q^-1/4", "|u|=1"], pb))
+    assert report.pe == list(zip(["|u|=q^-2", "|u|=q^-1/2"], pe))
+
+
+def test_class_counts_sum_to_the_degrees(bundled_cx, q3_cx, q4_cx, q5_cx, q7_cx, q9_cx):
+    """On the bundled complex, the seed-0 ones at q = 3, 4, 5, 7, 9 and
+    relabeled ones at q = 3, 5, the counts of each polynomial add up to its
+    degree in u."""
+    cxs = [bundled_cx, q3_cx, q4_cx, q5_cx, q7_cx, q9_cx]
+    cxs += [relabeled(cx, random.Random(0)) for cx in (q3_cx, q5_cx)]
+    for cx in cxs:
+        b = zeta_bundle(cx)
+        report = ramanujan_check(cx, b)
+        assert report.verdict == "RAMANUJAN" and report.uncertified == {}
+        for name in ("dvertex", "pb", "pe"):
+            assert sum(c for _, c in getattr(report, name)) == getattr(b, name).degree
 
 
 # sha256 of the stdout of `zeta <cx3> --which minus` for the seed-0 q = 5 and
