@@ -8,13 +8,15 @@ modulo primes and rebuilt by CRT from a proven coefficient bound.  Its
 input is one row per orbit of a free action of Z/n that the matrix commutes
 with (n = 1 and every row for det_i_minus_pencil); the primes are taken
 = 1 (mod n) and each residue is the product of n small characteristic
-polynomials, one per character of Z/n: the discrete Fourier transform is
-invertible mod such p, so the residue is the same and exactness rests on
-the same bound and CRT.  character_dets hands the determinants of the same
-character blocks to zeta's per-character proof of the identity.  Series
-is the one truncated power series type: generic in its coefficient ring, it
-carries exact Fraction coefficients for the zeta identities and SymPoly
-coefficients for the Satake-side recursion checks.
+polynomials, one per character of Z/n, each from power sums taken by
+float64 matrix products and Newton's identities: the discrete Fourier
+transform is invertible mod such p, so the residue is the same and
+exactness rests on the same bound and CRT.  character_dets hands the
+determinants of the same character blocks to zeta's per-character proof
+of the identity.  Series is the one truncated power series type: generic
+in its coefficient ring, it carries exact Fraction coefficients for the
+zeta identities and SymPoly coefficients for the Satake-side recursion
+checks.
 """
 
 import functools
@@ -24,7 +26,7 @@ from math import comb, gcd, isqrt
 
 import numpy as np
 
-from .errors import A2ZetaError
+from .errors import A2ZetaError, ResourceLimit
 
 
 class IntPoly:
@@ -352,20 +354,17 @@ def det_i_minus_rows(rows, orbits):
     p, the discrete Fourier transform over Z/n, invertible mod p, makes C
     similar mod p to the block diagonal of the character blocks
     M_j = sum_g zeta^(jg) G_g, j = 0..n-1, so
-        charpoly(C) = prod_j charpoly(M_j)  (mod p),
+        det(I - u C) = prod_j det(I - u M_j)  (mod p),
     the same residue for every n, so the bound and the CRT hold as they
-    are.  The k-square characteristic polynomials of all n characters and
-    of many primes at once come from one batched Hessenberg pass, and
-    their product over j with k shift-add steps per character over all
-    primes at once.  Every sum of products of residues, in M_j, the
-    Hessenberg pass or the product, has at most N + 1 terms below p^2, so
-    int64 holds it.
+    are.  The k-square determinants of all n characters and of many primes
+    at once come from power sums by batched float64 matrix products and
+    Newton's identities (_det_i_minus_v_mod), and their product over j from
+    k shift-add steps per character over all primes at once.
 
-    The primes are the largest p = 1 (mod n) with (N + 1) p^2 < 2^63, in
-    descending order.  They come from a table kept for the life of the
-    process per (bound on p, n), which grows as later calls need more, so
-    each candidate is tested for primality once; the same goes for each
-    root of unity mod p.
+    The primes are those of primes_past for k and n, in descending order.
+    They come from a table kept for the life of the process per (bound on
+    p, n), which grows as later calls need more, so each candidate is
+    tested for primality once; the same goes for each root of unity mod p.
     """
     size = rows.shape[1]
     if size == 0:
@@ -373,9 +372,9 @@ def det_i_minus_rows(rows, orbits):
     k, n = orbits.shape
     r = _max_row_norm2(rows)
     bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
-    primes, modulus = primes_past(isqrt(4 * bound), size, n)
+    primes, modulus = primes_past(isqrt(4 * bound), k, n)
     coeffs, crt_mod = [0] * (size + 1), 1
-    # primes go through the batched pass together, a stack of at most
+    # primes go through character_dets together, a stack of at most
     # _BATCH_ENTRIES matrix entries at a time
     per_pass = max(1, _BATCH_ENTRIES // (n * k * k))
     for start in range(0, len(primes), per_pass):
@@ -391,23 +390,39 @@ def det_i_minus_rows(rows, orbits):
     return IntPoly([x - modulus if x > half else x for x in coeffs])
 
 
-def primes_past(bound, size, n):
-    """(primes, their product): the primes of det_i_minus_rows for an N x N
-    matrix, N = size, and Z/n, largest first, until their product exceeds bound."""
+def primes_past(bound, k, n):
+    """(primes, their product): primes p = 1 (mod n) for k x k character
+    blocks, largest first, until their product exceeds bound.
+
+    Each p obeys the one prime rule of the determinants: k ((p - 1)/2)^2 <
+    2^50, so that every product or sum of _det_i_minus_v_mod is exact in
+    float64; p > k, so that 1..k are invertible mod p; and n p^2 and
+    (k + 1) p^2 below 2^63, so that the int64 sums of character_dets and
+    _product_mod hold.  Raises ResourceLimit if the primes under that limit
+    run out first.
+    """
+    limit = min(
+        2 * isqrt((2**50 - 1) // k) + 1, isqrt((2**63 - 1) // max(n, k + 1))
+    )
     primes, modulus = [], 1
-    for p in _crt_primes(isqrt((2**63 - 1) // (size + 1)), n):
+    for p in _crt_primes(limit, n):
+        if p <= k:
+            break
         primes.append(p)
         modulus *= p
         if modulus > bound:
-            break
-    return primes, modulus
+            return primes, modulus
+    raise ResourceLimit(
+        f"the primes p = 1 (mod {n}) up to {limit} for {k} x {k} blocks cover "
+        f"{modulus.bit_length() - 1} bits of the {bound.bit_length()} the bound needs"
+    )
 
 
 def character_dets(rows, orbits, primes):
     """det(I - v M_j) mod p for every prime p and character j of det_i_minus_rows.
 
     rows and orbits are as det_i_minus_rows takes them (k x N and k x n),
-    and every prime is = 1 (mod n) with (N + 1) p^2 < 2^63.  With zeta =
+    and the primes are from primes_past for k and n.  With zeta =
     _root_of_unity(n, p) and M_j = sum_g zeta^(jg) G_g, returns the
     (len(primes), n, k + 1) int64 array of the coefficients of
     det(I - v M_j) mod p, lowest degree first, and the (len(primes), 1, 1)
@@ -427,8 +442,8 @@ def character_dets(rows, orbits, primes):
             [pow(_root_of_unity(n, x), e, x) for e in range(n)] for x in primes[i : i + step]
         ]
         m[i : i + step] = np.array(powers, dtype=np.int64)[:, exponents] @ (g % p) % p
-    charpolys = _charpoly_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
-    return charpolys.reshape(len(primes), n, k + 1)[:, :, ::-1], mods
+    dets = _det_i_minus_v_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
+    return dets.reshape(len(primes), n, k + 1), mods
 
 
 def orbit_blocks(rows, orbits):
@@ -460,7 +475,7 @@ def _product_mod(factors, mods):
     return acc
 
 
-_BATCH_ENTRIES = 2**18
+_BATCH_ENTRIES = 2**16
 
 
 def _max_row_norm2(c):
@@ -496,49 +511,96 @@ def _block_companion(blocks):
     return c
 
 
-def _charpoly_mod(stack, mods):
-    """Coefficients of det(X I - M) mod p, lowest degree first, for each M.
+def _det_i_minus_v_mod(stack, mods):
+    """Coefficients of det(I - v M) mod p, in [0, p), lowest degree first, for each M.
 
-    stack is a (b, k, k) array of residues, overwritten here, and mods a
-    (b, 1, 1) array of primes: stack[j] is reduced mod mods[j], and row j of
-    the result belongs to it.  Each M is brought to upper Hessenberg form H
-    by similarity transforms, all b at once, then (Cohen, GTM 138,
-    Algorithm 2.2.9) the leading minors' polynomials obey
-        p_m = X p_{m-1} - sum_{k<m} H[k, m-1] H[k+1, k] ... H[m-1, m-2] p_k,
-    evaluated with the coefficient rows of p_0..p_{m-1} as one array.  Each
-    dot product sums at most k terms below p^2, which the caller keeps
-    below 2^63.
+    stack is a (b, k, k) int64 array of residues and mods a (b, 1, 1) array
+    of primes from primes_past for k: row j of the result belongs to
+    stack[j] mod mods[j].  The power sums tr(M^e), e = 1..k, come from
+    _power_sums, a stack of at most _BATCH_ENTRIES stored entries at a
+    time, and Newton's identities (Csanky, SIAM J. Comput. 1976)
+        e c_e = -sum_(i=1..e) tr(M^i) c_(e-i),   c_0 = 1,
+    give the coefficients c_e, as p > k makes 1..k invertible.  They run in
+    int64 over the whole stack: each sum has at most k products of a
+    symmetric residue and one in [0, p), below 2 k ((p - 1)/2)^2 < 2^51.
     """
-    h = stack
-    b, k, _ = h.shape
-    primes, rows = mods.ravel().tolist(), mods[:, 0]
-    for m in range(k - 2):
-        pivots = h[:, m + 1, m].tolist()
-        if 0 in pivots:
-            # pivot row: the first with a nonzero entry below the diagonal
-            i = m + 1 + np.argmax(h[:, m + 1 :, m] != 0, axis=1)
-            s = np.flatnonzero(i != m + 1)
-            i = i[s]
-            h[s, m + 1], h[s, i] = h[s, i], h[s, m + 1]
-            h[s, :, m + 1], h[s, :, i] = h[s, :, i], h[s, :, m + 1]
-            pivots = h[:, m + 1, m].tolist()
-        inv = np.array(
-            [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)], dtype=np.int64
-        ).reshape(b, 1, 1)
-        u = h[:, m + 2 :, m, None] * inv % mods
-        # rows m+1 and below are already zero left of column m
-        h[:, m + 2 :, m:] = (h[:, m + 2 :, m:] - u * h[:, m + 1, None, m:]) % mods
-        h[:, :, m + 1] = (h[:, :, m + 1] + (h[:, :, m + 2 :] @ u)[:, :, 0]) % rows
-    polys = np.zeros((b, k + 1, k + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    t = np.ones((b, 1, k), dtype=np.int64)  # t[:, 0, j] = H[j+1, j] ... H[m-1, m-2]
-    for m in range(1, k + 1):
-        w = h[:, None, :m, m - 1] * t[:, :, :m] % mods
-        polys[:, m, 1 : m + 1] = polys[:, m - 1, :m]
-        polys[:, m, :m] = (polys[:, m, :m] - (w @ polys[:, :m, :m])[:, 0]) % rows
-        if m < k:
-            t[:, :, :m] = t[:, :, :m] * h[:, m, None, m - 1, None] % mods
-    return polys[:, k]
+    b, k, _ = stack.shape
+    traces = np.empty((k, b), dtype=np.int64)  # traces[e - 1] = tr(M^e)
+    step = max(1, _BATCH_ENTRIES // ((isqrt(k - 1) + 5) * k * k))
+    for i in range(0, b, step):
+        traces[:, i : i + step] = _power_sums(stack[i : i + step], mods[i : i + step]).T
+    # -1/e mod p for e = 1..k, one table column per distinct prime
+    primes, where = np.unique(mods.ravel(), return_inverse=True)
+    table = [[pow(-e, -1, x) for x in primes.tolist()] for e in range(1, k + 1)]
+    minus_inv = np.array(table, dtype=np.int64)[:, where.ravel()]
+    p = mods.ravel()
+    rev = np.zeros((k + 1, b), dtype=np.int64)  # rev[k - e] = c_e
+    rev[k] = 1
+    for e in range(1, k + 1):
+        acc = np.einsum("ij,ij->j", traces[:e], rev[k - e + 1 :])
+        rev[k - e] = acc % p * minus_inv[e - 1] % p
+    return rev[::-1].T
+
+
+def _power_sums(stack, mods):
+    """tr(M^e) mod p as symmetric residues, e = 1..k, for each M of a stack.
+
+    The arguments are as _det_i_minus_v_mod takes them.  With s = ceil(sqrt k),
+    the baby steps are the powers of M up to s - 1 and the giant steps the
+    powers of G^T, G = M^s, up to k // s.  Then tr(M^(i + s j)) =
+    tr(M^i G^j) is the sum over the rows r of row r of M^i dotted with row r
+    of (G^T)^j (Preparata and Sarwate, Inf. Process. Lett. 1978): about
+    2 sqrt(k) matrix products for the k power sums.
+
+    Everything is float64 on symmetric residues, |x| <= (p - 1)/2.  Each
+    entry of a product and each row's dot product is a sum of k products,
+    at most k ((p - 1)/2)^2 < 2^50 in magnitude by the prime rule, an
+    integer that float64 holds exactly in any summation order; so is each
+    sum over k residues.
+    """
+    b, k, _ = stack.shape
+    s = isqrt(k - 1) + 1
+    giants = k // s
+    p = mods.astype(np.float64)
+    inv = 1 / p
+    # products go into buffers allocated once: fresh large temporaries
+    # would cost more in page faults than the reductions themselves
+    scratch = np.empty((b, k, k))
+    m = _reduce(stack.astype(np.float64), p, inv, scratch)
+    baby = np.empty((b, s, k, k))  # baby[:, i] = M^i
+    baby[:, 0] = np.eye(k)
+    for i in range(1, s):
+        _reduce(np.matmul(baby[:, i - 1], m, out=baby[:, i]), p, inv, scratch)
+    h = _reduce(baby[:, s - 1] @ m, p, inv, scratch).transpose(0, 2, 1).copy()  # G^T
+    power, spare = h.copy(), m
+    rows = np.empty((b, k, s, giants + 1))
+    rows[:, :, :, 0] = baby.diagonal(axis1=2, axis2=3).transpose(0, 2, 1)
+    by_row = baby.transpose(0, 2, 1, 3)  # by_row[:, r, i] = row r of M^i
+    for j in range(1, giants + 1):
+        if j > 1:
+            power, spare = _reduce(np.matmul(power, h, out=spare), p, inv, scratch), power
+        rows[:, :, :, j] = (by_row @ power[:, :, :, None])[:, :, :, 0]
+    p, inv = p[:, :, :, None], inv[:, :, :, None]
+    traces = _reduce(_reduce(rows, p, inv).sum(axis=1, keepdims=True), p, inv)
+    traces = traces.reshape(b, s, giants + 1).transpose(0, 2, 1).reshape(b, -1)
+    return traces[:, 1 : k + 1].astype(np.int64)
+
+
+def _reduce(x, p, inv, scratch=None):
+    """x less the multiple of p nearest to it, in place: its symmetric residue.
+
+    x holds integers below 2^50 in magnitude and inv = fl(1 / p).  Then the
+    rounded x inv differs from x / p by at most (2^-52 + 2^-106) |x| / p,
+    under 1 / (2p), while x / p, a fraction with the odd denominator p, is
+    at least 1 / (2p) from any half-integer; so rint(x inv) is the integer
+    nearest x / p, and the product by p and the difference are exact.
+    scratch, if given, is an array of x's shape for the intermediate.
+    """
+    t = np.multiply(x, inv, out=scratch)
+    np.rint(t, out=t)
+    t *= p
+    x -= t
+    return x
 
 
 # (limit, n) -> (the primes of _primes_descending(limit, n) found so far,

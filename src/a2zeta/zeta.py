@@ -195,7 +195,7 @@ def character_relations(q, dvertex, me, edge_orbits, mb, chamber_orbits):
     r = max(sum(x * x for x in row) for row in sums)
     pb_bound = max(comb(k, t) * (isqrt(r**t - 1) + 1) for t in range(k + 1))
     bound = 2 ** (q + 1) * (1 + s) ** 2 + sum(map(abs, dv.coeffs)) * pb_bound
-    primes, _ = primes_past(bound, mb.shape[1], n)
+    primes, _ = primes_past(bound, k, n)
     pe, mods = character_dets(me, edge_orbits, primes)
     pb, _ = character_dets(-mb, chamber_orbits, primes)  # det(I + v MB_j)
     # (1 - m_-j v)(1 - m_j v^2) = (1 + a v)(1 + e v^2), then q - 2 times (1 - v)

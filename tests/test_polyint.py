@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from a2zeta import polyint
-from a2zeta.errors import A2ZetaError
+from a2zeta import cli, polyint
+from a2zeta.errors import A2ZetaError, ResourceLimit
+from a2zeta.fileio import serialize_graph
+from a2zeta.graphs import petersen_graph
 from a2zeta.operators import SparseOperator, chamber_operator
 from a2zeta.polyint import (
     IntPoly,
@@ -17,12 +19,14 @@ from a2zeta.polyint import (
     Series,
     _block_companion,
     _crt_primes,
+    _det_i_minus_v_mod,
     _max_row_norm2,
     _primes_descending,
     det_i_minus_pencil,
     det_i_minus_rows,
     one_minus_power,
     poly_log_derivative,
+    primes_past,
     real_roots_above,
     roots_on_unit_circle,
     times_one_minus_power,
@@ -234,6 +238,67 @@ def test_crt_primes_are_the_descending_primes(limit, n, monkeypatch):
     assert list(islice(_crt_primes(limit, n), 40)) == want
     assert list(islice(_crt_primes(limit, n), 40)) == want
     assert list(islice(_crt_primes(limit, n), 3)) == want[:3]
+
+
+def test_primes_past_raises_when_the_primes_run_out():
+    """The primes = 1 (mod 2^20) under the limit carry far fewer than 10000
+    bits: that is an error naming n, the limit and the bits covered, never
+    a product below the bound."""
+    match = r"mod 1048576\) up to \d+ .* cover \d+ bits of the 10001"
+    with pytest.raises(ResourceLimit, match=match):
+        primes_past(2**10000, 1, 2**20)
+
+
+def test_prime_shortfall_exits_2(tmp_path, monkeypatch, capsys):
+    """A determinant whose primes run out is bad input to the CLI, exit 2."""
+    monkeypatch.setattr(polyint, "_crt_primes", lambda limit, n: iter([101, 103]))
+    path = tmp_path / "petersen.graph"
+    path.write_text(serialize_graph(petersen_graph()))
+    assert cli.main(["graph", "check", str(path)]) == 2
+    assert "cover 13 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits, k", [(28000, 1), (1000, 33)])
+def test_prime_supply_at_q32(bits, k):
+    """At q = 32 (n = 1057) the rule, written in the block size k, covers a
+    28,000-bit bound at k = 1 (PE's Hadamard bound) and a 1000-bit one at
+    k = 33 (MB's blocks).  Written in N = n k it would stop at 21 bits and
+    177 primes, about 3.4k bits."""
+    primes, modulus = primes_past(2**bits, k, 1057)
+    assert modulus > 2**bits
+    for p in primes:
+        assert p % 1057 == 1 and p > k and k * ((p - 1) // 2) ** 2 < 2**50
+        assert 1057 * p * p < 2**63
+
+
+def is_prime(x):
+    return x > 1 and all(x % d for d in range(2, isqrt(x) + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 72])
+def test_power_sum_kernel_at_the_prime_rule_edge(k):
+    """With the largest prime the rule admits for k x k blocks and residues
+    all +-(p - 1)/2, products and their partial sums reach k ((p - 1)/2)^2,
+    the bound; det(I - v M) mod p still matches Bareiss at k + 1 points (4
+    at k = 72) and in its top coefficient, (-1)^k det M.  The next prime
+    breaks the rule, so the bound is tight."""
+    p = primes_past(1, k, 1)[0][0]
+    h = (p - 1) // 2
+    following = next(x for x in range(p + 2, 2 * p, 2) if is_prime(x))
+    assert k * h * h < 2**50 <= k * ((following - 1) // 2) ** 2
+    rnd = random.Random(k)
+    for signs in ("all plus", "random"):
+        m = [
+            [h if signs == "all plus" or rnd.random() < 0.5 else -h for _ in range(k)]
+            for _ in range(k)
+        ]
+        mods = np.array([[[p]]], dtype=np.int64)
+        got = _det_i_minus_v_mod(np.array([m], dtype=np.int64) % p, mods)[0].tolist()
+        assert all(0 <= c < p for c in got) and got[0] == 1
+        for v in range(k + 1 if k < 72 else 4):
+            i_minus_vm = [[(i == j) - v * x for j, x in enumerate(row)] for i, row in enumerate(m)]
+            assert sum(c * v**e for e, c in enumerate(got)) % p == bareiss_det_int(i_minus_vm) % p
+        assert got[k] == (-1) ** k * bareiss_det_int(m) % p
 
 
 def python_max_row_norm2(c):
