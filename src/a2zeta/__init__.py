@@ -15,14 +15,13 @@ from .presentations import (
     complex_from_presentation,
     search_triangle_presentations,
 )
-from .zeta import check_main_identity, ramanujan_check, zeta_bundle, zeta_functions
+from .zeta import ramanujan_check, zeta_bundle, zeta_functions
 
 __all__ = [
     "A2ZetaError",
     "TypedComplex",
     "TrianglePresentation",
     "build_plane",
-    "check_main_identity",
     "complex_from_presentation",
     "directed_chambers",
     "euler_characteristic",

@@ -25,7 +25,7 @@ from .enumeration import (
     enumerate_galleries,
     gallery_boundaries,
 )
-from .errors import A2ZetaError, ValidationFailure
+from .errors import A2ZetaError, IdentityFailure, ValidationFailure
 from .gf import GF
 from .graphs import ihara_zeta, ramanujan_graph_check
 from .operators import chamber_operator, edge_operator, vertex_hecke
@@ -33,7 +33,6 @@ from .planes import build_plane
 from .presentations import complex_from_presentation, search_triangle_presentations
 from .satake import verify_recursion_42, verify_sigma3_identity
 from .zeta import (
-    check_main_identity,
     check_series_identity,
     ramanujan_check,
     zeta_bundle,
@@ -123,15 +122,14 @@ def cmd_zeta(args, out):
 
 def cmd_check_identity(args, out):
     cx = _load_complex(args.complex)
-    b = zeta_bundle(cx)
-    if b.failure is not None:
-        j, p = b.failure
-        out.emit("character", f"fail j={j} p={p}")
-    ok, residual = check_main_identity(cx, b)
-    out.emit("identity", "pass" if ok else "fail")
-    if not ok:
-        out.emit("residual", residual.format())
-    return PASS if ok else FAIL
+    try:
+        zeta_bundle(cx)  # proves the identity, or raises IdentityFailure
+    except IdentityFailure as exc:
+        out.emit("character", f"fail j={exc.j} p={exc.p}")
+        out.emit("identity", "fail")
+        return FAIL
+    out.emit("identity", "pass")
+    return PASS
 
 
 def cmd_check_ramanujan(args, out):

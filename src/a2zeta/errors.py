@@ -18,6 +18,15 @@ class ValidationFailure(A2ZetaError):
         super().__init__(f"{check}: {detail}" if detail else check)
 
 
+class IdentityFailure(ValidationFailure):
+    """The relation of character j fails modulo the prime p, so the main identity fails."""
+
+    def __init__(self, j, p):
+        self.j = j
+        self.p = p
+        super().__init__("main_identity", f"the relation of character j={j} fails mod p={p}")
+
+
 class ParseError(A2ZetaError):
     """Malformed input file; carries a 1-based line number."""
 

@@ -1,4 +1,4 @@
-"""PG(2, q) from its Singer cycle, and the one projective-plane check.
+"""PG(2, q) from its Singer cycle, and the projective-plane check of a vertex link.
 
 A point is a nonzero vector of F_q^3 up to scalars, numbered by the rank of
 its normalized triple (first nonzero coordinate 1) in lexicographic order of
@@ -8,7 +8,9 @@ downstream keys off these ids, so the numbering must never change.
 
 The Singer cycle sigma, multiplication by x in GF(q^3) = GF(q)[x]/(cubic)
 on a + b x + c x^2 = (a, b, c), is linear and runs through all n = q^2+q+1
-points, so the lines are the n translates of line 0, z = 0.
+points, so the lines are the n translates of line 0, z = 0, and the orbit
+positions on line 0 form a planar difference set mod n (Singer, Trans. AMS
+1938), which is how build_plane checks its plane.
 """
 
 from dataclasses import dataclass
@@ -82,7 +84,10 @@ def singer_orbit(F):
 def build_plane(q):
     """PG(2, q) for every prime power q <= gf.MAX_ORDER; UnsupportedOrder otherwise.
 
-    Translate j of line 0 has the id of the cross product of two of its points.
+    Translate j of line 0 has the id of the cross product of two of its
+    points.  The plane is checked as a difference set: the orbit numbers
+    every point once, and every nonzero residue mod n is a - b for exactly
+    one pair a, b of base, so any two translates meet in exactly one point.
     """
     F = GF(q)
     n = q * q + q + 1
@@ -90,6 +95,9 @@ def build_plane(q):
     points += [(1, b, c) for b in range(q) for c in range(q)]
     orbit = singer_orbit(F)
     base = [i for i in range(n) if points[orbit[i]][2] == 0]
+    assert sorted(orbit) == list(range(n)), "the Singer orbit repeats a point"
+    differences = sorted((a - b) % n for a in base for b in base if a != b)
+    assert differences == list(range(1, n)), "line 0 is not a planar difference set"
     lines = [None] * n
     translates = []
     for j in range(n):
@@ -104,8 +112,6 @@ def build_plane(q):
         assert lines[k] is None, f"two translates give line {k}"
         lines[k] = frozenset(line)
         translates.append(k)
-    defect = plane_defect(lines, range(n), q)
-    assert defect is None, defect
     return ProjectivePlane(q, points, lines, orbit, base, translates)
 
 

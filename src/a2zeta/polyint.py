@@ -11,9 +11,11 @@ with (n = 1 and every row for det_i_minus_pencil); the primes are taken
 polynomials, one per character of Z/n, each from power sums taken by
 float64 matrix products and Newton's identities: the discrete Fourier
 transform is invertible mod such p, so the residue is the same and
-exactness rests on the same bound and CRT.  character_dets hands the
-determinants of the same character blocks to zeta's per-character proof
-of the identity.  Series is the one truncated power series type: generic
+exactness rests on the same bound and CRT.  character_dets forms those
+character blocks and their determinants, in passes of at most
+_BATCH_ENTRIES block entries, for det_i_minus_rows and, with blocks of any
+size and the trivial group too, for zeta's per-character proof of the
+identity.  Series is the one truncated power series type: generic
 in its coefficient ring, it carries exact Fraction coefficients for the
 zeta identities and SymPoly coefficients for the Satake-side recursion
 checks.
@@ -374,18 +376,11 @@ def det_i_minus_rows(rows, orbits):
     bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
     primes, modulus = primes_past(isqrt(4 * bound), k, n)
     coeffs, crt_mod = [0] * (size + 1), 1
-    # primes go through character_dets together, a stack of at most
-    # _BATCH_ENTRIES matrix entries at a time
-    per_pass = max(1, _BATCH_ENTRIES // (n * k * k))
-    for start in range(0, len(primes), per_pass):
-        chunk = primes[start : start + per_pass]
-        dets, mods = character_dets(rows, orbits, chunk)
-        for p, residue in zip(chunk, _product_mod(dets, mods[:, 0]).tolist()):
-            inv = pow(crt_mod, -1, p)
-            coeffs = [
-                x + crt_mod * ((y - x) * inv % p) for x, y in zip(coeffs, residue)
-            ]
-            crt_mod *= p
+    dets, mods = character_dets(rows, orbits, primes)
+    for p, residue in zip(primes, _product_mod(dets, mods[:, 0]).tolist()):
+        inv = pow(crt_mod, -1, p)
+        coeffs = [x + crt_mod * ((y - x) * inv % p) for x, y in zip(coeffs, residue)]
+        crt_mod *= p
     half = modulus // 2
     return IntPoly([x - modulus if x > half else x for x in coeffs])
 
@@ -426,24 +421,23 @@ def character_dets(rows, orbits, primes):
     _root_of_unity(n, p) and M_j = sum_g zeta^(jg) G_g, returns the
     (len(primes), n, k + 1) int64 array of the coefficients of
     det(I - v M_j) mod p, lowest degree first, and the (len(primes), 1, 1)
-    int64 array of the primes.
+    int64 array of the primes.  The primes go through in passes whose DFT
+    matrices and blocks hold at most _BATCH_ENTRIES entries, or one prime's.
     """
     k, n = orbits.shape
     mods = np.array(primes, dtype=np.int64)[:, None, None]
     g = orbit_blocks(rows, orbits).reshape(n, k * k)
     exponents = np.outer(np.arange(n), np.arange(n)) % n
-    m = np.empty((len(primes), n, k * k), dtype=np.int64)
-    # one product by the n x n DFT matrix mod each prime, the matrices of
-    # a few primes, at most _BATCH_ENTRIES entries or one matrix, at a time
-    step = max(1, _BATCH_ENTRIES // (n * n))
+    dets = np.empty((len(primes), n, k + 1), dtype=np.int64)
+    step = max(1, _BATCH_ENTRIES // (n * max(n, k * k)))
     for i in range(0, len(primes), step):
+        # one product by the n x n DFT matrix mod each prime
         p = mods[i : i + step]
-        powers = [
-            [pow(_root_of_unity(n, x), e, x) for e in range(n)] for x in primes[i : i + step]
-        ]
-        m[i : i + step] = np.array(powers, dtype=np.int64)[:, exponents] @ (g % p) % p
-    dets = _det_i_minus_v_mod(m.reshape(-1, k, k), np.repeat(mods, n, axis=0))
-    return dets.reshape(len(primes), n, k + 1), mods
+        powers = [[pow(_root_of_unity(n, x), e, x) for e in range(n)] for x in primes[i : i + step]]
+        m = np.array(powers, dtype=np.int64)[:, exponents] @ (g % p) % p
+        blocks = _det_i_minus_v_mod(m.reshape(-1, k, k), np.repeat(p, n, axis=0))
+        dets[i : i + step] = blocks.reshape(len(p), n, k + 1)
+    return dets, mods
 
 
 def orbit_blocks(rows, orbits):
@@ -455,8 +449,9 @@ def orbit_blocks(rows, orbits):
 def _product_mod(factors, mods):
     """prod_j factors[:, j] mod each prime, lowest degree first, all primes at once.
 
-    factors is the (primes, n, k + 1) array of character_dets, every factor
-    with constant term 1, and mods the (primes, 1) array of the primes.
+    factors is a (primes, n, k + 1) array of n factors of degree k per
+    prime, as character_dets gives, every one with constant term 1, and
+    mods the (primes, 1) array of the primes.
     Each further factor takes k shift-add steps over all primes, a sum of
     at most k + 1 terms below p^2 before it is reduced; n = 1 takes none.
     """

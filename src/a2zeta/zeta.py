@@ -23,26 +23,23 @@ action of Z/n, n = q^2 + q + 1, on its edges and directed chambers;
 presentations.singer_action returns both permutations from one check of
 the chamber set.  It commutes with LE and LB, checked on their entries, so
 M is determined by one row per orbit on the type-0 indices: q + 1 rows of
-MB and one of ME.  det_i_minus_rows factors the determinant over the n
-characters of Z/n, as in the Artin L-function factorization of
+MB and one of ME; without it, the trivial group, n = 1, takes every type-0
+index as its own orbit.  det_i_minus_rows factors the determinant over the
+n characters of Z/n, as in the Artin L-function factorization of
 Stark-Terras: modulo a prime p = 1 (mod n), det(I - v M) = prod_j
-det(I - v M_j) with every M_j only 1-square for ME and (q+1)-square for MB.
-The residues are the same as without the action and the prime count comes
-from the same Hadamard bound, so PE is exact by the same proof.
+det(I - v M_j), with small blocks M_j (1-square for ME and (q+1)-square
+for MB under the Singer action).  The residue is the same, so PE is exact
+by the same Hadamard bound and CRT.
 
-With the action, the identity itself splits over the characters:
-character_relations checks one small relation per character j between
-PE_j = 1 - m_j v, PB_j = det(I + v MB_j) and, at j = 0, Dvertex, modulo a
-few primes p = 1 (mod n) whose product exceeds a bound on every residual
-coefficient under every complex embedding.  Then every relation holds
-exactly, so the identity does, and PB is taken from it by exact division,
+The identity splits over the same characters: character_relations checks
+one relation per character j between PE_j = det(I - v ME_j),
+PB_j = det(I + v MB_j) and, at j = 0, Dvertex (with n = 1, the identity
+itself), modulo a few primes p = 1 (mod n) whose product exceeds a bound
+on every residual coefficient under every complex embedding.  Then the
+identity holds exactly, and PB is its exact quotient,
     PB(v) = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v),  v = u^3,
-with neither PB's determinant nor the identity's two products formed.  If
-a relation fails, the bundle records the character j and the prime p, and
-PB comes from its own determinant and the identity from the two products,
-as on a complex without the action (relabeled, or not built from a
-presentation).  That one takes the trivial group, n = 1: every type-0
-index is its own orbit, and the same determinant code runs.
+with neither PB's determinant nor the two products formed; a failed
+relation raises IdentityFailure.
 
 ramanujan_check is exact on one route for every complex, with no floating
 point.  Its verdict comes from Dvertex in integers: the three trivial
@@ -50,9 +47,9 @@ factors are divided out exactly, and the remainder must have every root on
 |u| = 1/q, decided by a Sturm count after x = s + 1/s, s = q^3 u^3.  PB's
 and PE's zeros are counted per exact modulus from fact (a), checked exactly
 on ME's orbit rows (row and column sums q^6, ME ME^T = q^3 I + c J), with
-the identity proven by characters or by the two products; each count
-follows from N, the number of type-0 edges, and chi.  Without fact (a) they
-are reported as uncertified, with their degrees.
+the identity the bundle has proven; each count follows from N, the number
+of type-0 edges, and chi.  Without fact (a) they are reported as
+uncertified, with their degrees.
 """
 
 from dataclasses import dataclass, field
@@ -62,7 +59,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .complexes import euler_characteristic, require_valid
-from .errors import A2ZetaError
+from .errors import A2ZetaError, IdentityFailure
 from .operators import chamber_operator, edge_operator, vertex_hecke
 from .polyint import (
     IntPoly,
@@ -72,6 +69,8 @@ from .polyint import (
     det_i_minus_pencil,
     det_i_minus_rows,
     one_minus_power,
+    _max_row_norm2,
+    _product_mod,
     orbit_blocks,
     poly_log_derivative,
     primes_past,
@@ -158,63 +157,82 @@ def det_i_minus_u3(rows, sign, orbits):
 
 
 # ----------------------------------------------------------------------
-# the identity, one Singer character at a time
+# the identity, one character at a time
 
 
-def character_relations(q, dvertex, me, edge_orbits, mb, chamber_orbits):
+def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
     """Check the identity one character of Z/n at a time: (primes, failure).
 
     me, edge_orbits and mb, chamber_orbits are the orbit rows of ME and MB
-    from type0_orbit_rows under the Singer action, one orbit of ME and
-    q + 1 of MB.  With m_j and MB_j the character blocks of
-    det_i_minus_rows, PE_j(v) = 1 - m_j v and PB_j(v) = det(I + v MB_j),
-    the relations are, in v = u^3,
-        (1-v)^(q-2) PE_-j(v) PE_j(v^2) = PB_j(v)             for j != 0,
-        (1-v)^(q+1) PE_0(v) PE_0(v^2) = Dvertex(v) PB_0(v),
-    and their product over j is the identity, since (q + 1) + (n - 1)(q - 2)
-    is chi.  Each residual coefficient c is one integer polynomial in
-    zeta^j, so a prime p = 1 (mod n) that kills it at every j of one order
-    d lies under every prime ideal of Z[zeta_d] above p: the primes that
-    all kill it divide it, and their product to the power phi(d) divides
-    its norm.  That norm is at most B^phi(d), B a bound on |c| under every
-    complex embedding; so primes are taken until their product exceeds B,
-    and then every relation holds exactly.  B is 2^(q+1) (1 + s)^2 plus
-    the 1-norm of Dvertex times max_t C(q+1, t) r^(t/2), with s = sum |G|
-    bounding |m_j| and r the largest squared row 2-norm of the sums over
-    the orbit blocks of |MB|, which by Hadamard bounds PB_j's coefficients.
+    from type0_orbit_rows under one free action of Z/n, the Singer action
+    or the trivial group (n = 1, every type-0 row): k_E orbits of ME and
+    k_B of MB.  With ME_j and MB_j the character blocks of
+    det_i_minus_rows, PE_j(v) = det(I - v ME_j) and PB_j(v) = det(I + v
+    MB_j), and e = k_B - 3 k_E, the relations are, in v = u^3,
+        (1-v)^e PE_-j(v) PE_j(v^2) = PB_j(v)                       for j != 0,
+        (1-v)^(chi - (n-1) e) PE_0(v) PE_0(v^2) = Dvertex(v) PB_0(v),
+    and their product over j is the identity; with n = 1 the one relation
+    is the identity.  Each residual coefficient c is one integer polynomial
+    in zeta^j, so a prime p = 1 (mod n) that kills it at every j of one
+    order d lies under every prime ideal of Z[zeta_d] above p: the primes
+    that all kill it divide it, and their product to the power phi(d)
+    divides its norm.  That norm is at most B^phi(d), B a bound on |c|
+    under every complex embedding; so primes are taken until their product
+    exceeds B, and then every relation holds exactly.  B is
+    2^(chi - (n-1) e) L^2, L = sum_t C(k_E, t) r_E^(t/2) a bound on PE_j's
+    1-norm, plus Dvertex's 1-norm times max_t C(k_B, t) r_B^(t/2), a bound
+    on PB_j's coefficients (_coefficient_bounds, by Hadamard).
 
     All primes and characters are checked at once.  failure is None, or
     (j, p) for the first prime and then the least character whose
     residual is nonzero mod p.
     """
-    n = edge_orbits.shape[1]
+    k_e, n = edge_orbits.shape
     k = chamber_orbits.shape[0]
+    e = k - 3 * k_e
     dv = _compress_cube(dvertex)
-    s = sum(abs(int(x)) for x in me[0])
-    sums = np.abs(mb)[:, chamber_orbits].sum(axis=2).astype(object)
-    r = max(sum(x * x for x in row) for row in sums)
-    pb_bound = max(comb(k, t) * (isqrt(r**t - 1) + 1) for t in range(k + 1))
-    bound = 2 ** (q + 1) * (1 + s) ** 2 + sum(map(abs, dv.coeffs)) * pb_bound
+    bound = 2 ** (chi - (n - 1) * e) * sum(_coefficient_bounds(me, edge_orbits)) ** 2
+    bound += sum(map(abs, dv.coeffs)) * max(_coefficient_bounds(mb, chamber_orbits))
     primes, _ = primes_past(bound, k, n)
     pe, mods = character_dets(me, edge_orbits, primes)
     pb, _ = character_dets(-mb, chamber_orbits, primes)  # det(I + v MB_j)
-    # (1 - m_-j v)(1 - m_j v^2) = (1 + a v)(1 + e v^2), then q - 2 times (1 - v)
-    e = pe[:, :, 1]
-    a = e[:, (-np.arange(n)) % n]
+    p = mods[:, 0]
+    # PE_-j(v) PE_j(v^2) as a product of two factors, then e times (1 - v)
+    factors = np.zeros((len(primes), n, 2, 2 * k_e + 1), dtype=np.int64)
+    factors[:, :, 0, : k_e + 1] = pe[:, (-np.arange(n)) % n]
+    factors[:, :, 1, ::2] = pe
+    product = _product_mod(factors.reshape(-1, 2, 2 * k_e + 1), np.repeat(p, n, axis=0))
     lhs = np.zeros_like(pb)
-    lhs[:, :, :4] = np.stack([np.ones_like(e), a, e, a * e % mods[:, 0]], axis=2)
-    for _ in range(q - 2):
+    lhs[:, :, : 3 * k_e + 1] = product[:, : 3 * k_e + 1].reshape(len(primes), n, -1)
+    for _ in range(e):
         lhs[:, :, 1:] = (lhs[:, :, 1:] - lhs[:, :, :-1]) % mods
     failed = (lhs != pb).any(axis=2)
-    # j = 0 over the integers, one prime at a time
-    cube = one_minus_power(1, 3)
-    for i, p in enumerate(primes):
-        residual = IntPoly(map(int, lhs[i, 0])) * cube - IntPoly(map(int, pb[i, 0])) * dv
-        failed[i, 0] = any(c % p for c in residual.coeffs)
+    # j = 0: chi - n e more times (1 - v), less Dvertex PB_0
+    rest = chi - n * e
+    top = np.zeros((len(primes), k + 1 + max(rest, dv.degree)), dtype=np.int64)
+    top[:, : k + 1] = lhs[:, 0]
+    for _ in range(rest):
+        top[:, 1:] = (top[:, 1:] - top[:, :-1]) % p
+    dv_mod = np.array([[c % x for c in dv.coeffs] for x in primes], dtype=np.int64)
+    for t in range(dv.degree + 1):
+        top[:, t : t + k + 1] = (top[:, t : t + k + 1] - dv_mod[:, t, None] * pb[:, 0]) % p
+    failed[:, 0] = top.any(axis=1)
     if failed.any():
         i, j = np.argwhere(failed)[0]
         return primes, (int(j), primes[i])
     return primes, None
+
+
+def _coefficient_bounds(rows, orbits):
+    """C(k, t) ceil(r^(t/2)), t = 0..k: bounds on the coefficients of det(I - v M_j).
+
+    rows and orbits are as det_i_minus_rows takes them, and r is the
+    largest squared row 2-norm of the k x k sum over the orbit blocks of
+    |M|, which bounds every entry of every M_j under every embedding.
+    """
+    k = orbits.shape[0]
+    r = _max_row_norm2(np.abs(rows)[:, orbits].sum(axis=2))
+    return [comb(k, t) * (isqrt(r**t - 1) + 1) for t in range(k + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -229,12 +247,10 @@ class ZetaBundle:
     pb: IntPoly
     pe: IntPoly
     pe2: IntPoly
-    # outside equality: how PB was reached, proof the primes with which
-    # character_relations proved the identity and failure the (j, p) where
-    # a relation failed; and me, ME's (orbit rows, orbits) from
+    # outside equality: proof, the primes with which character_relations
+    # proved the identity, and me, ME's (orbit rows, orbits) from
     # type0_orbit_rows, for ramanujan_check
     proof: list = field(default=None, compare=False)
-    failure: tuple = field(default=None, compare=False)
     me: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -262,9 +278,9 @@ def vertex_determinant(cx, A1=None, A2=None):
 def zeta_bundle(cx):
     """All four exact polynomials and the Euler characteristic.
 
-    With the Singer action, PB is the exact quotient of the identity once
-    character_relations has proven it; if a relation fails, or without the
-    action, PB is its own determinant.
+    character_relations proves the identity under the Singer action, or
+    under the trivial group without it, and PB is its exact quotient.  A
+    failed relation raises IdentityFailure.
     """
     require_valid(cx)
     A1, A2 = vertex_hecke(cx)
@@ -279,20 +295,13 @@ def zeta_bundle(cx):
     me, edge_orbits = type0_orbit_rows(LE, edge_types, 1, edge_images)
     pe = det_i_minus_u3(me, 1, edge_orbits)
     mb, chamber_orbits = type0_orbit_rows(LB, chamber_types, 2, chamber_images)
-    proof = failure = None
-    if edge_images is not None:
-        primes, failure = character_relations(
-            cx.q, dvertex, me, edge_orbits, mb, chamber_orbits
-        )
-        if failure is None:
-            proof = primes
-    if proof is None:
-        pb = det_i_minus_u3(mb, -1, chamber_orbits)
-    else:
-        # PB = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v), v = u^3
-        pe_v = _compress_cube(pe)
-        product = times_one_minus_power(pe_v * pe_v.substitute_power(2), chi)
-        pb = product.divexact(_compress_cube(dvertex)).substitute_power(3)
+    proof, failure = character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits)
+    if failure is not None:
+        raise IdentityFailure(*failure)
+    # PB = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v), v = u^3
+    pe_v = _compress_cube(pe)
+    product = times_one_minus_power(pe_v * pe_v.substitute_power(2), chi)
+    pb = product.divexact(_compress_cube(dvertex)).substitute_power(3)
     return ZetaBundle(
         q=cx.q,
         chi=chi,
@@ -301,36 +310,18 @@ def zeta_bundle(cx):
         pe=pe,
         pe2=pe.substitute_power(2),
         proof=proof,
-        failure=failure,
         me=(me, edge_orbits),
     )
-
-
-def check_main_identity(cx, bundle=None):
-    """(1-u^3)^chi PE PE2 == Dvertex PB; returns (passed, residual).
-
-    A bundle proven character by character passes with residual 0 and no
-    product formed; any other bundle is checked by the two products.
-    """
-    b = bundle if bundle is not None else zeta_bundle(cx)
-    if b.proof is not None:
-        return True, IntPoly()
-    lhs = one_minus_power(3, b.chi) * b.pe * b.pe2
-    rhs = b.dvertex * b.pb
-    residual = lhs - rhs
-    return residual.is_zero(), residual
 
 
 def zeta_minus(b):
     """Zminus = PB / PE2 in lowest terms, den(0) = 1, as a RationalFunction.
 
-    On a proven bundle PB / PE2 = (1 - u^3)^chi PE / Dvertex, whose
-    reduction is a gcd with the degree-9 Dvertex; otherwise PB / PE2 is
-    reduced as it stands.  The reduced form with den(0) = 1 is unique, so
-    both give the same pair.
+    By the identity, which every bundle has proven, PB / PE2 =
+    (1 - u^3)^chi PE / Dvertex, whose reduction is a gcd with the small
+    Dvertex; the reduced form with den(0) = 1 is unique, so it is that of
+    PB / PE2.
     """
-    if b.proof is None:
-        return RationalFunction(b.pb, b.pe2)
     num = times_one_minus_power(_compress_cube(b.pe), b.chi)
     return RationalFunction(num, _compress_cube(b.dvertex)).substitute_power(3)
 
@@ -469,7 +460,8 @@ def ramanujan_check(cx, bundle=None):
     on the unit circle (polyint.roots_on_unit_circle).  When fact (a) holds
     on ME's orbit rows (_fact_a), PE = (1 - q^6 v) P(v) with the other
     N - 1 roots of P at |v| = q^(-3/2), N the number of type-0 edges; when
-    also Dvertex is the trivial product and the identity holds,
+    also Dvertex is the trivial product, the identity, which the bundle
+    has proven, gives
         PB = (1 - v)^(chi - 1) (1 + q^3 v) P(v) P(v^2).
     Each factor gives one class, three zeros in u per root in v.  Otherwise
     PB and PE are reported as uncertified, with their degree.
@@ -480,7 +472,7 @@ def ramanujan_check(cx, bundle=None):
     if _fact_a(b):
         m = 3 * (b.me[0].shape[1] - 1)
         classes["pe"] = [("|u|=q^-2", 3), ("|u|=q^-1/2", m)]
-        if trivial_only and check_main_identity(cx, b)[0]:
+        if trivial_only:
             classes["pb"] = [("|u|=q^-1", 3), ("|u|=q^-1/2", m), ("|u|=q^-1/4", 2 * m)]
             classes["pb"].append(("|u|=1", 3 * (b.chi - 1)))
     uncertified = {name: getattr(b, name).degree for name in ("pb", "pe") if name not in classes}
@@ -523,14 +515,13 @@ def _fact_a(b):
     Fact (a) is that every row and column sum of ME is q^6, and ME ME^T =
     q^3 I + c J with c = (q^12 - q^3) / N, N = n k.  By the action, the
     rows of ME ME^T at the representatives are A(s)[a, c] = sum_(g, b)
-    G_g[a, b] G_(g-s)[c, b], which must be c + q^3 [s = 0][a = c]; with one
-    orbit (the Singer route) this is G's autocorrelation.  Then the all-ones
+    G_g[a, b] G_(g-s)[c, b], which must be c + q^3 [s = 0][a = c]: under
+    the Singer action, with one orbit, G's autocorrelation, and under the
+    trivial group, n = 1, ME ME^T itself.  Then the all-ones
     vector is an eigenvector of ME and ME^T for q^6, its complement is
     invariant, and on it ME ME^T = q^3 I, so every other eigenvalue m has
     |m| = q^(3/2), and PE = (1 - q^6 v) prod (1 - m v).
     """
-    if b.me is None:
-        return False
     q = b.q
     g = orbit_blocks(*b.me)
     n, k, _ = g.shape

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from a2zeta import planes
 from a2zeta.complexes import validate
 from a2zeta.errors import IndexOutOfRange, ParseError, PresentationInvalid, UnsupportedOrder
 from a2zeta.fileio import (
@@ -50,6 +51,24 @@ def test_plane_defect_on_altered_lines():
         assert plane_defect(bad, range(13), 3) is not None, name
 
 
+@pytest.mark.parametrize("defect", ["repeated point", "swapped points"])
+def test_build_plane_rejects_a_wrong_orbit(defect, monkeypatch):
+    """build_plane's own check fails on an orbit that repeats a point, and
+    on one with two neighbours swapped, one on z = 0 and one off it, which
+    numbers every point once but moves one element of the difference set."""
+    orbit = planes.singer_orbit(GF(3))
+    points = build_plane(3).points
+    if defect == "repeated point":
+        orbit[1], match = orbit[0], "repeats a point"
+    else:
+        i = next(i for i in range(12) if points[orbit[i]][2] == 0 != points[orbit[i + 1]][2])
+        orbit[i], orbit[i + 1] = orbit[i + 1], orbit[i]
+        match = "difference set"
+    monkeypatch.setattr(planes, "singer_orbit", lambda F: orbit)
+    with pytest.raises(AssertionError, match=match):
+        build_plane(3)
+
+
 def test_unsupported_order():
     with pytest.raises(UnsupportedOrder):
         build_plane(6)
@@ -57,9 +76,10 @@ def test_unsupported_order():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 25])
 def test_supported_order_planes(q):
-    plane = build_plane(q)  # axioms checked exhaustively inside
+    plane = build_plane(q)  # checked as a difference set inside
     assert (plane.points, plane.lines) == plane_by_dot_product(q)
     n = plane.n
+    assert plane_defect(plane.lines, range(n), q) is None
     assert sorted(plane.orbit) == list(range(n))
     base = plane.base
     assert base == [i for i in range(n) if plane.orbit[i] in plane.lines[0]]

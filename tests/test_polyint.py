@@ -199,6 +199,35 @@ def test_character_factorization_matches_trivial_action(pencil):
     assert det_i_minus_rows(*orbit_rows(matrix, sigma)) == det_i_minus_pencil([matrix])
 
 
+def test_character_dets_passes_hold_the_batch_bound(q3_cx, monkeypatch):
+    """character_dets takes its primes in passes of at most _BATCH_ENTRIES
+    block entries, or one prime's blocks, with the same residues as in one
+    pass: q = 3's LB rows under the Singer action (13 blocks of 4 x 4) and
+    under the trivial group (one 52 x 52 block)."""
+    entries = chamber_operator(q3_cx).entries
+    edge_types = [q3_cx.vertex_types[s] for s, _ in q3_cx.edges]
+    types = [edge_types[e] for tri in q3_cx.chambers for e in tri]
+    op = SparseOperator("lb", len(types), entries)
+    primes, _ = primes_past(2**200, 52, 13)  # the prime rule for both block sizes
+    for images in (singer_action(q3_cx)[1], None):
+        rows, orbits = type0_orbit_rows(op, types, 2, images)
+        k, n = orbits.shape
+        whole, mods = polyint.character_dets(rows, orbits, primes)
+        stacks = []
+        kernel = polyint._det_i_minus_v_mod
+
+        def recording(stack, stack_mods):
+            stacks.append(stack.size)
+            return kernel(stack, stack_mods)
+
+        monkeypatch.setattr(polyint, "_det_i_minus_v_mod", recording)
+        monkeypatch.setattr(polyint, "_BATCH_ENTRIES", 2**9)
+        passed, _ = polyint.character_dets(rows, orbits, primes)
+        monkeypatch.undo()
+        assert np.array_equal(passed, whole) and mods.ravel().tolist() == primes
+        assert len(stacks) > 1 and max(stacks) <= max(2**9, n * k * k)
+
+
 @pytest.mark.parametrize(
     "case", ["does_not_commute", "orbit_shorter_than_n", "not_a_permutation"]
 )

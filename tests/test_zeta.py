@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from a2zeta import cli, planes, polyint, presentations, zeta
 from a2zeta.complexes import TypedComplex, validate
-from a2zeta.errors import A2ZetaError
+from a2zeta.errors import A2ZetaError, IdentityFailure
 from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.gf import GF
 from a2zeta.operators import SparseOperator, chamber_operator, edge_operator, vertex_hecke
@@ -22,6 +22,7 @@ from a2zeta.polyint import (
     IntPoly,
     RationalFunction,
     det_i_minus_pencil,
+    det_i_minus_rows,
     one_minus_power,
 )
 from a2zeta.presentations import (
@@ -31,7 +32,6 @@ from a2zeta.presentations import (
 )
 from a2zeta.zeta import (
     character_relations,
-    check_main_identity,
     check_series_identity,
     det_i_minus_u3,
     hecke_series,
@@ -198,9 +198,8 @@ def test_type0_orbit_rows_hold_the_int64_maximum():
     assert rows.tolist() == [[2**63 - 1]] and orbits.tolist() == [[0]]
 
 
-def test_main_identity_pass(bundled_cx, bundle):
-    ok, residual = check_main_identity(bundled_cx, bundle)
-    assert ok and residual.is_zero()
+def test_main_identity_pass(bundle):
+    assert bundle.proof and product_identity_residual(bundle).is_zero()
 
 
 def test_main_identity_fails_under_perturbation(bundled_cx, bundle):
@@ -482,14 +481,14 @@ def test_q7_ramanujan_exits_0(q7_cx, tmp_path, capsys):
 def test_q7_relabeled_exact_classes_exit_0(q7_cx, tmp_path, monkeypatch, capsys):
     """The n = 1 route at q = 7: every PB and PE root of a relabeled complex
     gets its exact class, the same counts as on the Singer route, through
-    the CLI.  Its determinants, which take about 30 s without the action,
-    are those of the Singer bundle, so its bundle is that one with no proof
-    and the relabeled complex's ME: every type-0 row, each its own orbit."""
+    the CLI.  Its polynomials, which take about 15 s without the action,
+    are those of the Singer bundle, so its bundle is that one with the
+    relabeled complex's ME: every type-0 row, each its own orbit."""
     cx = relabeled(q7_cx, random.Random(0))
     edge_types, _ = source_types(cx)
     me = type0_orbit_rows(edge_operator(cx), edge_types, 1, None)
     assert me[1].shape == (57, 1)
-    n1 = dataclasses.replace(zeta_bundle(q7_cx), proof=None, me=me)
+    n1 = dataclasses.replace(zeta_bundle(q7_cx), me=me)
     monkeypatch.setattr(zeta, "zeta_bundle", lambda cx: n1)
     path = tmp_path / "q7.cx3"
     path.write_text(serialize_complex(cx))
@@ -535,14 +534,30 @@ def test_character_route_agrees_with_the_product_check(digest_texts, q5_cx, q7_c
     cxs = [parse_complex(text) for text in digest_texts] + [q5_cx, q7_cx]
     for cx in cxs:
         b = zeta_bundle(cx)
-        assert b.proof is not None and b.failure is None
         n = cx.q**2 + cx.q + 1
-        assert all(p % n == 1 for p in b.proof)
+        assert b.proof and all(p % n == 1 for p in b.proof)
         assert product_identity_residual(b).is_zero()
-        assert check_main_identity(cx, b) == (True, IntPoly())
 
 
-def test_proven_route_forms_no_pb_determinant(q7_cx, monkeypatch):
+# the primes that prove the identity on the bundled q=2 and seed-0 q = 3, 4,
+# 5, 7 complexes, from the bound for 1-square ME blocks, L = 1 + sum |G|:
+# 2^(q+1) L^2 + |Dvertex|_1 max_t C(q+1, t) ceil(r^(t/2))
+PROOF_PRIMES = {
+    2: [38745211],
+    3: [33554249, 33554093],
+    4: [30011983, 30011731],
+    5: [27396871, 27396623, 27396437],
+    7: [23725453, 23724769, 23724541, 23723743],
+}
+
+
+def test_singer_proof_primes_pinned(bundled_cx, q3_cx, q4_cx, q5_cx, q7_cx):
+    for q, cx in zip((2, 3, 4, 5, 7), (bundled_cx, q3_cx, q4_cx, q5_cx, q7_cx)):
+        assert zeta_bundle(cx).proof == PROOF_PRIMES[q], q
+
+
+def test_proven_route_forms_no_pb_determinant(q3_cx, q7_cx, monkeypatch):
+    """With the Singer action or without it, only PE is a determinant."""
     signs = []
     original = zeta.det_i_minus_u3
 
@@ -552,7 +567,8 @@ def test_proven_route_forms_no_pb_determinant(q7_cx, monkeypatch):
 
     monkeypatch.setattr(zeta, "det_i_minus_u3", recording)
     zeta_bundle(q7_cx)
-    assert signs == [1]  # PE only
+    zeta_bundle(relabeled(q3_cx, random.Random(0)))
+    assert signs == [1, 1]  # PE only
 
 
 def perturbed_orbit(op, images):
@@ -569,49 +585,83 @@ def perturbed_orbit(op, images):
 
 def test_perturbed_lb_orbit_names_a_character_and_exits_1(q3_cx, tmp_path, monkeypatch, capsys):
     """A sigma-invariant change to LB keeps the action, so the character
-    check runs and fails; PB then comes from its determinant and the product
-    check fails too."""
+    check runs and fails, and names the character and the prime."""
     _, chamber_images = singer_action(q3_cx)
     lb = perturbed_orbit(chamber_operator(q3_cx), chamber_images)
     changed = sum(lb.entries[key] != v for key, v in chamber_operator(q3_cx).entries.items())
     assert changed == 13
     monkeypatch.setattr(zeta, "chamber_operator", lambda cx: lb)
-    b = zeta_bundle(q3_cx)
-    assert b.proof is None
-    j, p = b.failure
+    with pytest.raises(IdentityFailure) as failure:
+        zeta_bundle(q3_cx)
+    j, p = failure.value.j, failure.value.p
     assert 0 <= j < 13 and p % 13 == 1
     path = tmp_path / "q3.cx3"
     path.write_text(serialize_complex(q3_cx))
     assert cli.main(["check", "identity", str(path), "--format", "records"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"character fail j={j} p={p}", "identity fail"]
-    assert lines[2].startswith("residual poly ")
+
+
+def test_perturbed_lb_entry_fails_the_trivial_group_relation(q3_cx, tmp_path, monkeypatch, capsys):
+    """Without the action one changed LB entry fails the one relation of
+    the trivial group, j = 0: check identity names it and exits 1, and
+    every command that needs PB exits 1 with no traceback."""
+    cx = relabeled(q3_cx, random.Random(0))
+    lb = chamber_operator(cx)
+    entries = dict(lb.entries)
+    entries[min(entries)] += 1
+    perturbed = SparseOperator(lb.space, lb.dim, entries)
+    monkeypatch.setattr(zeta, "chamber_operator", lambda cx: perturbed)
+    path = tmp_path / "q3r.cx3"
+    path.write_text(serialize_complex(cx))
+    assert cli.main(["check", "identity", str(path), "--format", "records"]) == 1
+    out, _ = capsys.readouterr()
+    character, identity = out.splitlines()
+    assert character.startswith("character fail j=0 p=") and identity == "identity fail"
+    for command in (["zeta"], ["check", "ramanujan"], ["check", "section9", "--degree", "3"]):
+        assert cli.main(command[:2] + [str(path)] + command[2:]) == 1, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("validation failure: main_identity: ")
+        assert "Traceback" not in err
+
+
+def trivial_group_rows_of(cx):
+    """(me, edge orbits, mb, chamber orbits) of a complex under the trivial group."""
+    edge_types, chamber_types = source_types(cx)
+    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, 1, None)
+    mb, chamber_orbits = type0_orbit_rows(chamber_operator(cx), chamber_types, 2, None)
+    return me, edge_orbits, mb, chamber_orbits
 
 
 def test_character_primes_cover_the_bound(q3_cx):
     """A residual coefficient c equal to the product of every prime the
     unperturbed proof takes vanishes mod each of them; the bound grows with
-    |c|, so one prime more is taken, and that one catches it at j = 0."""
-    me, edge_orbits, mb, chamber_orbits = orbit_rows_of(q3_cx)
-    dvertex = zeta_bundle(q3_cx).dvertex
-    primes, failure = character_relations(3, dvertex, me, edge_orbits, mb, chamber_orbits)
-    assert failure is None and len(primes) == 2
-    c = prod(primes)
-    # Dvertex + c u^9 makes the j = 0 residual c v^3 PB_0(v), PB_0(0) = 1
-    more, failure = character_relations(
-        3, dvertex + IntPoly.monomial(9, c), me, edge_orbits, mb, chamber_orbits
-    )
-    assert more[: len(primes)] == primes
-    assert failure == (0, more[len(primes)])
+    |c|, so one prime more is taken, and that one catches it at j = 0.
+    Under the trivial group, n = 1, the one relation is the identity, on
+    one 52-square MB block."""
+    cx = relabeled(q3_cx, random.Random(0))
+    trivial = trivial_group_rows_of(cx)
+    assert trivial[3].shape == (52, 1)
+    for cx, rows, count in ((q3_cx, orbit_rows_of(q3_cx), 2), (cx, trivial, 10)):
+        b = zeta_bundle(cx)
+        primes, failure = character_relations(b.chi, b.dvertex, *rows)
+        assert failure is None and primes == b.proof and len(primes) == count
+        c = prod(primes)
+        # Dvertex + c u^9 makes the j = 0 residual c v^3 PB_0(v), PB_0(0) = 1
+        more, failure = character_relations(b.chi, b.dvertex + IntPoly.monomial(9, c), *rows)
+        assert more[: len(primes)] == primes
+        assert failure == (0, more[len(primes)])
 
 
-def test_relabeled_complex_keeps_the_determinant_route(q3_cx):
-    """No action, so no proof: the product check, and the classes from
-    fact (a) on every row of ME, which are those the characters give."""
+def test_relabeled_complex_is_proven_on_the_trivial_group(q3_cx):
+    """No action, so the proof runs under the trivial group: PB, its exact
+    quotient, is its own determinant, the two products agree, and the
+    classes from fact (a) on every row of ME are those the characters give."""
     cx = relabeled(q3_cx, random.Random(0))
     b = zeta_bundle(cx)
-    assert b.proof is None and b.failure is None
-    assert check_main_identity(cx, b)[0]
+    _, _, mb, chamber_orbits = trivial_group_rows_of(cx)
+    assert b.pb == det_i_minus_rows(-mb, chamber_orbits).substitute_power(3)
+    assert product_identity_residual(b).is_zero()
     report = ramanujan_check(cx, b)
     assert report.verdict == "RAMANUJAN"
     assert report.pb == [("|u|=q^-1", 3), ("|u|=q^-1/2", 36), ("|u|=q^-1/4", 72), ("|u|=1", 45)]
@@ -752,7 +802,7 @@ def test_zeta_minus_text_unchanged(q5_cx, q7_cx, tmp_path, capsys):
 
 
 def test_small_batches_keep_the_pins(q5_cx, q7_cx, monkeypatch):
-    """With _BATCH_ENTRIES so small that each pass of det_i_minus_rows takes
+    """With _BATCH_ENTRIES so small that each pass of character_dets takes
     a few primes, or one for MB, PE and PB, also PB by its determinant,
     still equal the pins."""
     monkeypatch.setattr(polyint, "_BATCH_ENTRIES", 2**8)
@@ -766,8 +816,8 @@ def test_small_batches_keep_the_pins(q5_cx, q7_cx, monkeypatch):
 
 
 def test_zeta_minus_is_the_same_from_pb_over_pe2(q5_cx, q7_cx):
-    """PB / PE2 reduced as it stands, as an unproven bundle reduces it, in
-    reversed coordinates since PE2(0) = 1, gives the pinned pair."""
+    """PB / PE2 reduced as it stands, in reversed coordinates since
+    PE2(0) = 1, gives the pinned pair."""
     for cx in (q5_cx, q7_cx):
         b = zeta_bundle(cx)
-        assert zeta.zeta_minus(dataclasses.replace(b, proof=None)) == zeta.zeta_minus(b)
+        assert RationalFunction(b.pb, b.pe2) == zeta.zeta_minus(b)
