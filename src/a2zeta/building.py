@@ -3,25 +3,22 @@
 Vertices are classes of rank-3 lattices over O = F_q[[t]], represented by
 canonical upper-triangular polynomial matrices: column-Hermite form over
 the valuation ring with diagonal t^a_i, entry (i, j) reduced mod t^a_i,
-scaled so the minimal entry valuation is 0.  Canonicalization of a generic
-matrix uses exact polynomial column operations; the single power-series
-inversion (the unit part of each pivot) is truncated strictly beyond the
-reduction horizon, so the output is exact.
+scaled so the minimal entry valuation is 0.
 
 Neighbors need no triangularization.  Every coset representative of an
 edge type is upper triangular with pivots 1 or t, so right-multiplying a
 canonical vertex by it is a column step: scale some columns by t, add
 constant multiples of earlier columns to later ones.  The result is already
-triangular with pivots exactly t^(a_i + e_i), and one reduction helper,
-shared with canonicalize, divides by the least valuation and reduces the
-entries above the diagonal.
+triangular with pivots exactly t^(a_i + e_i), and one reduction helper
+divides by the least valuation and reduces the entries above the diagonal.
 
 Relative positions come from minor valuations: for M = g1^{-1} g2 the sums
 e_1 + ... + e_i of the elementary-divisor exponents equal the minimal
 valuation among i x i minors, and the position is (n, m) = (e3-e2, e2-e1).
 One helper takes the least minor valuation on each row set of a matrix,
 another turns those into (n, m) over a diagonal base diag(t^d): a generic
-g1 is the base d = (val det g1,) * 3 with M = adj(g1) g2.
+g1 is the base d = (val det g1,) * 3 with M = adj(g1) g2.  So g1 and g2
+may be any nonsingular matrices, canonical or not.
 
 The Hecke recursion checker exploits that the composed-operator kernel
 K(x, base) is constant on relative-position classes: the group acts
@@ -42,14 +39,11 @@ from .gf import (
     GF,
     newton_slopes,
     padd,
-    pdiv_tpow,
     pfloordiv_tpow,
-    pmod_tpow,
     pmul,
     pneg,
     pshift,
     psub,
-    punit_inverse,
     pval,
 )
 from .polyint import IntPoly
@@ -260,45 +254,6 @@ class LocalBuilding:
     def origin(self):
         return BuildingVertex(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
 
-    # -- canonical form
-
-    def canonicalize(self, mat):
-        """Canonical coset representative of the lattice spanned by the columns."""
-        F = self.F
-        cols = [[mat[0][j], mat[1][j], mat[2][j]] for j in range(3)]
-        if not any(e for col in cols for e in col):
-            raise SingularInput("zero matrix")
-        # triangularize bottom-up with exact unimodular column operations
-        for row in (2, 1, 0):
-            cand = [(pval(cols[j][row]), j) for j in range(row + 1)]
-            cand = [(v, j) for v, j in cand if v is not None]
-            if not cand:
-                raise SingularInput("matrix is singular")
-            _, piv = min(cand, key=lambda t: (t[0], -t[1]))
-            cols[piv], cols[row] = cols[row], cols[piv]
-            v = pval(cols[row][row])
-            unit = pfloordiv_tpow(cols[row][row], v)
-            for j in range(row):
-                if pval(cols[j][row]) is None:
-                    continue
-                w = pdiv_tpow(cols[j][row], v)
-                cols[j] = [
-                    psub(F, pmul(F, unit, cols[j][i]), pmul(F, w, cols[row][i]))
-                    for i in range(3)
-                ]
-                cols[j][row] = ZERO
-        avals = [pval(cols[j][j]) for j in range(3)]
-        prec = 2 * max(avals) + 4
-        # normalize each pivot to exactly t^a_j; the truncation error sits
-        # beyond t^(prec - max a) and is stripped by the reduction mod t^a_i,
-        # so the output is exact.
-        for j in range(3):
-            a = avals[j]
-            unit_inv = punit_inverse(F, pfloordiv_tpow(cols[j][j], a), prec)
-            cols[j] = [pmod_tpow(pmul(F, cols[j][i], unit_inv), prec) for i in range(3)]
-            cols[j][j] = pshift(ONE, a)
-        return _hermite_reduce(F, cols, avals)
-
     # -- neighbors
 
     def neighbors(self, v, edge_type):
@@ -327,10 +282,13 @@ class LocalBuilding:
     # -- relative position
 
     def relative_position(self, g1, g2):
+        """The relative position of two vertices, or of any two nonsingular
+        matrices wrapped as BuildingVertex: it is read off adj(g1) g2, so
+        neither needs to be canonical."""
         F = self.F
         d1 = pval(_det3(F, g1.mat))
         if d1 is None or pval(_det3(F, g2.mat)) is None:
-            raise SingularInput("singular vertex matrix")
+            raise SingularInput("matrix is singular")
         M = _mat_mul(F, _adjugate(F, g1.mat), g2.mat)
         return _position(_row_minor_valuations(F, M), (d1, d1, d1))
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import fileio
 from .building import (
+    BuildingVertex,
     LocalBuilding,
     ball,
     canonical_algebraic_length,
@@ -185,8 +186,8 @@ def cmd_building(args, out):
         return PASS
     if args.building_cmd == "relpos":
         B = LocalBuilding(args.q)
-        left = B.canonicalize(_read_matrix(args.left, B.F))
-        right = B.canonicalize(_read_matrix(args.right, B.F))
+        left = BuildingVertex(_read_matrix(args.left, B.F))
+        right = BuildingVertex(_read_matrix(args.right, B.F))
         pos = B.relative_position(left, right)
         out.emit("n", pos.n)
         out.emit("m", pos.m)

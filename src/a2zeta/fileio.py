@@ -124,7 +124,10 @@ def parse_presentation(text):
     triples = set()
     while not lines.done():
         lineno, toks = lines.next("triple", 3)
-        triples.add(tuple(_int(lineno, t, "point id") for t in toks[1:]))
+        triple = tuple(_int(lineno, t, "point id") for t in toks[1:])
+        if not all(0 <= p < n for p in triple):
+            raise ParseError(lineno, f"point id out of range in triple {triple}")
+        triples.add(triple)
     return TrianglePresentation(plane, tuple(lam), frozenset(triples))
 
 

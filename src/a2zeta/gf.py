@@ -166,32 +166,6 @@ def pval(a):
     return None
 
 
-def pdiv_tpow(a, k):
-    """Exact division by t^k; caller guarantees val(a) >= k."""
-    if not a:
-        return ()
-    assert all(x == 0 for x in a[:k])
-    return ptrim(a[k:])
-
-
-def pmod_tpow(a, k):
-    return ptrim(a[:k])
-
-
-def punit_inverse(F, u, n):
-    """Inverse of a unit u (u[0] != 0) in F_q[[t]] modulo t^n."""
-    inv0 = F.inv(u[0])
-    if len(u) == 1:
-        return (inv0,)
-    out = [inv0] + [0] * (n - 1)
-    for i in range(1, n):
-        s = 0
-        for j in range(1, min(i, len(u) - 1) + 1):
-            s = F.add(s, F.mul(u[j], out[i - j]))
-        out[i] = F.neg(F.mul(inv0, s))
-    return ptrim(out)
-
-
 def pfloordiv_tpow(a, k):
     """Coefficients of t^k and above, i.e. a div t^k."""
     return ptrim(a[k:])

@@ -10,6 +10,10 @@ become differences in Z/(q^2+q+1) and a presentation collapses to a
 rotation-closed successor system on difference triples; this keeps the
 search space desk-scale at every supported q.
 
+The conditions that check_presentation decides make every vertex link a
+projective plane (Cartwright-Mantero-Steger-Zappa 1993), so
+complex_from_presentation does not validate its output.
+
 The Singer cycle and the point and line numbering come from planes; the
 search reads them off the ProjectivePlane, and singer_action reads the
 shift off a complex from planes.singer_orbit, without building the plane.
@@ -18,7 +22,7 @@ shift off a complex from planes.singer_orbit, without building the plane.
 import random
 from dataclasses import dataclass
 
-from .complexes import TypedComplex, _least_rotation, require_valid
+from .complexes import TypedComplex, _least_rotation
 from .errors import PresentationInvalid, UnsupportedOrder
 from .gf import GF
 from .planes import ProjectivePlane, singer_orbit
@@ -146,23 +150,22 @@ def complex_from_presentation(tp):
     Vertices 0, 1, 2 carry their own index as type.  Point x at slot i gives
     the type-1 edge v_i -> v_{i+1} with id i*n + x; the triple (x, y, z)
     gives the chamber with edges x at slot 0, y at slot 1, z at slot 2.
+
+    The result is valid unchecked: check_presentation has run on tp, as on
+    every parsed or searched presentation.  At vertex 0, out-edge x and
+    in-edge z share a chamber exactly when x is on lambda(z), since (x, y,
+    z) rotates to the incident (z, x, y), and every incident pair has one
+    triple, so one chamber.  So the in-edges cut the lines lambda(z), each
+    once, out of the out-edges: the link is PG(2, q) on one side and its
+    dual, the pencils, on the other.  Vertices 1 and 2 follow from the
+    pairs (x, y) and (y, z).  The degrees, the chaining, q + 1 chambers on
+    each edge, the counts from |T| = (q + 1) n, chi, connectivity and the
+    rotation-normal chambers hold by construction.
     """
-    plane = tp.plane
-    n = plane.n
-    edges = []
-    for i in range(3):
-        for x in range(n):
-            edges.append((i, (i + 1) % 3))
-
-    def eid(i, x):
-        return i * n + x
-
-    chambers = [
-        (eid(0, x), eid(1, y), eid(2, z)) for (x, y, z) in sorted(tp.triples)
-    ]
-    cx = TypedComplex(plane.q, (0, 1, 2), edges, chambers)
-    require_valid(cx)
-    return cx
+    n = tp.plane.n
+    edges = [(i, (i + 1) % 3) for i in range(3) for _ in range(n)]
+    chambers = [(x, n + y, 2 * n + z) for x, y, z in sorted(tp.triples)]
+    return TypedComplex(tp.plane.q, (0, 1, 2), edges, chambers)
 
 
 def singer_action(cx):

@@ -21,15 +21,15 @@ it needs from three sparse row-times-operator steps each.
 A search-built complex also carries the Singer shift of PG(2, q), a free
 action of Z/n, n = q^2 + q + 1, on its edges and directed chambers;
 presentations.singer_action returns both permutations from one check of
-the chamber set.  It commutes with LE and LB, checked on their entries, so
-M is determined by one row per orbit on the type-0 indices: q + 1 rows of
-MB and one of ME; without it, the trivial group, n = 1, takes every type-0
-index as its own orbit.  det_i_minus_rows factors the determinant over the
-n characters of Z/n, as in the Artin L-function factorization of
-Stark-Terras: modulo a prime p = 1 (mod n), det(I - v M) = prod_j
-det(I - v M_j), with small blocks M_j (1-square for ME and (q+1)-square
-for MB under the Singer action).  The residue is the same, so PE is exact
-by the same Hadamard bound and CRT.
+the chamber set.  It commutes with LE and LB, implied by singer_action's
+automorphism check, so M is determined by one row per orbit on the type-0
+indices: q + 1 rows of MB and one of ME; without it, the trivial group,
+n = 1, takes every type-0 index as its own orbit.  det_i_minus_rows
+factors the determinant over the n characters of Z/n, as in the Artin
+L-function factorization of Stark-Terras: modulo a prime p = 1 (mod n),
+det(I - v M) = prod_j det(I - v M_j), with small blocks M_j (1-square for
+ME and (q+1)-square for MB under the Singer action).  The residue is the
+same, so PE is exact by the same Hadamard bound and CRT.
 
 The identity splits over the same characters: character_relations checks
 one relation per character j between PE_j = det(I - v ME_j),
@@ -86,36 +86,27 @@ ONE = IntPoly.const(1)
 # the type-0 rows of a block-cyclic operator
 
 
-def type0_orbit_rows(op, types, shift, images):
+def type0_orbit_rows(op, types, images):
     """The rows of M = Op^3 on the type-0 indices, one per orbit, and the orbits.
 
-    types[i] is the type of index i; Op must map type t to type t + shift
-    (mod 3), and the three type classes must have equal sizes.  images is a
-    permutation of the index set, as from singer_action, or None for the
-    trivial group.  It must keep every type, commute with Op (checked on
-    Op's entries) and have equally long orbits on the type-0 indices, which
-    are numbered by their position in their class.  Returns (rows, orbits)
-    as det_i_minus_rows takes them.  The rows are taken in Python ints; an
-    entry of 2^63 or more raises A2ZetaError.
+    types[i] is the type of index i; the type-0 indices are numbered by
+    their position in their class.  images is the action on the indices,
+    from singer_action, or None for the trivial group; its orbits on type 0
+    must be equally long.  Unchecked here, by contract: Op maps type t to
+    t + s for one s, over type classes of equal sizes (require_valid gives
+    both for LE and LB), and images is a type-preserving permutation that
+    commutes with Op (singer_action proves it an automorphism of the
+    complex, and LE and LB are defined from edges and chambers alone).
+    Returns (rows, orbits) as det_i_minus_rows takes them.  The rows are
+    taken in Python ints; an entry of 2^63 or more raises A2ZetaError.
     """
-    if len({types.count(t) for t in range(3)}) != 1:
-        raise A2ZetaError("type classes have unequal sizes")
     step = [[] for _ in types]
     for (r, c), v in op.entries.items():
-        if types[c] != (types[r] + shift) % 3:
-            raise A2ZetaError("operator does not shift types uniformly")
         step[r].append((c, v))
     zero = [i for i, t in enumerate(types) if t == 0]
     pos = {i: a for a, i in enumerate(zero)}
     if images is None:
         images = range(len(types))
-    elif sorted(images) != list(range(len(types))) or any(
-        types[s] != t for s, t in zip(images, types)
-    ):
-        raise A2ZetaError("action is not a type-preserving permutation")
-    entries = op.entries
-    if any(entries.get((images[r], images[c])) != v for (r, c), v in entries.items()):
-        raise A2ZetaError("operator does not commute with the action")
     orbits = _orbits([pos[images[i]] for i in zero])
     rows = np.zeros((len(orbits), len(zero)), dtype=np.int64)
     for a, orbit in enumerate(orbits):
@@ -246,19 +237,16 @@ class ZetaBundle:
     dvertex: IntPoly
     pb: IntPoly
     pe: IntPoly
-    pe2: IntPoly
     # outside equality: proof, the primes with which character_relations
     # proved the identity, and me, ME's (orbit rows, orbits) from
     # type0_orbit_rows, for ramanujan_check
     proof: list = field(default=None, compare=False)
     me: tuple = field(default=None, compare=False)
 
-    def __post_init__(self):
-        for name in ("dvertex", "pb", "pe", "pe2"):
-            if getattr(self, name)[0] != 1:
-                raise A2ZetaError(f"{name} constant term is not 1")
-        if self.pe2.degree != 2 * self.pe.degree:
-            raise A2ZetaError("deg PE2 != 2 deg PE")
+    @property
+    def pe2(self):
+        """PE2 = det(I - LE u^2) = PE(u^2)."""
+        return self.pe.substitute_power(2)
 
 
 def vertex_determinant(cx, A1=None, A2=None):
@@ -292,9 +280,9 @@ def zeta_bundle(cx):
     edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
     chamber_types = [edge_types[e] for tri in cx.chambers for e in tri]
     edge_images, chamber_images = singer_action(cx) or (None, None)
-    me, edge_orbits = type0_orbit_rows(LE, edge_types, 1, edge_images)
+    me, edge_orbits = type0_orbit_rows(LE, edge_types, edge_images)
     pe = det_i_minus_u3(me, 1, edge_orbits)
-    mb, chamber_orbits = type0_orbit_rows(LB, chamber_types, 2, chamber_images)
+    mb, chamber_orbits = type0_orbit_rows(LB, chamber_types, chamber_images)
     proof, failure = character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits)
     if failure is not None:
         raise IdentityFailure(*failure)
@@ -308,7 +296,6 @@ def zeta_bundle(cx):
         dvertex=dvertex,
         pb=pb,
         pe=pe,
-        pe2=pe.substitute_power(2),
         proof=proof,
         me=(me, edge_orbits),
     )

@@ -17,11 +17,12 @@ from a2zeta.building import (
     LocalBuilding,
     RelativePosition,
     _delta_image,
+    _hermite_reduce,
     ball,
 )
 from a2zeta.complexes import Check
-from a2zeta.errors import A2ZetaError, BallTooSmall
-from a2zeta.gf import GF
+from a2zeta.errors import A2ZetaError, BallTooSmall, SingularInput
+from a2zeta.gf import GF, pfloordiv_tpow, pmul, pshift, psub, ptrim, pval
 from a2zeta.polyint import IntPoly, Series, one_minus_power, poly_log_derivative
 from a2zeta.satake import sigma
 
@@ -222,6 +223,75 @@ def newton_power_sums(p, order):
 
 
 T = (0, 1)
+
+
+def pdiv_tpow(a, k):
+    """Exact division by t^k; caller guarantees val(a) >= k."""
+    if not a:
+        return ()
+    assert all(x == 0 for x in a[:k])
+    return ptrim(a[k:])
+
+
+def pmod_tpow(a, k):
+    return ptrim(a[:k])
+
+
+def punit_inverse(F, u, n):
+    """Inverse of a unit u (u[0] != 0) in F_q[[t]] modulo t^n."""
+    inv0 = F.inv(u[0])
+    if len(u) == 1:
+        return (inv0,)
+    out = [inv0] + [0] * (n - 1)
+    for i in range(1, n):
+        s = 0
+        for j in range(1, min(i, len(u) - 1) + 1):
+            s = F.add(s, F.mul(u[j], out[i - j]))
+        out[i] = F.neg(F.mul(inv0, s))
+    return ptrim(out)
+
+
+def canonicalize(B, mat):
+    """The canonical vertex of the lattice spanned by mat's columns, by
+    triangularizing any nonsingular matrix: the reference for the column
+    steps of LocalBuilding.neighbors.
+
+    Exact unimodular column operations triangularize bottom-up; the one
+    power-series inversion (the unit part of each pivot) is truncated
+    strictly beyond the reduction horizon, so the output is exact.
+    """
+    F = B.F
+    cols = [[mat[0][j], mat[1][j], mat[2][j]] for j in range(3)]
+    if not any(e for col in cols for e in col):
+        raise SingularInput("zero matrix")
+    for row in (2, 1, 0):
+        cand = [(pval(cols[j][row]), j) for j in range(row + 1)]
+        cand = [(v, j) for v, j in cand if v is not None]
+        if not cand:
+            raise SingularInput("matrix is singular")
+        _, piv = min(cand, key=lambda t: (t[0], -t[1]))
+        cols[piv], cols[row] = cols[row], cols[piv]
+        v = pval(cols[row][row])
+        unit = pfloordiv_tpow(cols[row][row], v)
+        for j in range(row):
+            if pval(cols[j][row]) is None:
+                continue
+            w = pdiv_tpow(cols[j][row], v)
+            cols[j] = [
+                psub(F, pmul(F, unit, cols[j][i]), pmul(F, w, cols[row][i]))
+                for i in range(3)
+            ]
+            cols[j][row] = ZERO
+    avals = [pval(cols[j][j]) for j in range(3)]
+    prec = 2 * max(avals) + 4
+    # normalize each pivot to exactly t^a_j; the truncation error sits
+    # beyond t^(prec - max a) and is stripped by the reduction mod t^a_i
+    for j in range(3):
+        a = avals[j]
+        unit_inv = punit_inverse(F, pfloordiv_tpow(cols[j][j], a), prec)
+        cols[j] = [pmod_tpow(pmul(F, cols[j][i], unit_inv), prec) for i in range(3)]
+        cols[j][j] = pshift(ONE, a)
+    return _hermite_reduce(F, cols, avals)
 
 
 def pconst(c):

@@ -135,6 +135,8 @@ def test_usage_error_exit_2():
         "complex_negative_chambers",
         "search_huge_q",
         "build_huge_q",
+        "build_triple_id_past_n",
+        "build_triple_id_negative",
         "lcan_exponent_1025",
         "lcan_exponent_20_digits",
         "lcan_literal_past_digit_limit",
@@ -152,6 +154,16 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
     petersen.write_text(serialize_graph(petersen_graph()))
     huge_q = tmp_path / "huge_q.tp"
     huge_q.write_text("trianglepres v1\nq 1000003\n")
+    # the seed-0 q=2 presentation with point 1 of one rotation class of
+    # triples replaced by an id outside 0..6
+    bad_id = {}
+    for name, x in [("past_n", 99), ("negative", -1)]:
+        text = bundled_text("bundled_q2.tp")
+        for old, new in [("0 2 1", f"0 2 {x}"), ("2 1 0", f"2 {x} 0"), ("1 0 2", f"{x} 0 2")]:
+            assert f"triple {old}\n" in text
+            text = text.replace(f"triple {old}\n", f"triple {new}\n")
+        bad_id[name] = tmp_path / f"triple_id_{name}.tp"
+        bad_id[name].write_text(text)
     long_terms = {
         "exponent_1025": "t^1025",
         "exponent_20_digits": "t^99999999999999999999",
@@ -201,6 +213,7 @@ def test_bad_input_exit_2_without_traceback(case, tmp_path, cx_path):
         "complex_negative_chambers": ["check", "identity", str(negative["chambers"])],
         "search_huge_q": ["tp", "search", "--q", "1000003"],
         "build_huge_q": ["tp", "build", str(huge_q)],
+        **{f"build_triple_id_{name}": ["tp", "build", str(path)] for name, path in bad_id.items()},
         **{
             f"lcan_{name}": [
                 "building", "lcan", "--q", "2", "--matrix", str(tmp_path / f"{name}.mat")

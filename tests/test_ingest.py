@@ -165,11 +165,15 @@ def test_complex_from_presentation_structure(bundled_cx):
 
 
 def test_search_results_all_validate():
-    for q in (2, 3):
+    """complex_from_presentation does not validate its output; the validator
+    passes it at every prime power q <= 9, two presentations per seed."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
         plane = build_plane(q)
-        for tp in search_triangle_presentations(plane, limit=2, seed=0):
-            cx = complex_from_presentation(tp)
-            assert validate(cx).passed
+        for seed in (0, 1):
+            found = search_triangle_presentations(plane, limit=2, seed=seed)
+            assert len(found) == 2
+            for tp in found:
+                assert validate(complex_from_presentation(tp)).passed
 
 
 def test_complex_round_trip(bundled_cx):

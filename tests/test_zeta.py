@@ -163,11 +163,11 @@ def test_type0_orbit_rows_are_rows_of_the_dense_cube(corpus, q4_cx):
     for cx in corpus + [q4_cx, relabeled(q4_cx, random.Random(1))]:
         edge_types, chamber_types = source_types(cx)
         images = singer_action(cx) or (None, None)
-        for op, types, shift, sigma in (
-            (edge_operator(cx), edge_types, 1, images[0]),
-            (chamber_operator(cx), chamber_types, 2, images[1]),
+        for op, types, sigma in (
+            (edge_operator(cx), edge_types, images[0]),
+            (chamber_operator(cx), chamber_types, images[1]),
         ):
-            rows, orbits = type0_orbit_rows(op, types, shift, sigma)
+            rows, orbits = type0_orbit_rows(op, types, sigma)
             zero = [i for i, t in enumerate(types) if t == 0]
             dense = op.to_dense()  # row sums at most q^2: L^3 is at most q^6
             cube = (dense @ dense @ dense)[np.ix_(zero, zero)]
@@ -176,25 +176,50 @@ def test_type0_orbit_rows_are_rows_of_the_dense_cube(corpus, q4_cx):
             assert rows.tolist() == cube[orbits[:, 0]].tolist()
 
 
+def test_operators_shift_types_and_commute_with_the_singer_action(
+    corpus, q4_cx, q5_cx, q7_cx
+):
+    """What type0_orbit_rows takes on trust, checked on the operators: the
+    type classes have equal sizes, LE shifts types by 1 and LB by 2, and
+    each Singer image list is a type-preserving permutation P with
+    P L P^T == L on the dense operator."""
+    cxs = corpus + [q4_cx, q5_cx, q7_cx]
+    for cx in cxs + [relabeled(q4_cx, random.Random(1))]:
+        edge_types, chamber_types = source_types(cx)
+        action = singer_action(cx)
+        assert (action is not None) == (cx in cxs)
+        for i, (op, types, shift) in enumerate(
+            ((edge_operator(cx), edge_types, 1), (chamber_operator(cx), chamber_types, 2))
+        ):
+            assert len(set(Counter(types)[t] for t in range(3))) == 1
+            assert all(types[c] == (types[r] + shift) % 3 for r, c in op.entries)
+            if action is None:
+                continue
+            images = action[i]
+            assert sorted(images) == list(range(op.dim))
+            assert all(types[s] == t for s, t in zip(images, types))
+            # (P L P^T)[images[i], images[j]] = L[i, j], P[images[i], i] = 1
+            dense = op.to_dense()
+            assert np.array_equal(dense[np.ix_(images, images)], dense)
+
+
 @pytest.mark.parametrize(
     "types, entries",
     [
-        ((0, 1, 2, 2), {}),  # type classes of sizes 1, 1 and 2
-        ((0, 1, 2), {(0, 1): 1, (1, 1): 1}),  # 1 -> 1 does not shift by 1
         # the entry (0, 0) of Op^3 is 2^63
         ((0, 1, 2), {(0, 1): 2**21, (1, 2): 2**21, (2, 0): 2**21}),
     ],
-    ids=["unequal_classes", "wrong_shift", "overflowing_multiplicities"],
+    ids=["overflowing_multiplicities"],
 )
 def test_type0_orbit_rows_rejects_bad_operators(types, entries):
     op = SparseOperator("test", len(types), entries)
     with pytest.raises(A2ZetaError):
-        type0_orbit_rows(op, types, 1, None)
+        type0_orbit_rows(op, types, None)
 
 
 def test_type0_orbit_rows_hold_the_int64_maximum():
     op = SparseOperator("test", 3, {(0, 1): 2**63 - 1, (1, 2): 1, (2, 0): 1})
-    rows, orbits = type0_orbit_rows(op, (0, 1, 2), 1, None)
+    rows, orbits = type0_orbit_rows(op, (0, 1, 2), None)
     assert rows.tolist() == [[2**63 - 1]] and orbits.tolist() == [[0]]
 
 
@@ -464,7 +489,7 @@ def test_q16_complex_has_the_singer_action():
     assert action is not None
     le = edge_operator(cx)
     edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
-    me, orbits = type0_orbit_rows(le, edge_types, 1, action[0])
+    me, orbits = type0_orbit_rows(le, edge_types, action[0])
     assert len(orbits) == 1  # the type-0 edges form one Singer orbit
     pe = det_i_minus_u3(me, 1, orbits)
     # PE = det(I - u^3 ME), ME = LE^3 on type 0, one of three equal-trace blocks
@@ -486,7 +511,7 @@ def test_q7_relabeled_exact_classes_exit_0(q7_cx, tmp_path, monkeypatch, capsys)
     relabeled complex's ME: every type-0 row, each its own orbit."""
     cx = relabeled(q7_cx, random.Random(0))
     edge_types, _ = source_types(cx)
-    me = type0_orbit_rows(edge_operator(cx), edge_types, 1, None)
+    me = type0_orbit_rows(edge_operator(cx), edge_types, None)
     assert me[1].shape == (57, 1)
     n1 = dataclasses.replace(zeta_bundle(q7_cx), me=me)
     monkeypatch.setattr(zeta, "zeta_bundle", lambda cx: n1)
@@ -514,10 +539,8 @@ def orbit_rows_of(cx):
     """(me, edge orbits, mb, chamber orbits) of a complex under its Singer action."""
     edge_types, chamber_types = source_types(cx)
     edge_images, chamber_images = singer_action(cx)
-    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, 1, edge_images)
-    mb, chamber_orbits = type0_orbit_rows(
-        chamber_operator(cx), chamber_types, 2, chamber_images
-    )
+    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, edge_images)
+    mb, chamber_orbits = type0_orbit_rows(chamber_operator(cx), chamber_types, chamber_images)
     return me, edge_orbits, mb, chamber_orbits
 
 
@@ -628,8 +651,8 @@ def test_perturbed_lb_entry_fails_the_trivial_group_relation(q3_cx, tmp_path, mo
 def trivial_group_rows_of(cx):
     """(me, edge orbits, mb, chamber orbits) of a complex under the trivial group."""
     edge_types, chamber_types = source_types(cx)
-    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, 1, None)
-    mb, chamber_orbits = type0_orbit_rows(chamber_operator(cx), chamber_types, 2, None)
+    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, None)
+    mb, chamber_orbits = type0_orbit_rows(chamber_operator(cx), chamber_types, None)
     return me, edge_orbits, mb, chamber_orbits
 
 
