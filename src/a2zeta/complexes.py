@@ -18,7 +18,10 @@ of the derived operators exact.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .enumeration import reachable_count
 from .errors import IndexOutOfRange, ValidationFailure
@@ -83,6 +86,16 @@ class TypedComplex:
     @property
     def n_chambers(self):
         return len(self.chambers)
+
+    @cached_property
+    def edge_array(self):
+        """The (src, dst) pairs as an E x 2 int64 array."""
+        return np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def chamber_array(self):
+        """The rotation-normal edge triples as a C x 3 int64 array."""
+        return np.array(self.chambers, dtype=np.int64).reshape(-1, 3)
 
     def edge_src(self, e):
         return self.edges[e][0]

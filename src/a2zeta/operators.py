@@ -15,7 +15,14 @@ Neighbor rules on a validated complex:
              chambers is still excluded once.
   LB[(C,e)][(C',e')]  1 when C' != C shares the edge following e in C's
              cycle, and e' is the edge following that shared edge in C'.
+
+LE and LB are built once, by edge_successors and chamber_successors, as
+Successors: int64 CSR arrays taken from the edge and chamber arrays with
+numpy.  edge_operator and chamber_operator are SparseOperator views of
+them, and zeta's type0_orbit_rows steps through them directly.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +41,14 @@ class SparseOperator:
                 raise A2ZetaError(f"entry ({r},{c}) outside dimension {dim}")
             if v < 0:
                 raise A2ZetaError("negative multiplicity")
+
+    @classmethod
+    def view(cls, space, successors):
+        """The operator whose rows are the given Successors."""
+        indptr, indices, weights = successors
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        entries = zip(zip(rows.tolist(), indices.tolist()), weights.tolist())
+        return cls(space, len(indptr) - 1, entries)
 
     def row_sums(self):
         sums = [0] * self.dim
@@ -97,39 +112,58 @@ def vertex_hecke(cx):
 
 def edge_operator(cx):
     """Adjacency of type-1 edges under the chamber-exclusion rule."""
-    excluded = [set() for _ in range(cx.n_edges)]
-    for tri in cx.chambers:
-        for slot, e in enumerate(tri):
-            for f in tri:
-                excluded[e].add(f)
-    by_src = [[] for _ in range(cx.n_vertices)]
-    for f, (s, _) in enumerate(cx.edges):
-        by_src[s].append(f)
-    entries = {}
-    for e in range(cx.n_edges):
-        for f in by_src[cx.edge_dst(e)]:
-            if f not in excluded[e]:
-                entries[(e, f)] = 1
-    return SparseOperator("edges1", cx.n_edges, entries)
+    return SparseOperator.view("edges1", edge_successors(cx))
 
 
 def chamber_operator(cx):
-    """Adjacency of directed chambers.
+    """Adjacency of directed chambers."""
+    return SparseOperator.view("directedChambers", chamber_successors(cx))
 
-    For (C, e) with edge cycle e = e1, e2, e3, the neighbors are the (C', e')
-    with C' one of the q chambers other than C containing e2, and e' the
-    edge following e2 in C'.
+
+class Successors(NamedTuple):
+    """An operator's rows as int64 CSR arrays: the successors of index r
+    are indices[indptr[r] : indptr[r + 1]], ascending, with their weights."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+
+def edge_successors(cx):
+    """LE's Successors: f follows e when dst(e) = src(f) and no chamber
+    contains both."""
+    n, edges, tri = cx.n_edges, cx.edge_array, cx.chamber_array
+    e, f = _matches(edges[:, 1], edges[:, 0], cx.n_vertices)
+    shared = (tri[:, :, None] * n + tri[:, None, :]).ravel()  # e * n + f in one chamber
+    keep = ~np.isin(e * n + f, shared)
+    return _successors(n, e[keep], f[keep])
+
+
+def chamber_successors(cx):
+    """LB's Successors: for (C, e) with edge cycle e = e1, e2, e3, the
+    (C', e') with C' one of the q chambers other than C containing e2, and
+    e' the edge following e2 in C'.
     """
-    where = cx.chambers_through_edge()
-    dim = 3 * cx.n_chambers
-    entries = {}
-    for cid, tri in enumerate(cx.chambers):
-        for slot in range(3):
-            e2 = tri[(slot + 1) % 3]
-            row = 3 * cid + slot
-            for (cid2, slot2) in where[e2]:
-                if cid2 == cid:
-                    continue
-                col = 3 * cid2 + (slot2 + 1) % 3
-                entries[(row, col)] = entries.get((row, col), 0) + 1
-    return SparseOperator("directedChambers", dim, entries)
+    tri = cx.chamber_array
+    # other: each directed chamber 3 C' + slot whose edge tri[C', slot] is e2
+    row, other = _matches(tri[:, [1, 2, 0]].ravel(), tri.ravel(), cx.n_edges)
+    keep = other // 3 != row // 3
+    other = other[keep]
+    return _successors(len(tri) * 3, row[keep], other - other % 3 + (other + 1) % 3)
+
+
+def _matches(wanted, values, size):
+    """(i, j) for every pair with wanted[i] == values[j], all in range(size)."""
+    by_value = np.argsort(values, kind="stable")
+    starts = np.searchsorted(values[by_value], np.arange(size + 1))
+    counts = starts[wanted + 1] - starts[wanted]
+    ends = np.cumsum(counts)
+    j = np.repeat(starts[wanted] - ends + counts, counts) + np.arange(counts.sum())
+    return np.repeat(np.arange(len(wanted)), counts), by_value[j]
+
+
+def _successors(dim, rows, cols):
+    """The Successors of the pairs (rows[i], cols[i]); a pair's weight is
+    the number of times it occurs."""
+    keys, weights = np.unique(rows * dim + cols, return_counts=True)
+    return Successors(np.searchsorted(keys, np.arange(dim + 1) * dim), keys % dim, weights)

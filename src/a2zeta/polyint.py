@@ -341,16 +341,8 @@ def det_i_minus_rows(rows, orbits):
     the orbit blocks G_g[a, b] = C[rep_a, sigma^g rep_b].  n = 1 with
     orbits = arange(N)[:, None] takes every row of C.
 
-    det(I - u C) is the reversed characteristic polynomial of C: its u^k
-    coefficient is (-1)^k e_k(eigenvalues of C).  It is computed modulo
-    primes p and rebuilt by CRT to symmetric residues.  e_k is the sum of
-    the C(N, k) principal k x k minors of C, and by Hadamard's inequality
-    each minor is at most the product of its rows' 2-norms, each at most
-    sqrt(r) with r the largest squared row 2-norm, read off the rows given.
-    So |e_k| <= C(N, k) r^(k/2), and primes are taken until their product m
-    exceeds isqrt(4 C(N, k)^2 r^k) for every k, which for an integer m is
-    m^2 > 4 C(N, k)^2 r^k: m exceeds 2 |e_k|, and the result is exact by
-    proof.
+    det(I - u C) is computed modulo primes p until their product exceeds
+    hadamard_bound(rows), and rebuilt exactly by crt_poly.
 
     For a prime p = 1 (mod n) with zeta a primitive n-th root of unity mod
     p, the discrete Fourier transform over Z/n, invertible mod p, makes C
@@ -368,19 +360,40 @@ def det_i_minus_rows(rows, orbits):
     p, n), which grows as later calls need more, so each candidate is
     tested for primality once; the same goes for each root of unity mod p.
     """
-    size = rows.shape[1]
-    if size == 0:
+    if rows.shape[1] == 0:
         return ONE
     k, n = orbits.shape
-    r = _max_row_norm2(rows)
-    bound = max(comb(size, j) ** 2 * r**j for j in range(size + 1))
-    primes, modulus = primes_past(isqrt(4 * bound), k, n)
-    coeffs, crt_mod = [0] * (size + 1), 1
+    primes, _ = primes_past(hadamard_bound(rows), k, n)
     dets, mods = character_dets(rows, orbits, primes)
-    for p, residue in zip(primes, _product_mod(dets, mods[:, 0]).tolist()):
-        inv = pow(crt_mod, -1, p)
-        coeffs = [x + crt_mod * ((y - x) * inv % p) for x, y in zip(coeffs, residue)]
-        crt_mod *= p
+    return crt_poly(_product_mod(dets, mods[:, 0]), primes)
+
+
+def hadamard_bound(rows):
+    """isqrt(4 max_k C(N, k)^2 r^k), for C given by its k x N orbit rows as
+    det_i_minus_rows takes them: a product of primes past it rebuilds
+    det(I - u C) exactly from its residues by crt_poly.
+
+    The u^k coefficient of det(I - u C), the reversed characteristic
+    polynomial, is (-1)^k e_k(eigenvalues of C), the sum of the C(N, k)
+    principal k x k minors of C.  By Hadamard's inequality each minor is at
+    most the product of its rows' 2-norms, each at most sqrt(r) with r the
+    largest squared row 2-norm, read off the rows given.  So |e_k| <=
+    C(N, k) r^(k/2), and an integer m past isqrt(4 C(N, k)^2 r^k) has
+    m^2 > 4 C(N, k)^2 r^k: m exceeds 2 |e_k|.
+    """
+    size = rows.shape[1]
+    r = _max_row_norm2(rows)
+    return isqrt(4 * max(comb(size, j) ** 2 * r**j for j in range(size + 1)))
+
+
+def crt_poly(residues, primes):
+    """The IntPoly whose coefficients are the symmetric residues modulo the
+    product of the primes with the rows residues[i] mod primes[i]."""
+    coeffs, modulus = [0] * residues.shape[1], 1
+    for p, residue in zip(primes, residues.tolist()):
+        inv = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((y - x) * inv % p) for x, y in zip(coeffs, residue)]
+        modulus *= p
     half = modulus // 2
     return IntPoly([x - modulus if x > half else x for x in coeffs])
 
@@ -520,21 +533,29 @@ def _det_i_minus_v_mod(stack, mods):
     symmetric residue and one in [0, p), below 2 k ((p - 1)/2)^2 < 2^51.
     """
     b, k, _ = stack.shape
+    if k == 1:  # det(1 - v m) = 1 - v m, as for ME's blocks under the Singer action
+        return np.stack([np.ones(b, dtype=np.int64), -stack[:, 0, 0] % mods.ravel()], axis=1)
     traces = np.empty((k, b), dtype=np.int64)  # traces[e - 1] = tr(M^e)
     step = max(1, _BATCH_ENTRIES // ((isqrt(k - 1) + 5) * k * k))
     for i in range(0, b, step):
         traces[:, i : i + step] = _power_sums(stack[i : i + step], mods[i : i + step]).T
-    # -1/e mod p for e = 1..k, one table column per distinct prime
-    primes, where = np.unique(mods.ravel(), return_inverse=True)
-    table = [[pow(-e, -1, x) for x in primes.tolist()] for e in range(1, k + 1)]
-    minus_inv = np.array(table, dtype=np.int64)[:, where.ravel()]
+    # -1/e mod p for e = 1..k, one table lookup per run of equal primes
     p = mods.ravel()
+    starts = np.flatnonzero(np.diff(p, prepend=0))
+    table = np.array([_minus_inverses(x, k) for x in p[starts].tolist()], dtype=np.int64)
+    minus_inv = np.repeat(table, np.diff(starts, append=b), axis=0).T
     rev = np.zeros((k + 1, b), dtype=np.int64)  # rev[k - e] = c_e
     rev[k] = 1
     for e in range(1, k + 1):
         acc = np.einsum("ij,ij->j", traces[:e], rev[k - e + 1 :])
         rev[k - e] = acc % p * minus_inv[e - 1] % p
     return rev[::-1].T
+
+
+@functools.cache
+def _minus_inverses(p, k):
+    """-1/e mod p for e = 1..k."""
+    return [pow(-e, -1, p) for e in range(1, k + 1)]
 
 
 def _power_sums(stack, mods):

@@ -19,10 +19,13 @@ search reads them off the ProjectivePlane, and singer_action reads the
 shift off a complex from planes.singer_orbit, without building the plane.
 """
 
+import functools
 import random
 from dataclasses import dataclass
 
-from .complexes import TypedComplex, _least_rotation
+import numpy as np
+
+from .complexes import TypedComplex
 from .errors import PresentationInvalid, UnsupportedOrder
 from .gf import GF
 from .planes import ProjectivePlane, singer_orbit
@@ -174,7 +177,8 @@ def singer_action(cx):
     complex_from_presentation gives point x at slot i the edge i*n + x, and
     search_triangle_presentations builds triple sets closed under the shift
     orbit[i] -> orbit[i+1] of planes.singer_orbit.  So on a 3-vertex complex
-    with 3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x).
+    with 3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x),
+    taken once per q for the life of the process (_singer_shift).
     It is kept only if it keeps every edge's endpoints and maps every chamber
     to a chamber; the chambers of a valid complex are distinct, so it is
     then an automorphism, which acts freely with every orbit of length n.
@@ -187,20 +191,33 @@ def singer_action(cx):
     n = q * q + q + 1
     if cx.n_vertices != 3 or cx.n_edges != 3 * n:
         return None
+    sigma = _singer_shift(q)
+    edges, tri = cx.edge_array, cx.chamber_array
+    if sigma is None or (edges[sigma] != edges).any():
+        return None
+    # each image rotated as chambers are stored, to start at its least edge
+    image = sigma[tri]
+    first = image.argmin(axis=1)
+    stored = np.take_along_axis(image, (first[:, None] + np.arange(3)) % 3, axis=1)
+    keys = tri @ [9 * n * n, 3 * n, 1]
+    by_key = np.argsort(keys)
+    found = np.searchsorted(keys[by_key], stored @ [9 * n * n, 3 * n, 1])
+    cid = by_key[found.clip(max=max(len(keys) - 1, 0))]
+    if (tri[cid] != stored).any():
+        return None
+    # slot s of chamber C goes to slot s - first of its image
+    chamber_images = 3 * cid[:, None] + (np.arange(3) - first[:, None]) % 3
+    return sigma.tolist(), chamber_images.ravel().tolist()
+
+
+@functools.cache
+def _singer_shift(q):
+    """i*n + x -> i*n + sigma(x) on 3n edge ids as an int64 array, or None
+    for a q that GF does not support."""
     try:
-        orbit = singer_orbit(GF(q))
+        orbit = np.array(singer_orbit(GF(q)))
     except UnsupportedOrder:
         return None
-    shift = dict(zip(orbit, orbit[1:] + orbit[:1]))
-    sigma = [slot * n + shift[x] for slot in range(3) for x in range(n)]
-    if any(cx.edges[s] != cx.edges[e] for e, s in enumerate(sigma)):
-        return None
-    where = {tri: cid for cid, tri in enumerate(cx.chambers)}
-    chamber_images = []
-    for tri in cx.chambers:
-        image = tuple(sigma[e] for e in tri)
-        cid = where.get(_least_rotation(image))
-        if cid is None:
-            return None
-        chamber_images.extend(3 * cid + cx.chambers[cid].index(e) for e in image)
-    return sigma, chamber_images
+    shift = np.empty(len(orbit), dtype=np.int64)
+    shift[orbit] = np.roll(orbit, -1)
+    return (np.arange(3)[:, None] * len(orbit) + shift).ravel()

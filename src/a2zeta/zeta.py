@@ -16,7 +16,9 @@ by 2, and the vertex pencil mixes shifts 0, 1, 2), so each determinant is a
 polynomial in u^3.  For LE and LB, with M the restriction of L^3 to the
 type-0 indices, det(I - L u) = det(I - u^3 M), an N x N determinant in
 place of a 3N x 3N one.  M is never formed: type0_orbit_rows takes the rows
-it needs from three sparse row-times-operator steps each.
+it needs by stepping them all together through L's successor arrays
+(operators.edge_successors and chamber_successors), three steps of one
+type class each.
 
 A search-built complex also carries the Singer shift of PG(2, q), a free
 action of Z/n, n = q^2 + q + 1, on its edges and directed chambers;
@@ -28,18 +30,21 @@ n = 1, takes every type-0 index as its own orbit.  det_i_minus_rows
 factors the determinant over the n characters of Z/n, as in the Artin
 L-function factorization of Stark-Terras: modulo a prime p = 1 (mod n),
 det(I - v M) = prod_j det(I - v M_j), with small blocks M_j (1-square for
-ME and (q+1)-square for MB under the Singer action).  The residue is the
-same, so PE is exact by the same Hadamard bound and CRT.
+ME and (q+1)-square for MB under the Singer action).
 
 The identity splits over the same characters: character_relations checks
 one relation per character j between PE_j = det(I - v ME_j),
 PB_j = det(I + v MB_j) and, at j = 0, Dvertex (with n = 1, the identity
 itself), modulo a few primes p = 1 (mod n) whose product exceeds a bound
 on every residual coefficient under every complex embedding.  Then the
-identity holds exactly, and PB is its exact quotient,
+identity holds exactly.  Each operator's character determinants are taken
+once: ME's on primes that cover both that bound and PE's Hadamard bound,
+so that the product of its residues over j rebuilds PE exactly by CRT,
+and MB's on the prefix the proof needs.  PB is the identity's exact
+quotient,
     PB(v) = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v),  v = u^3,
-with neither PB's determinant nor the two products formed; a failed
-relation raises IdentityFailure.
+formed only when read (ZetaBundle.pb), with neither PB's determinant nor
+the two products formed; a failed relation raises IdentityFailure.
 
 ramanujan_check is exact on one route for every complex, with no floating
 point.  Its verdict comes from Dvertex in integers: the three trivial
@@ -49,25 +54,27 @@ and PE's zeros are counted per exact modulus from fact (a), checked exactly
 on ME's orbit rows (row and column sums q^6, ME ME^T = q^3 I + c J), with
 the identity the bundle has proven; each count follows from N, the number
 of type-0 edges, and chi.  Without fact (a) they are reported as
-uncertified, with their degrees.
+uncertified, with their degrees, PB's from the identity.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 import numpy as np
 
 from .complexes import euler_characteristic, require_valid
 from .errors import A2ZetaError, IdentityFailure
-from .operators import chamber_operator, edge_operator, vertex_hecke
+from .operators import chamber_successors, edge_successors, vertex_hecke
 from .polyint import (
     IntPoly,
     RationalFunction,
     Series,
     character_dets,
+    crt_poly,
     det_i_minus_pencil,
-    det_i_minus_rows,
+    hadamard_bound,
     one_minus_power,
     _max_row_norm2,
     _product_mod,
@@ -86,42 +93,68 @@ ONE = IntPoly.const(1)
 # the type-0 rows of a block-cyclic operator
 
 
-def type0_orbit_rows(op, types, images):
+def type0_orbit_rows(successors, types, images):
     """The rows of M = Op^3 on the type-0 indices, one per orbit, and the orbits.
 
-    types[i] is the type of index i; the type-0 indices are numbered by
-    their position in their class.  images is the action on the indices,
-    from singer_action, or None for the trivial group; its orbits on type 0
-    must be equally long.  Unchecked here, by contract: Op maps type t to
-    t + s for one s, over type classes of equal sizes (require_valid gives
-    both for LE and LB), and images is a type-preserving permutation that
+    successors is Op's operators.Successors, and types[i] is the type of
+    index i; the type-0 indices are numbered by their position in their
+    class.  images is the action on the indices, an int sequence from
+    singer_action, or None for the trivial group; its orbits on type 0 must
+    be equally long.  Unchecked here, by contract: Op maps type t to t + s
+    for one s, over type classes of equal sizes (require_valid gives both
+    for LE and LB), and images is a type-preserving permutation that
     commutes with Op (singer_action proves it an automorphism of the
     complex, and LE and LB are defined from edges and chambers alone).
-    Returns (rows, orbits) as det_i_minus_rows takes them.  The rows are
-    taken in Python ints; an entry of 2^63 or more raises A2ZetaError.
+    Returns (rows, orbits) as det_i_minus_rows takes them.
+
+    The rows step through Op together, out of one type class at a time, in
+    blocks of at most _STEP_ENTRIES products a step.  A2ZetaError is
+    raised up front unless the product over the classes of their longest
+    row times their largest weight, a bound on every partial sum of a row
+    of Op^3, is below 2^63.
     """
-    step = [[] for _ in types]
-    for (r, c), v in op.entries.items():
-        step[r].append((c, v))
-    zero = [i for i, t in enumerate(types) if t == 0]
-    pos = {i: a for a, i in enumerate(zero)}
-    if images is None:
-        images = range(len(types))
-    orbits = _orbits([pos[images[i]] for i in zero])
+    indptr, indices, weights = successors
+    types = np.asarray(types)
+    degree = indptr[1:] - indptr[:-1]
+    src = np.repeat(np.arange(len(types)), degree)
+    # the entries out of class t are ends[t]:ends[t + 1] of these, by column
+    order = np.argsort(types[src] * len(types) + indices)
+    src, cols, weights = src[order], indices[order], weights[order]
+    ends = np.searchsorted(types[src], np.arange(4)).tolist()
+    change = np.ones(len(cols), dtype=bool)
+    change[1:] = cols[1:] != cols[:-1]
+    first = np.flatnonzero(change)  # of each column
+    groups = np.searchsorted(first, ends).tolist()
+    longest, heaviest = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+    np.maximum.at(longest, types, degree)
+    np.maximum.at(heaviest, types[src], weights)
+    if prod(d * w for d, w in zip(longest.tolist(), heaviest.tolist())) >= 2**63:
+        raise A2ZetaError("an entry of Op^3 does not fit in int64")
+    zero = np.flatnonzero(types == 0)
+    pos = np.cumsum(types == 0) - 1  # of each type-0 index in its class
+    sigma = np.arange(len(zero)) if images is None else pos[np.asarray(images)[zero]]
+    orbits = np.array(_orbits(sigma.tolist()), dtype=np.int64)
     rows = np.zeros((len(orbits), len(zero)), dtype=np.int64)
-    for a, orbit in enumerate(orbits):
-        row = {zero[orbit[0]]: 1}
+    block = max(1, _STEP_ENTRIES // max(1, len(src)))
+    for a in range(0, len(orbits), block):
+        reps = zero[orbits[a : a + block, 0]]
+        x = np.zeros((len(reps), len(types)), dtype=np.int64)
+        x[np.arange(len(reps)), reps] = 1
+        t = 0
         for _ in range(3):
-            after = {}
-            for r, x in row.items():
-                for c, v in step[r]:
-                    after[c] = after.get(c, 0) + x * v
-            row = after
-        for c, x in row.items():
-            if x >= 2**63:
-                raise A2ZetaError("an entry of Op^3 does not fit in int64")
-            rows[a, pos[c]] = x
-    return rows, np.array(orbits, dtype=np.int64)
+            lo, hi = ends[t], ends[t + 1]
+            starts = first[groups[t] : groups[t + 1]]
+            after = np.zeros_like(x)
+            if hi > lo:
+                product = x[:, src[lo:hi]] * weights[lo:hi]
+                after[:, cols[starts]] = np.add.reduceat(product, starts - lo, axis=1)
+                t = int(types[cols[lo]])
+            x = after
+        rows[a : a + block] = x[:, zero]
+    return rows, orbits
+
+
+_STEP_ENTRIES = 2**22
 
 
 def _orbits(sigma):
@@ -142,17 +175,13 @@ def _orbits(sigma):
     return orbits
 
 
-def det_i_minus_u3(rows, sign, orbits):
-    """det(I - sign * u^3 * M) exactly, M given by type0_orbit_rows."""
-    return det_i_minus_rows(sign * rows, orbits).substitute_power(3)
-
-
 # ----------------------------------------------------------------------
 # the identity, one character at a time
 
 
 def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
-    """Check the identity one character of Z/n at a time: (primes, failure).
+    """Check the identity one character of Z/n at a time, and take PE from
+    the same residues: (PE in v = u^3, primes, failure).
 
     me, edge_orbits and mb, chamber_orbits are the orbit rows of ME and MB
     from type0_orbit_rows under one free action of Z/n, the Singer action
@@ -174,9 +203,12 @@ def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
     1-norm, plus Dvertex's 1-norm times max_t C(k_B, t) r_B^(t/2), a bound
     on PB_j's coefficients (_coefficient_bounds, by Hadamard).
 
-    All primes and characters are checked at once.  failure is None, or
-    (j, p) for the first prime and then the least character whose
-    residual is nonzero mod p.
+    The primes come from primes_past under the larger block's rule.  MB's
+    character determinants are taken on those past B, the primes returned,
+    and ME's once, on as many as also pass PE's hadamard_bound, so their
+    product over j rebuilds PE.  All primes and characters are checked at
+    once.  failure is None, or (j, p) for the first prime and then the
+    least character whose residual is nonzero mod p.
     """
     k_e, n = edge_orbits.shape
     k = chamber_orbits.shape[0]
@@ -184,8 +216,11 @@ def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
     dv = _compress_cube(dvertex)
     bound = 2 ** (chi - (n - 1) * e) * sum(_coefficient_bounds(me, edge_orbits)) ** 2
     bound += sum(map(abs, dv.coeffs)) * max(_coefficient_bounds(mb, chamber_orbits))
-    primes, _ = primes_past(bound, k, n)
-    pe, mods = character_dets(me, edge_orbits, primes)
+    primes, _ = primes_past(bound, max(k, k_e), n)
+    longer, _ = primes_past(max(bound, hadamard_bound(me)), max(k, k_e), n)
+    pe, mods = character_dets(me, edge_orbits, longer)
+    pe_v = crt_poly(_product_mod(pe, mods[:, 0]), longer)
+    pe, mods = pe[: len(primes)], mods[: len(primes)]
     pb, _ = character_dets(-mb, chamber_orbits, primes)  # det(I + v MB_j)
     p = mods[:, 0]
     # PE_-j(v) PE_j(v^2) as a product of two factors, then e times (1 - v)
@@ -210,8 +245,8 @@ def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
     failed[:, 0] = top.any(axis=1)
     if failed.any():
         i, j = np.argwhere(failed)[0]
-        return primes, (int(j), primes[i])
-    return primes, None
+        return pe_v, primes, (int(j), primes[i])
+    return pe_v, primes, None
 
 
 def _coefficient_bounds(rows, orbits):
@@ -235,7 +270,6 @@ class ZetaBundle:
     q: int
     chi: int
     dvertex: IntPoly
-    pb: IntPoly
     pe: IntPoly
     # outside equality: proof, the primes with which character_relations
     # proved the identity, and me, ME's (orbit rows, orbits) from
@@ -248,11 +282,22 @@ class ZetaBundle:
         """PE2 = det(I - LE u^2) = PE(u^2)."""
         return self.pe.substitute_power(2)
 
+    @cached_property
+    def pb(self):
+        """PB = det(I + LB u), the identity's exact quotient, formed when read."""
+        pe = _compress_cube(self.pe)
+        product = times_one_minus_power(pe * pe.substitute_power(2), self.chi)
+        return product.divexact(_compress_cube(self.dvertex)).substitute_power(3)
 
-def vertex_determinant(cx, A1=None, A2=None):
+    @property
+    def pb_degree(self):
+        """PB's degree in u, read off the identity without forming PB."""
+        return 3 * (self.chi + self.pe.degree - self.dvertex.degree // 3)
+
+
+def vertex_determinant(cx):
     """det(I - A1 u + q A2 u^2 - q^3 u^3 I), exact."""
-    if A1 is None:
-        A1, A2 = vertex_hecke(cx)
+    A1, A2 = vertex_hecke(cx)
     q = cx.q
     return det_i_minus_pencil(
         [
@@ -264,38 +309,30 @@ def vertex_determinant(cx, A1=None, A2=None):
 
 
 def zeta_bundle(cx):
-    """All four exact polynomials and the Euler characteristic.
+    """Dvertex, PE and the Euler characteristic, exact, with the identity proven.
 
     character_relations proves the identity under the Singer action, or
-    under the trivial group without it, and PB is its exact quotient.  A
-    failed relation raises IdentityFailure.
+    under the trivial group without it, and takes PE from the same
+    residues; PB, the identity's exact quotient, is formed when first
+    read.  A failed relation raises IdentityFailure.
     """
     require_valid(cx)
-    A1, A2 = vertex_hecke(cx)
-    LE = edge_operator(cx)
-    LB = chamber_operator(cx)
-    dvertex = vertex_determinant(cx, A1, A2)
+    dvertex = vertex_determinant(cx)
     chi = euler_characteristic(cx)
     # source types: of each edge, and of the distinguished edge of 3*C + slot
-    edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
-    chamber_types = [edge_types[e] for tri in cx.chambers for e in tri]
+    edge_types = np.array(cx.vertex_types)[cx.edge_array[:, 0]]
+    chamber_types = edge_types[cx.chamber_array.ravel()]
     edge_images, chamber_images = singer_action(cx) or (None, None)
-    me, edge_orbits = type0_orbit_rows(LE, edge_types, edge_images)
-    pe = det_i_minus_u3(me, 1, edge_orbits)
-    mb, chamber_orbits = type0_orbit_rows(LB, chamber_types, chamber_images)
-    proof, failure = character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits)
+    me, edge_orbits = type0_orbit_rows(edge_successors(cx), edge_types, edge_images)
+    mb, chamber_orbits = type0_orbit_rows(chamber_successors(cx), chamber_types, chamber_images)
+    pe, proof, failure = character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits)
     if failure is not None:
         raise IdentityFailure(*failure)
-    # PB = (1 - v)^chi PE(v) PE(v^2) / Dvertex(v), v = u^3
-    pe_v = _compress_cube(pe)
-    product = times_one_minus_power(pe_v * pe_v.substitute_power(2), chi)
-    pb = product.divexact(_compress_cube(dvertex)).substitute_power(3)
     return ZetaBundle(
         q=cx.q,
         chi=chi,
         dvertex=dvertex,
-        pb=pb,
-        pe=pe,
+        pe=pe.substitute_power(3),
         proof=proof,
         me=(me, edge_orbits),
     )
@@ -338,8 +375,10 @@ def hecke_series(cx, order):
     The inverse-series coefficients S_k satisfy
         S_k = A1 S_{k-1} - q A2 S_{k-2} + q^3 S_{k-3} + [k = 0] I,
     and the aggregate of degree k is S_k - S_{k-3}.
+
+    cx must be valid, by contract: its caller has run require_valid, as
+    zeta_bundle does for check_series_identity, and it is not run again.
     """
-    require_valid(cx)
     A1m, A2m = (op.to_dense().astype(object) for op in vertex_hecke(cx))
     q = cx.q
     s = [np.identity(cx.n_vertices, dtype=object)]
@@ -451,7 +490,8 @@ def ramanujan_check(cx, bundle=None):
     has proven, gives
         PB = (1 - v)^(chi - 1) (1 + q^3 v) P(v) P(v^2).
     Each factor gives one class, three zeros in u per root in v.  Otherwise
-    PB and PE are reported as uncertified, with their degree.
+    PB and PE are reported as uncertified, with their degree; PB's is
+    read off the identity (ZetaBundle.pb_degree), so PB is never formed.
     """
     b = bundle if bundle is not None else zeta_bundle(cx)
     verdict, dvertex, trivial_only = _dvertex_classes(_compress_cube(b.dvertex), b.q)
@@ -462,7 +502,8 @@ def ramanujan_check(cx, bundle=None):
         if trivial_only:
             classes["pb"] = [("|u|=q^-1", 3), ("|u|=q^-1/2", m), ("|u|=q^-1/4", 2 * m)]
             classes["pb"].append(("|u|=1", 3 * (b.chi - 1)))
-    uncertified = {name: getattr(b, name).degree for name in ("pb", "pe") if name not in classes}
+    degrees = {"pb": b.pb_degree, "pe": b.pe.degree}
+    uncertified = {name: degrees[name] for name in ("pb", "pe") if name not in classes}
     # N = 1 or chi = 1 leaves a class empty
     pb, pe = ([(label, n) for label, n in classes.get(name, ()) if n] for name in ("pb", "pe"))
     return RamanujanReport(verdict, dvertex, pb, pe, uncertified)

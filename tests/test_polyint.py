@@ -12,7 +12,7 @@ from a2zeta import cli, polyint
 from a2zeta.errors import A2ZetaError, ResourceLimit
 from a2zeta.fileio import serialize_graph
 from a2zeta.graphs import petersen_graph
-from a2zeta.operators import SparseOperator, chamber_operator
+from a2zeta.operators import SparseOperator, chamber_successors
 from a2zeta.polyint import (
     IntPoly,
     RationalFunction,
@@ -45,6 +45,7 @@ from oracles import (
     reduced_by_euclid,
     series_log_derivative,
     squarefree_decomposition,
+    successors_of,
 )
 
 U = IntPoly.monomial(1)
@@ -204,13 +205,12 @@ def test_character_dets_passes_hold_the_batch_bound(q3_cx, monkeypatch):
     block entries, or one prime's blocks, with the same residues as in one
     pass: q = 3's LB rows under the Singer action (13 blocks of 4 x 4) and
     under the trivial group (one 52 x 52 block)."""
-    entries = chamber_operator(q3_cx).entries
+    lb = chamber_successors(q3_cx)
     edge_types = [q3_cx.vertex_types[s] for s, _ in q3_cx.edges]
     types = [edge_types[e] for tri in q3_cx.chambers for e in tri]
-    op = SparseOperator("lb", len(types), entries)
     primes, _ = primes_past(2**200, 52, 13)  # the prime rule for both block sizes
     for images in (singer_action(q3_cx)[1], None):
-        rows, orbits = type0_orbit_rows(op, types, images)
+        rows, orbits = type0_orbit_rows(lb, types, images)
         k, n = orbits.shape
         whole, mods = polyint.character_dets(rows, orbits, primes)
         stacks = []
@@ -237,7 +237,7 @@ def test_pencil_rejects_bad_actions(case):
     types = [0] * 3 + [1] * 3 + [2] * 3
     op = SparseOperator("test", len(types), entries)
     with pytest.raises(A2ZetaError, match="orbits"):
-        type0_orbit_rows(op, types, [1, 0, 2, 4, 3, 5, 7, 6, 8])
+        type0_orbit_rows(successors_of(op), types, [1, 0, 2, 4, 3, 5, 7, 6, 8])
 
 
 @pytest.mark.parametrize(
@@ -314,6 +314,16 @@ def test_power_sum_kernel_at_the_prime_rule_edge(k):
             i_minus_vm = [[(i == j) - v * x for j, x in enumerate(row)] for i, row in enumerate(m)]
             assert sum(c * v**e for e, c in enumerate(got)) % p == bareiss_det_int(i_minus_vm) % p
         assert got[k] == (-1) ** k * bareiss_det_int(m) % p
+
+
+def test_power_sum_kernel_reads_each_row_mod_its_own_prime():
+    """The -1/e tables are looked up per run of equal primes: interleaved
+    primes give each row what it gives alone."""
+    p, r = primes_past(2**60, 3, 1)[0][:2]
+    stack = np.array(random.Random(3).choices(range(r), k=27), dtype=np.int64).reshape(3, 3, 3)
+    mods = np.array([p, r, p], dtype=np.int64)[:, None, None]
+    alone = [_det_i_minus_v_mod(stack[i : i + 1] % m, m[None]) for i, m in enumerate(mods)]
+    assert np.array_equal(_det_i_minus_v_mod(stack % mods, mods), np.concatenate(alone))
 
 
 def python_max_row_norm2(c):

@@ -11,19 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2zeta import cli, planes, polyint, presentations, zeta
+from a2zeta import cli, complexes, planes, polyint, presentations, zeta
 from a2zeta.complexes import TypedComplex, validate
 from a2zeta.errors import A2ZetaError, IdentityFailure
 from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.gf import GF
-from a2zeta.operators import SparseOperator, chamber_operator, edge_operator, vertex_hecke
+from a2zeta.operators import (
+    SparseOperator,
+    chamber_operator,
+    chamber_successors,
+    edge_operator,
+    edge_successors,
+    vertex_hecke,
+)
 from a2zeta.planes import _primitive_cubic, build_plane
 from a2zeta.polyint import (
     IntPoly,
     RationalFunction,
     det_i_minus_pencil,
     det_i_minus_rows,
+    hadamard_bound,
     one_minus_power,
+    primes_past,
 )
 from a2zeta.presentations import (
     complex_from_presentation,
@@ -33,7 +42,6 @@ from a2zeta.presentations import (
 from a2zeta.zeta import (
     character_relations,
     check_series_identity,
-    det_i_minus_u3,
     hecke_series,
     ramanujan_check,
     type0_orbit_rows,
@@ -46,6 +54,7 @@ from oracles import (
     product_identity_residual,
     series_log_derivative,
     squarefree_decomposition,
+    successors_of,
 )
 
 ONE = IntPoly.const(1)
@@ -144,7 +153,8 @@ def singer_bundles(bundled_cx, q3_cx, q4_cx):
 @settings(max_examples=25, deadline=None)
 @given(rnd=st.randoms(use_true_random=False))
 def test_polynomials_invariant_under_relabeling(singer_bundles, rnd):
-    # the bundle's equality compares Dvertex, PE, PE2 and PB (and q, chi);
+    # the bundle's equality compares Dvertex and PE (and q, chi), which fix
+    # PE2 and PB;
     # a relabeled complex has no Singer action, so its PE and PB take every
     # type-0 row (n = 1) where the search-built one takes one row per orbit
     for cx, want in singer_bundles:
@@ -163,11 +173,11 @@ def test_type0_orbit_rows_are_rows_of_the_dense_cube(corpus, q4_cx):
     for cx in corpus + [q4_cx, relabeled(q4_cx, random.Random(1))]:
         edge_types, chamber_types = source_types(cx)
         images = singer_action(cx) or (None, None)
-        for op, types, sigma in (
-            (edge_operator(cx), edge_types, images[0]),
-            (chamber_operator(cx), chamber_types, images[1]),
+        for op, successors, types, sigma in (
+            (edge_operator(cx), edge_successors(cx), edge_types, images[0]),
+            (chamber_operator(cx), chamber_successors(cx), chamber_types, images[1]),
         ):
-            rows, orbits = type0_orbit_rows(op, types, sigma)
+            rows, orbits = type0_orbit_rows(successors, types, sigma)
             zero = [i for i, t in enumerate(types) if t == 0]
             dense = op.to_dense()  # row sums at most q^2: L^3 is at most q^6
             cube = (dense @ dense @ dense)[np.ix_(zero, zero)]
@@ -214,12 +224,12 @@ def test_operators_shift_types_and_commute_with_the_singer_action(
 def test_type0_orbit_rows_rejects_bad_operators(types, entries):
     op = SparseOperator("test", len(types), entries)
     with pytest.raises(A2ZetaError):
-        type0_orbit_rows(op, types, None)
+        type0_orbit_rows(successors_of(op), types, None)
 
 
 def test_type0_orbit_rows_hold_the_int64_maximum():
     op = SparseOperator("test", 3, {(0, 1): 2**63 - 1, (1, 2): 1, (2, 0): 1})
-    rows, orbits = type0_orbit_rows(op, (0, 1, 2), None)
+    rows, orbits = type0_orbit_rows(successors_of(op), (0, 1, 2), None)
     assert rows.tolist() == [[2**63 - 1]] and orbits.tolist() == [[0]]
 
 
@@ -489,9 +499,9 @@ def test_q16_complex_has_the_singer_action():
     assert action is not None
     le = edge_operator(cx)
     edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
-    me, orbits = type0_orbit_rows(le, edge_types, action[0])
+    me, orbits = type0_orbit_rows(edge_successors(cx), edge_types, action[0])
     assert len(orbits) == 1  # the type-0 edges form one Singer orbit
-    pe = det_i_minus_u3(me, 1, orbits)
+    pe = det_i_minus_rows(me, orbits).substitute_power(3)
     # PE = det(I - u^3 ME), ME = LE^3 on type 0, one of three equal-trace blocks
     assert pe[3] * 3 == -le.trace_power(3)
 
@@ -511,7 +521,7 @@ def test_q7_relabeled_exact_classes_exit_0(q7_cx, tmp_path, monkeypatch, capsys)
     relabeled complex's ME: every type-0 row, each its own orbit."""
     cx = relabeled(q7_cx, random.Random(0))
     edge_types, _ = source_types(cx)
-    me = type0_orbit_rows(edge_operator(cx), edge_types, None)
+    me = type0_orbit_rows(edge_successors(cx), edge_types, None)
     assert me[1].shape == (57, 1)
     n1 = dataclasses.replace(zeta_bundle(q7_cx), me=me)
     monkeypatch.setattr(zeta, "zeta_bundle", lambda cx: n1)
@@ -539,8 +549,8 @@ def orbit_rows_of(cx):
     """(me, edge orbits, mb, chamber orbits) of a complex under its Singer action."""
     edge_types, chamber_types = source_types(cx)
     edge_images, chamber_images = singer_action(cx)
-    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, edge_images)
-    mb, chamber_orbits = type0_orbit_rows(chamber_operator(cx), chamber_types, chamber_images)
+    me, edge_orbits = type0_orbit_rows(edge_successors(cx), edge_types, edge_images)
+    mb, chamber_orbits = type0_orbit_rows(chamber_successors(cx), chamber_types, chamber_images)
     return me, edge_orbits, mb, chamber_orbits
 
 
@@ -579,19 +589,104 @@ def test_singer_proof_primes_pinned(bundled_cx, q3_cx, q4_cx, q5_cx, q7_cx):
         assert zeta_bundle(cx).proof == PROOF_PRIMES[q], q
 
 
-def test_proven_route_forms_no_pb_determinant(q3_cx, q7_cx, monkeypatch):
-    """With the Singer action or without it, only PE is a determinant."""
-    signs = []
-    original = zeta.det_i_minus_u3
+def test_proven_route_forms_no_pb_determinant(q3_cx, q7_cx, tmp_path, monkeypatch):
+    """With the Singer action or without it, check identity and check
+    ramanujan take each operator's character determinants once, ME's and
+    then MB's, and never form PB: no product by (1 - v)^chi runs."""
+    blocks = []
+    original = zeta.character_dets
 
-    def recording(rows, sign, orbits):
-        signs.append(sign)
-        return original(rows, sign, orbits)
+    def recording(rows, orbits, primes):
+        blocks.append(orbits.shape[0])
+        return original(rows, orbits, primes)
 
-    monkeypatch.setattr(zeta, "det_i_minus_u3", recording)
-    zeta_bundle(q7_cx)
-    zeta_bundle(relabeled(q3_cx, random.Random(0)))
-    assert signs == [1, 1]  # PE only
+    def forbidden(p, m):
+        raise AssertionError("PB was formed")
+
+    monkeypatch.setattr(zeta, "character_dets", recording)
+    monkeypatch.setattr(zeta, "times_one_minus_power", forbidden)
+    monkeypatch.setattr(polyint, "times_one_minus_power", forbidden)
+    for name, cx, k in (("q7", q7_cx, [1, 8]), ("q3r", relabeled(q3_cx, random.Random(0)), [13, 52])):
+        path = tmp_path / f"{name}.cx3"
+        path.write_text(serialize_complex(cx))
+        for command in ("identity", "ramanujan"):
+            blocks.clear()
+            assert cli.main(["check", command, str(path)]) == 0
+            assert blocks == k, (name, command)
+
+
+def test_pe_comes_from_the_proof_residues_in_both_bound_orders(q3_cx, monkeypatch):
+    """ME's character determinants are taken once, on the longer of the
+    prime list PE's Hadamard bound needs and the proof's, both prefixes of
+    one descending list, and MB's on the proof's; PE from them is exact
+    either way.  Under the Singer action at q = 3 PE needs 5 primes and the
+    proof 2; relabeled, under the trivial group, the proof needs 10 and PE 5."""
+    lists = []
+    original = zeta.character_dets
+
+    def recording(rows, orbits, primes):
+        lists.append(list(primes))
+        return original(rows, orbits, primes)
+
+    monkeypatch.setattr(zeta, "character_dets", recording)
+    cx = relabeled(q3_cx, random.Random(0))
+    for cx, rows, counts in (
+        (q3_cx, orbit_rows_of(q3_cx), (5, 2)),
+        (cx, trivial_group_rows_of(cx), (5, 10)),
+    ):
+        lists.clear()
+        b = zeta_bundle(cx)
+        me, _, _, chamber_orbits = rows
+        pe_primes, _ = primes_past(hadamard_bound(me), *chamber_orbits.shape)
+        assert (len(pe_primes), len(b.proof)) == counts
+        assert lists == [max(pe_primes, b.proof, key=len), b.proof]
+        assert b.pe == det_i_minus_pencil([edge_operator(cx).to_dense()])
+
+
+def test_pb_degree_read_off_the_identity(corpus, q4_cx):
+    for cx in corpus + [q4_cx, relabeled(q4_cx, random.Random(0))]:
+        b = zeta_bundle(cx)
+        assert b.pb_degree == b.pb.degree
+
+
+# sha256 of le.mat and lb.mat as `operators --out` writes them for the
+# seed-0 q = 3 complex and for it relabeled by random.Random(0)
+OPERATOR_EXPORT_DIGESTS = {
+    "q3": {
+        "le": "695620b53f5d040a541022cf14490bf74bdda990710c00e61d458003e242b636",
+        "lb": "f85d890ca8e4f311f5362f1dcf6947229025765a927dd2b32de6d64eee3feaf4",
+    },
+    "q3r": {
+        "le": "625e515622fe5f28cdf92a818aa7e7e0ec718ced7d05844f61dcf18112e51f34",
+        "lb": "5cee45772d39c2978ab6ec572cedc9e5a0e4ed6998573cf42b4e244e170c0a9e",
+    },
+}
+
+
+def test_operator_exports_pinned(q3_cx, tmp_path, capsys):
+    for name, cx in (("q3", q3_cx), ("q3r", relabeled(q3_cx, random.Random(0)))):
+        path = tmp_path / f"{name}.cx3"
+        path.write_text(serialize_complex(cx))
+        assert cli.main(["operators", str(path), "--out", str(tmp_path / name)]) == 0
+        for mat, want in OPERATOR_EXPORT_DIGESTS[name].items():
+            text = (tmp_path / name / f"{mat}.mat").read_bytes()
+            assert hashlib.sha256(text).hexdigest() == want, (name, mat)
+
+
+def test_section9_validates_once(q3_cx, tmp_path, monkeypatch, capsys):
+    """hecke_series trusts the validation zeta_bundle ran."""
+    calls = []
+    original = complexes.validate
+
+    def counting(cx):
+        calls.append(cx)
+        return original(cx)
+
+    monkeypatch.setattr(complexes, "validate", counting)
+    path = tmp_path / "q3.cx3"
+    path.write_text(serialize_complex(q3_cx))
+    assert cli.main(["check", "section9", str(path), "--degree", "9"]) == 0
+    assert len(calls) == 1
 
 
 def perturbed_orbit(op, images):
@@ -613,7 +708,7 @@ def test_perturbed_lb_orbit_names_a_character_and_exits_1(q3_cx, tmp_path, monke
     lb = perturbed_orbit(chamber_operator(q3_cx), chamber_images)
     changed = sum(lb.entries[key] != v for key, v in chamber_operator(q3_cx).entries.items())
     assert changed == 13
-    monkeypatch.setattr(zeta, "chamber_operator", lambda cx: lb)
+    monkeypatch.setattr(zeta, "chamber_successors", lambda cx: successors_of(lb))
     with pytest.raises(IdentityFailure) as failure:
         zeta_bundle(q3_cx)
     j, p = failure.value.j, failure.value.p
@@ -634,7 +729,7 @@ def test_perturbed_lb_entry_fails_the_trivial_group_relation(q3_cx, tmp_path, mo
     entries = dict(lb.entries)
     entries[min(entries)] += 1
     perturbed = SparseOperator(lb.space, lb.dim, entries)
-    monkeypatch.setattr(zeta, "chamber_operator", lambda cx: perturbed)
+    monkeypatch.setattr(zeta, "chamber_successors", lambda cx: successors_of(perturbed))
     path = tmp_path / "q3r.cx3"
     path.write_text(serialize_complex(cx))
     assert cli.main(["check", "identity", str(path), "--format", "records"]) == 1
@@ -651,8 +746,8 @@ def test_perturbed_lb_entry_fails_the_trivial_group_relation(q3_cx, tmp_path, mo
 def trivial_group_rows_of(cx):
     """(me, edge orbits, mb, chamber orbits) of a complex under the trivial group."""
     edge_types, chamber_types = source_types(cx)
-    me, edge_orbits = type0_orbit_rows(edge_operator(cx), edge_types, None)
-    mb, chamber_orbits = type0_orbit_rows(chamber_operator(cx), chamber_types, None)
+    me, edge_orbits = type0_orbit_rows(edge_successors(cx), edge_types, None)
+    mb, chamber_orbits = type0_orbit_rows(chamber_successors(cx), chamber_types, None)
     return me, edge_orbits, mb, chamber_orbits
 
 
@@ -667,11 +762,11 @@ def test_character_primes_cover_the_bound(q3_cx):
     assert trivial[3].shape == (52, 1)
     for cx, rows, count in ((q3_cx, orbit_rows_of(q3_cx), 2), (cx, trivial, 10)):
         b = zeta_bundle(cx)
-        primes, failure = character_relations(b.chi, b.dvertex, *rows)
+        _, primes, failure = character_relations(b.chi, b.dvertex, *rows)
         assert failure is None and primes == b.proof and len(primes) == count
         c = prod(primes)
         # Dvertex + c u^9 makes the j = 0 residual c v^3 PB_0(v), PB_0(0) = 1
-        more, failure = character_relations(b.chi, b.dvertex + IntPoly.monomial(9, c), *rows)
+        _, more, failure = character_relations(b.chi, b.dvertex + IntPoly.monomial(9, c), *rows)
         assert more[: len(primes)] == primes
         assert failure == (0, more[len(primes)])
 
@@ -764,12 +859,16 @@ def test_dvertex_verdict_is_exact(bundled_cx, bundle, extra, verdict, label):
 
 def test_missing_trivial_factor_is_reported(bundled_cx, bundle):
     """Dvertex without its factor 1 - 64 v: TRIVIAL-ZEROS-MISSING, with the
-    six trivial zeros that are there."""
+    six trivial zeros that are there.  PB is uncertified, with the degree
+    the identity gives it for that Dvertex: the quotient PB (1 - 64 v), 3
+    more than the bundle's 63."""
     dvertex = bundle.dvertex.divexact(one_minus_cube(64))
-    report = ramanujan_check(bundled_cx, dataclasses.replace(bundle, dvertex=dvertex))
+    changed = dataclasses.replace(bundle, dvertex=dvertex)
+    report = ramanujan_check(bundled_cx, changed)
     assert report.verdict == "TRIVIAL-ZEROS-MISSING"
     assert report.dvertex == [("trivial", 6)]
-    assert report.uncertified == {"pb": 63}
+    assert report.uncertified == {"pb": 66} == {"pb": changed.pb.degree}
+    assert changed.pb == bundle.pb * one_minus_cube(64)
 
 
 @pytest.fixture(scope="module")
@@ -832,7 +931,7 @@ def test_small_batches_keep_the_pins(q5_cx, q7_cx, monkeypatch):
     for cx, pins in ((q5_cx, Q5_DIGESTS), (q7_cx, Q7_DIGESTS)):
         b = zeta_bundle(cx)
         _, _, mb, chamber_orbits = orbit_rows_of(cx)
-        pb = det_i_minus_u3(mb, -1, chamber_orbits)
+        pb = det_i_minus_rows(-mb, chamber_orbits).substitute_power(3)
         assert [poly_digest(p) for p in (b.pe, b.pb, pb)] == [
             pins["pe"], pins["pb"], pins["pb"]
         ]
