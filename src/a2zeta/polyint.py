@@ -398,24 +398,24 @@ def crt_poly(residues, primes):
     return IntPoly([x - modulus if x > half else x for x in coeffs])
 
 
-def primes_past(bound, k, n):
+def primes_past(bound, k, n, skip=()):
     """(primes, their product): primes p = 1 (mod n) for k x k character
-    blocks, largest first, until their product exceeds bound.
+    blocks, largest first and none of skip, until their product exceeds bound.
 
     Each p obeys the one prime rule of the determinants: k ((p - 1)/2)^2 <
     2^50, so that every product or sum of _det_i_minus_v_mod is exact in
     float64; p > k, so that 1..k are invertible mod p; and n p^2 and
     (k + 1) p^2 below 2^63, so that the int64 sums of character_dets and
     _product_mod hold.  Raises ResourceLimit if the primes under that limit
-    run out first.
+    (_prime_limit) run out first.
     """
-    limit = min(
-        2 * isqrt((2**50 - 1) // k) + 1, isqrt((2**63 - 1) // max(n, k + 1))
-    )
+    limit = _prime_limit(k, n)
     primes, modulus = [], 1
     for p in _crt_primes(limit, n):
         if p <= k:
             break
+        if p in skip:
+            continue
         primes.append(p)
         modulus *= p
         if modulus > bound:
@@ -424,6 +424,11 @@ def primes_past(bound, k, n):
         f"the primes p = 1 (mod {n}) up to {limit} for {k} x {k} blocks cover "
         f"{modulus.bit_length() - 1} bits of the {bound.bit_length()} the bound needs"
     )
+
+
+def _prime_limit(k, n):
+    """The largest p the prime rule of primes_past admits for k x k blocks of Z/n."""
+    return min(2 * isqrt((2**50 - 1) // k) + 1, isqrt((2**63 - 1) // max(n, k + 1)))
 
 
 def character_dets(rows, orbits, primes):

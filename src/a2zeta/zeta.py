@@ -203,12 +203,14 @@ def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
     1-norm, plus Dvertex's 1-norm times max_t C(k_B, t) r_B^(t/2), a bound
     on PB_j's coefficients (_coefficient_bounds, by Hadamard).
 
-    The primes come from primes_past under the larger block's rule.  MB's
-    character determinants are taken on those past B, the primes returned,
-    and ME's once, on as many as also pass PE's hadamard_bound, so their
-    product over j rebuilds PE.  All primes and characters are checked at
-    once.  failure is None, or (j, p) for the first prime and then the
-    least character whose residual is nonzero mod p.
+    The primes past B, the primes returned, come from primes_past under
+    the larger block's rule, and MB's character determinants are taken on
+    them.  ME's are taken once, on those primes and, while their product
+    is not past PE's hadamard_bound, on further distinct ones under ME's
+    own rule, which admits larger primes; so their product over j rebuilds
+    PE.  All primes and characters are checked at once.  failure is None,
+    or (j, p) for the first prime and then the least character whose
+    residual is nonzero mod p.
     """
     k_e, n = edge_orbits.shape
     k = chamber_orbits.shape[0]
@@ -216,10 +218,12 @@ def character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits):
     dv = _compress_cube(dvertex)
     bound = 2 ** (chi - (n - 1) * e) * sum(_coefficient_bounds(me, edge_orbits)) ** 2
     bound += sum(map(abs, dv.coeffs)) * max(_coefficient_bounds(mb, chamber_orbits))
-    primes, _ = primes_past(bound, max(k, k_e), n)
-    longer, _ = primes_past(max(bound, hadamard_bound(me)), max(k, k_e), n)
-    pe, mods = character_dets(me, edge_orbits, longer)
-    pe_v = crt_poly(_product_mod(pe, mods[:, 0]), longer)
+    primes, modulus = primes_past(bound, max(k, k_e), n)
+    # ME's own rule admits larger primes than MB's: any further ones PE needs
+    rest = hadamard_bound(me) // modulus
+    pe_primes = primes + (primes_past(rest, k_e, n, set(primes))[0] if rest else [])
+    pe, mods = character_dets(me, edge_orbits, pe_primes)
+    pe_v = crt_poly(_product_mod(pe, mods[:, 0]), pe_primes)
     pe, mods = pe[: len(primes)], mods[: len(primes)]
     pb, _ = character_dets(-mb, chamber_orbits, primes)  # det(I + v MB_j)
     p = mods[:, 0]
@@ -272,10 +276,12 @@ class ZetaBundle:
     dvertex: IntPoly
     pe: IntPoly
     # outside equality: proof, the primes with which character_relations
-    # proved the identity, and me, ME's (orbit rows, orbits) from
-    # type0_orbit_rows, for ramanujan_check
+    # proved the identity; me, ME's (orbit rows, orbits) from
+    # type0_orbit_rows, for ramanujan_check; and identity, the (chi,
+    # Dvertex, PE) in v = u^3 of the proof, of which PB is the quotient
     proof: list = field(default=None, compare=False)
     me: tuple = field(default=None, compare=False)
+    identity: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def pe2(self):
@@ -284,15 +290,16 @@ class ZetaBundle:
 
     @cached_property
     def pb(self):
-        """PB = det(I + LB u), the identity's exact quotient, formed when read."""
-        pe = _compress_cube(self.pe)
-        product = times_one_minus_power(pe * pe.substitute_power(2), self.chi)
-        return product.divexact(_compress_cube(self.dvertex)).substitute_power(3)
+        """PB = det(I + LB u), the proven identity's exact quotient, formed when read."""
+        chi, dv, pe = self.identity
+        product = times_one_minus_power(pe * pe.substitute_power(2), chi)
+        return product.divexact(dv).substitute_power(3)
 
     @property
     def pb_degree(self):
-        """PB's degree in u, read off the identity without forming PB."""
-        return 3 * (self.chi + self.pe.degree - self.dvertex.degree // 3)
+        """PB's degree in u, read off the proven identity without forming PB."""
+        chi, dv, pe = self.identity
+        return 3 * (chi + 3 * pe.degree - dv.degree)
 
 
 def vertex_determinant(cx):
@@ -335,6 +342,7 @@ def zeta_bundle(cx):
         pe=pe.substitute_power(3),
         proof=proof,
         me=(me, edge_orbits),
+        identity=(chi, _compress_cube(dvertex), pe),
     )
 
 
@@ -377,7 +385,7 @@ def hecke_series(cx, order):
     and the aggregate of degree k is S_k - S_{k-3}.
 
     cx must be valid, by contract: its caller has run require_valid, as
-    zeta_bundle does for check_series_identity, and it is not run again.
+    check_series_identity does, and it is not run again.
     """
     A1m, A2m = (op.to_dense().astype(object) for op in vertex_hecke(cx))
     q = cx.q
@@ -417,9 +425,14 @@ def check_series_identity(cx, order, bundle=None):
     with exact rational coefficients, then solves
         lhs == q * S - (q-1) * (sum Tr(aggregate_k) u^k)(1-q^2 u^3)/(1-u^3)
     for S = sum Tr(B_{n,0}) u^n and verifies its coefficients are
-    nonnegative integers.
+    nonnegative integers.  cx is validated once: by zeta_bundle, or here
+    when a bundle is given.
     """
-    b = bundle if bundle is not None else zeta_bundle(cx)
+    if bundle is None:
+        b = zeta_bundle(cx)
+    else:
+        require_valid(cx)
+        b = bundle
     q = cx.q
     lhs = b.chi * poly_log_derivative(one_minus_power(3, 1), order) - poly_log_derivative(
         b.dvertex, order

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from a2zeta import cli, complexes, planes, polyint, presentations, zeta
 from a2zeta.complexes import TypedComplex, validate
-from a2zeta.errors import A2ZetaError, IdentityFailure
+from a2zeta.errors import A2ZetaError, IdentityFailure, ResourceLimit
 from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.gf import GF
 from a2zeta.operators import (
@@ -616,11 +616,12 @@ def test_proven_route_forms_no_pb_determinant(q3_cx, q7_cx, tmp_path, monkeypatc
 
 
 def test_pe_comes_from_the_proof_residues_in_both_bound_orders(q3_cx, monkeypatch):
-    """ME's character determinants are taken once, on the longer of the
-    prime list PE's Hadamard bound needs and the proof's, both prefixes of
-    one descending list, and MB's on the proof's; PE from them is exact
-    either way.  Under the Singer action at q = 3 PE needs 5 primes and the
-    proof 2; relabeled, under the trivial group, the proof needs 10 and PE 5."""
+    """ME's character determinants are taken once, on the proof's primes
+    and, when PE's Hadamard bound needs more, on further distinct ones, and
+    MB's on the proof's; PE from them is exact either way.  Under the
+    Singer action at q = 3 PE alone would need 5 primes of the proof's rule
+    and the proof 2; relabeled, under the trivial group, the proof needs 10
+    and PE 5."""
     lists = []
     original = zeta.character_dets
 
@@ -639,8 +640,28 @@ def test_pe_comes_from_the_proof_residues_in_both_bound_orders(q3_cx, monkeypatc
         me, _, _, chamber_orbits = rows
         pe_primes, _ = primes_past(hadamard_bound(me), *chamber_orbits.shape)
         assert (len(pe_primes), len(b.proof)) == counts
-        assert lists == [max(pe_primes, b.proof, key=len), b.proof]
+        me_primes, mb_primes = lists
+        assert mb_primes == b.proof == me_primes[: len(b.proof)]
+        assert len(set(me_primes)) == len(me_primes)
+        assert prod(me_primes) > hadamard_bound(me)
+        assert (me_primes == b.proof) == (counts[1] > counts[0])
         assert b.pe == det_i_minus_pencil([edge_operator(cx).to_dense()])
+
+
+def test_pe_past_the_proof_rule_supply(q3_cx, monkeypatch):
+    """When the primes MB's block size admits cover the proof's bound but
+    not PE's Hadamard bound, as at q = 32, ME's own rule supplies the rest,
+    and PE stays exact: here with MB's primes capped at 700, where 9 primes
+    cover 75 bits, the proof's 50 but not PE's 101."""
+    want = zeta_bundle(q3_cx)
+    original = polyint._prime_limit
+    monkeypatch.setattr(polyint, "_prime_limit", lambda k, n: 700 if k > 1 else original(k, n))
+    with pytest.raises(ResourceLimit):
+        primes_past(hadamard_bound(orbit_rows_of(q3_cx)[0]), 4, 13)
+    b = zeta_bundle(q3_cx)
+    assert max(b.proof) < 700 and b.proof != want.proof
+    assert b == want and b.pb == want.pb
+    assert b.pe == det_i_minus_pencil([edge_operator(q3_cx).to_dense()])
 
 
 def test_pb_degree_read_off_the_identity(corpus, q4_cx):
@@ -674,7 +695,8 @@ def test_operator_exports_pinned(q3_cx, tmp_path, capsys):
 
 
 def test_section9_validates_once(q3_cx, tmp_path, monkeypatch, capsys):
-    """hecke_series trusts the validation zeta_bundle ran."""
+    """hecke_series trusts the validation its caller ran: zeta_bundle's, or
+    check_series_identity's own when it is given a bundle."""
     calls = []
     original = complexes.validate
 
@@ -686,6 +708,10 @@ def test_section9_validates_once(q3_cx, tmp_path, monkeypatch, capsys):
     path = tmp_path / "q3.cx3"
     path.write_text(serialize_complex(q3_cx))
     assert cli.main(["check", "section9", str(path), "--degree", "9"]) == 0
+    assert len(calls) == 1
+    bundle = zeta_bundle(q3_cx)
+    calls.clear()
+    assert check_series_identity(q3_cx, 6, bundle).passed
     assert len(calls) == 1
 
 
@@ -859,16 +885,15 @@ def test_dvertex_verdict_is_exact(bundled_cx, bundle, extra, verdict, label):
 
 def test_missing_trivial_factor_is_reported(bundled_cx, bundle):
     """Dvertex without its factor 1 - 64 v: TRIVIAL-ZEROS-MISSING, with the
-    six trivial zeros that are there.  PB is uncertified, with the degree
-    the identity gives it for that Dvertex: the quotient PB (1 - 64 v), 3
-    more than the bundle's 63."""
+    six trivial zeros that are there.  PB and its degree stay those of the
+    proven identity."""
     dvertex = bundle.dvertex.divexact(one_minus_cube(64))
     changed = dataclasses.replace(bundle, dvertex=dvertex)
     report = ramanujan_check(bundled_cx, changed)
     assert report.verdict == "TRIVIAL-ZEROS-MISSING"
     assert report.dvertex == [("trivial", 6)]
-    assert report.uncertified == {"pb": 66} == {"pb": changed.pb.degree}
-    assert changed.pb == bundle.pb * one_minus_cube(64)
+    assert report.uncertified == {"pb": 63}
+    assert changed.pb == bundle.pb and changed.pb.degree == 63
 
 
 @pytest.fixture(scope="module")
