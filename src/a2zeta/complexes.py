@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumeration import reachable_count
 from .errors import IndexOutOfRange, ValidationFailure
 from .planes import plane_defect
 
@@ -302,6 +301,22 @@ def _check_links(cx, out_edges, in_edges):
             if defect is not None:
                 return Check("link_condition", False, f"vertex {v}, {side}-edges: {defect}")
     return Check("link_condition", True)
+
+
+def reachable_count(n, edges):
+    """How many of the vertices 0..n-1 (n >= 1) the undirected edge list reaches from 0."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
 
 
 def _check_connected(cx):

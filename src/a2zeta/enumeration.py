@@ -14,27 +14,42 @@ each walk, and each prefix end adds its closing length // 2-step tails,
 tallied backward per start.  The budget caps the node count of the full
 DFS tree of all walks, whichever half is searched, and is checked before
 the search, so an over-budget length fails before any walk is built.
+
+count_walks also takes a free action on the indices that commutes with the
+successor rule.  Such a permutation maps the closed walks from r one-to-one
+onto those from its image, so every start in an orbit has the same count:
+the search runs from the least index of each orbit (free_orbits) and the
+sum is multiplied by the orbit length.  With no action, the trivial group,
+every index is its own orbit.  count_galleries and count_type1_geodesics
+take the Singer shift from presentations.singer_action, which proves that
+it keeps every edge's endpoints and maps the chamber set onto itself; the
+successor rules are defined from edges and chambers alone, so it commutes
+with them.  closed_walks (and so enumerate_galleries) and
+graphs.count_closed_walks run from every start.
 """
 
-from .errors import NotAGallery, ResourceLimit
+from .errors import A2ZetaError, NotAGallery, ResourceLimit
+from .presentations import singer_action
 
 DEFAULT_BUDGET = 10_000_000
 
 
-def reachable_count(n, edges):
-    """How many of the vertices 0..n-1 (n >= 1) the undirected edge list reaches from 0."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen)
+def free_orbits(sigma):
+    """The orbits of a permutation sigma of range(len(sigma)), each from its least index.
+
+    Raises A2ZetaError unless every orbit has the same length.
+    """
+    orbits, seen = [], set()
+    for i in range(len(sigma)):
+        if i not in seen:
+            orbit = [i]
+            while sigma[orbit[-1]] != i:
+                orbit.append(sigma[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(orbit)
+    if len(set(map(len, orbits))) > 1:
+        raise A2ZetaError("action is not free: its orbits differ in length")
+    return orbits
 
 
 def _edge_successors(cx):
@@ -65,17 +80,19 @@ def _chamber_successors(cx):
     return [sorted(row) for row in succ]
 
 
-def _check_budget(succ, length, budget):
+def _check_budget(succ, length, budget, starts, copies):
     """Raise ResourceLimit if the full DFS tree of the walks has > budget nodes.
 
-    The tree has one node per walk of 1..length vertices from each start:
+    The tree has one node per walk of 1..length vertices from each index:
     level j holds the (j-1)-step walks, counted with the multiplicity of
-    repeated successor entries.  The levels are counted forward, keyed by
-    their last vertex, and the count stops once it passes budget, so no
-    walk is ever built for an over-budget length.
+    repeated successor entries.  Only the walks from starts are counted,
+    copies times each: under a free automorphism with orbits of length
+    copies, one start per orbit, that is the full tree.  The levels are
+    counted forward, keyed by their last vertex, and the count stops once
+    it passes budget, so no walk is ever built for an over-budget length.
     """
-    level = dict.fromkeys(range(len(succ)), 1)
-    nodes = len(level)
+    level = dict.fromkeys(starts, 1)
+    nodes = copies * len(level)
     for _ in range(length - 1):
         if nodes > budget or not level:
             break
@@ -84,13 +101,13 @@ def _check_budget(succ, length, budget):
             for w in succ[v]:
                 deeper[w] = deeper.get(w, 0) + c
         level = deeper
-        nodes += sum(level.values())
+        nodes += copies * sum(level.values())
     if nodes > budget:
         raise ResourceLimit(f"DFS budget of {budget} nodes exceeded")
 
 
-def _closed_walk_prefixes(succ, length, budget, k):
-    """The one DFS loop: yield (prefix, tails) over all based closed walks.
+def _closed_walk_prefixes(succ, length, budget, k, starts, copies):
+    """The one DFS loop: yield (prefix, tails) over the based closed walks from starts.
 
     prefix is the first length - k vertices of closed walks from one start,
     as a live list valid until the next step; tails (> 0) is the number of
@@ -99,17 +116,18 @@ def _closed_walk_prefixes(succ, length, budget, k):
     counted with their multiplicity, and closes when the start is in
     succ[v_n], counted once.  With k = 0 each prefix is one whole walk.
     The tails come from a per-start table built backward over predecessor
-    lists; the budget is checked first, on the full tree (_check_budget).
+    lists; the budget is checked first, on the full tree, with each start
+    standing for copies (_check_budget).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    _check_budget(succ, length, budget)
+    _check_budget(succ, length, budget, starts, copies)
     pred = [[] for _ in succ]
     for v, row in enumerate(succ):
         for w in row:
             pred[w].append(v)
     depth = length - k
-    for start in range(len(succ)):
+    for start in starts:
         tails = dict.fromkeys(pred[start], 1)  # closes once, whatever the multiplicity
         for _ in range(k):
             back = {}
@@ -151,18 +169,28 @@ def closed_walks(succ, length, budget):
     is built, when the DFS tree of all walks of 1..length vertices from
     every start (leaves included) has more than budget nodes.
     """
-    for walk, _ in _closed_walk_prefixes(succ, length, budget, 0):
+    for walk, _ in _closed_walk_prefixes(succ, length, budget, 0, range(len(succ)), 1):
         yield tuple(walk)
 
 
-def count_walks(succ, length, budget):
+def count_walks(succ, length, budget, images=None):
     """len(list(closed_walks(succ, length, budget))), meet-in-the-middle.
 
     The DFS runs over the first length - length // 2 vertices of each walk
     and adds, at each prefix end, the number of closing tails, so no walk
-    is built.  The budget keeps the meaning it has in closed_walks.
+    is built.  images is a permutation of the indices, or None for the
+    trivial group; unchecked here, it must commute with succ (v -> w is a
+    step exactly when images[v] -> images[w] is one, with the same
+    multiplicity).  The walks are counted from the least index of each of
+    its orbits, which must be equally long, and multiplied by their
+    length.  The budget keeps the meaning it has in closed_walks.
     """
-    return sum(t for _, t in _closed_walk_prefixes(succ, length, budget, length // 2))
+    starts, copies = range(len(succ)), 1  # the trivial group's orbits
+    if images is not None and starts:
+        orbits = free_orbits(images)
+        starts, copies = [orbit[0] for orbit in orbits], len(orbits[0])
+    prefixes = _closed_walk_prefixes(succ, length, budget, length // 2, starts, copies)
+    return copies * sum(t for _, t in prefixes)
 
 
 def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET):
@@ -170,9 +198,11 @@ def count_type1_geodesics(cx, length, budget=DEFAULT_BUDGET):
 
     Closed edge sequences (e_1, ..., e_n) chained head to tail, every
     consecutive pair (wrap-around included) avoiding a common chamber.
-    Equals Tr LE^n, but computed without any matrix arithmetic.
+    Equals Tr LE^n, but computed without any matrix arithmetic, from one
+    start per orbit of cx's Singer action when it has one.
     """
-    return count_walks(_edge_successors(cx), length, budget)
+    edge_images, _ = singer_action(cx) or (None, None)
+    return count_walks(_edge_successors(cx), length, budget, edge_images)
 
 
 def _gallery_successors(cx, length):
@@ -182,8 +212,11 @@ def _gallery_successors(cx, length):
 
 
 def count_galleries(cx, length, budget=DEFAULT_BUDGET):
-    """Based tailless type-1 closed galleries of the given length (>= 3)."""
-    return count_walks(_gallery_successors(cx, length), length, budget)
+    """Based tailless type-1 closed galleries of the given length (>= 3),
+    from one start per orbit of cx's Singer action when it has one."""
+    succ = _gallery_successors(cx, length)
+    _, chamber_images = singer_action(cx) or (None, None)
+    return count_walks(succ, length, budget, chamber_images)
 
 
 def enumerate_galleries(cx, length, budget=DEFAULT_BUDGET):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import reachable_count
+from .enumeration import DEFAULT_BUDGET, count_walks
 from .errors import A2ZetaError, DegreeTooLow, NotRegular
-from .enumeration import DEFAULT_BUDGET, count_walks, reachable_count
 from .operators import SparseOperator
 from .polyint import IntPoly, det_i_minus_pencil, one_minus_power, real_roots_above
 

@@ -179,9 +179,10 @@ def singer_action(cx):
     orbit[i] -> orbit[i+1] of planes.singer_orbit.  So on a 3-vertex complex
     with 3n edges, n = q^2 + q + 1, the candidate is i*n + x -> i*n + sigma(x),
     taken once per q for the life of the process (_singer_shift).
-    It is kept only if it keeps every edge's endpoints and maps every chamber
-    to a chamber; the chambers of a valid complex are distinct, so it is
-    then an automorphism, which acts freely with every orbit of length n.
+    It is kept only if the chambers are distinct, as on every valid
+    complex, and it keeps every edge's endpoints and maps every chamber to
+    a chamber; it is then an automorphism, on any complex, validated or
+    not, and acts freely with every orbit of length n.
     The result is the pair (edge images, directed chamber images), directed
     chamber 3*C + slot going to the chamber and slot of its edges' images.
     Otherwise, and for a q that GF does not support, the result is None,
@@ -201,6 +202,8 @@ def singer_action(cx):
     stored = np.take_along_axis(image, (first[:, None] + np.arange(3)) % 3, axis=1)
     keys = tri @ [9 * n * n, 3 * n, 1]
     by_key = np.argsort(keys)
+    if (np.diff(keys[by_key]) == 0).any():
+        return None  # a repeated chamber: the images below need not be a permutation
     found = np.searchsorted(keys[by_key], stored @ [9 * n * n, 3 * n, 1])
     cid = by_key[found.clip(max=max(len(keys) - 1, 0))]
     if (tri[cid] != stored).any():

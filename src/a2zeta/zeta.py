@@ -65,6 +65,7 @@ from math import comb, isqrt, prod
 import numpy as np
 
 from .complexes import euler_characteristic, require_valid
+from .enumeration import free_orbits
 from .errors import A2ZetaError, IdentityFailure
 from .operators import chamber_successors, edge_successors, vertex_hecke
 from .polyint import (
@@ -133,7 +134,7 @@ def type0_orbit_rows(successors, types, images):
     zero = np.flatnonzero(types == 0)
     pos = np.cumsum(types == 0) - 1  # of each type-0 index in its class
     sigma = np.arange(len(zero)) if images is None else pos[np.asarray(images)[zero]]
-    orbits = np.array(_orbits(sigma.tolist()), dtype=np.int64)
+    orbits = np.array(free_orbits(sigma.tolist()), dtype=np.int64)
     rows = np.zeros((len(orbits), len(zero)), dtype=np.int64)
     block = max(1, _STEP_ENTRIES // max(1, len(src)))
     for a in range(0, len(orbits), block):
@@ -155,24 +156,6 @@ def type0_orbit_rows(successors, types, images):
 
 
 _STEP_ENTRIES = 2**22
-
-
-def _orbits(sigma):
-    """The orbits of a permutation sigma of range(len(sigma)), each from its least index.
-
-    Raises A2ZetaError unless every orbit has the same length.
-    """
-    orbits, seen = [], set()
-    for i in range(len(sigma)):
-        if i not in seen:
-            orbit = [i]
-            while sigma[orbit[-1]] != i:
-                orbit.append(sigma[orbit[-1]])
-            seen.update(orbit)
-            orbits.append(orbit)
-    if len(set(map(len, orbits))) > 1:
-        raise A2ZetaError("action is not free: its orbits differ in length")
-    return orbits
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from a2zeta.complexes import TypedComplex
 from a2zeta.fileio import parse_complex
 from a2zeta.planes import build_plane
 from a2zeta.presentations import complex_from_presentation, search_triangle_presentations
@@ -20,6 +21,27 @@ def q3_cx():
     plane = build_plane(3)
     tp = search_triangle_presentations(plane, limit=1, seed=0)[0]
     return complex_from_presentation(tp)
+
+
+@pytest.fixture(scope="session")
+def q4_cx():
+    tp = search_triangle_presentations(build_plane(4), limit=1, seed=0)[0]
+    return complex_from_presentation(tp)
+
+
+def relabeled(cx, rnd):
+    """cx with its vertex, edge and chamber ids permuted at random."""
+    pv = rnd.sample(range(cx.n_vertices), cx.n_vertices)
+    pe = rnd.sample(range(cx.n_edges), cx.n_edges)
+    types = [None] * cx.n_vertices
+    for v, t in enumerate(cx.vertex_types):
+        types[pv[v]] = t
+    edges = [None] * cx.n_edges
+    for e, (s, d) in enumerate(cx.edges):
+        edges[pe[e]] = (pv[s], pv[d])
+    chambers = [tuple(pe[e] for e in tri) for tri in cx.chambers]
+    rnd.shuffle(chambers)
+    return TypedComplex(cx.q, types, edges, chambers)
 
 
 @pytest.fixture(scope="session")

@@ -48,6 +48,7 @@ from a2zeta.zeta import (
     zeta_bundle,
     zeta_functions,
 )
+from conftest import relabeled
 from oracles import (
     approx_roots,
     divides,
@@ -82,12 +83,6 @@ def test_degree_bookkeeping(bundle):
 def test_constant_terms(bundle):
     for p in (bundle.dvertex, bundle.pb, bundle.pe, bundle.pe2):
         assert p[0] == 1
-
-
-@pytest.fixture(scope="module")
-def q4_cx():
-    tp = search_triangle_presentations(build_plane(4), limit=1, seed=0)[0]
-    return complex_from_presentation(tp)
 
 
 # sha256 of the coefficient strings of the exact polynomials of the seed-0
@@ -128,21 +123,6 @@ def test_block_reduction_matches_direct_determinants(corpus, q4_cx):
         b = zeta_bundle(cx)
         assert b.pe == det_i_minus_pencil([edge_operator(cx).to_dense()])
         assert b.pb == det_i_minus_pencil([-chamber_operator(cx).to_dense()])
-
-
-def relabeled(cx, rnd):
-    """cx with its vertex, edge and chamber ids permuted at random."""
-    pv = rnd.sample(range(cx.n_vertices), cx.n_vertices)
-    pe = rnd.sample(range(cx.n_edges), cx.n_edges)
-    types = [None] * cx.n_vertices
-    for v, t in enumerate(cx.vertex_types):
-        types[pv[v]] = t
-    edges = [None] * cx.n_edges
-    for e, (s, d) in enumerate(cx.edges):
-        edges[pe[e]] = (pv[s], pv[d])
-    chambers = [tuple(pe[e] for e in tri) for tri in cx.chambers]
-    rnd.shuffle(chambers)
-    return TypedComplex(cx.q, types, edges, chambers)
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +406,8 @@ def test_bundles_match_the_recorded_digests(digest_texts):
 
 
 # (c0, c1, c2) of the primitive cubic x^3 + c2 x^2 + c1 x + c0 that fixes
-# the Singer cycle, and so every search-built presentation, at each q
+# the Singer cycle, and so every search-built presentation, at every prime
+# power q <= 64, recorded by stepping 1 through the powers of x
 PRIMITIVE_CUBICS = {
     2: (1, 1, 0),
     3: (1, 2, 0),
@@ -437,10 +418,31 @@ PRIMITIVE_CUBICS = {
     9: (4, 1, 0),
     11: (4, 1, 0),
     13: (6, 1, 0),
+    16: (9, 1, 0),
+    17: (3, 1, 0),
+    19: (4, 1, 0),
+    23: (3, 1, 0),
+    25: (6, 1, 0),
+    27: (9, 2, 0),
+    29: (11, 1, 0),
+    31: (14, 1, 0),
+    32: (6, 1, 0),
+    37: (13, 1, 0),
+    41: (6, 1, 0),
+    43: (14, 1, 0),
+    47: (4, 1, 0),
+    49: (15, 1, 0),
+    53: (5, 1, 0),
+    59: (3, 1, 0),
+    61: (17, 1, 0),
+    64: (34, 1, 0),
 }
 
 
 def test_primitive_cubic_pinned():
+    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+    prime_powers = [q for q in range(2, 65) if sum(q % p == 0 for p in primes) == 1]
+    assert sorted(PRIMITIVE_CUBICS) == prime_powers
     for q, want in PRIMITIVE_CUBICS.items():
         assert _primitive_cubic(GF(q)) == want, q
 
