@@ -11,6 +11,10 @@ canonical vertex by it is a column step: scale some columns by t, add
 constant multiples of earlier columns to later ones.  The result is already
 triangular with pivots exactly t^(a_i + e_i), and one reduction helper
 divides by the least valuation and reduces the entries above the diagonal.
+As the pivots are powers of t, reducing by a pivot column is a truncation
+of low coefficients; only entry (0, 2) needs a product.  Neighbor lists are
+not kept: every check asks for each one once, and a vertex hashes its
+matrix once, when it is made.
 
 Relative positions come from minor valuations: for M = g1^{-1} g2 the sums
 e_1 + ... + e_i of the elementary-divisor exponents equal the minimal
@@ -44,6 +48,7 @@ from .gf import (
     pneg,
     pshift,
     psub,
+    ptrim,
     pval,
 )
 from .polyint import IntPoly
@@ -67,18 +72,24 @@ class RelativePosition:
 
 
 class BuildingVertex:
-    """Canonical-matrix wrapper; hashable, equality by matrix."""
+    """Canonical-matrix wrapper; hashable, equality by matrix.  The matrix
+    is a tuple of tuples and is hashed once, when the vertex is made."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_hash")
 
     def __init__(self, mat):
         self.mat = mat
+        self._hash = hash(mat)
 
     def __eq__(self, other):
-        return isinstance(other, BuildingVertex) and self.mat == other.mat
+        return (
+            isinstance(other, BuildingVertex)
+            and self._hash == other._hash
+            and self.mat == other.mat
+        )
 
     def __hash__(self):
-        return hash(self.mat)
+        return self._hash
 
     def __repr__(self):
         from .gf import format_poly
@@ -147,7 +158,7 @@ def _column_steps(q, edge_type):
     adds c times column k to it; the zero entries are left out of adds.
     """
     def step(scale, *adds):
-        return scale, tuple((k, j, (c,)) for k, j, c in adds if c)
+        return scale, tuple((k, j, c) for k, j, c in adds if c)
 
     if edge_type == 1:
         return (
@@ -162,26 +173,34 @@ def _column_steps(q, edge_type):
     )
 
 
+def _mod_tpow(a, k):
+    """a mod t^k: its coefficients below t^k."""
+    return a if len(a) <= k else ptrim(a[:k])
+
+
 def _hermite_reduce(F, cols, avals):
     """The canonical vertex of upper triangular columns with pivots t^avals.
 
     Divides by the least entry valuation, then reduces entry (i, j) modulo
     t^a_i by subtracting a multiple of column i, for i = j-1 down to 0.
-    The column lists may be modified in place.
+    Column 0 is (t^a_0, 0, 0) and entry (1, 1) is t^a_1, so each reduction
+    keeps the low a_i coefficients of entry (i, j); only entry (0, 2) also
+    loses h x_01 on the reduction by column 1, h = x_12 div t^a_1.  The
+    column lists may be modified in place.
     """
     # a pivot t^0 already has valuation 0
     shift = min(avals) and min(pval(e) for col in cols for e in col if e)
     if shift:
         cols = [[pfloordiv_tpow(e, shift) for e in col] for col in cols]
         avals = [a - shift for a in avals]
-    for j in (1, 2):
-        col = cols[j]
-        for k in range(j - 1, -1, -1):
-            h = pfloordiv_tpow(col[k], avals[k])
-            if h:
-                for i in range(k + 1):
-                    col[i] = psub(F, col[i], pmul(F, h, cols[k][i]))
+    a0, a1, _ = avals
     c0, c1, c2 = cols
+    x01 = c1[0] = _mod_tpow(c1[0], a0)
+    h = pfloordiv_tpow(c2[1], a1)
+    if h:
+        c2[0] = psub(F, c2[0], pmul(F, h, x01))
+        c2[1] = _mod_tpow(c2[1], a1)
+    c2[0] = _mod_tpow(c2[0], a0)
     return BuildingVertex(((c0[0], c1[0], c2[0]), (c0[1], c1[1], c2[1]), (c0[2], c1[2], c2[2])))
 
 
@@ -249,7 +268,6 @@ class LocalBuilding:
         self.q = q
         self.F = GF(q)
         self._steps = {1: _column_steps(q, 1), 2: _column_steps(q, 2)}
-        self._nbr_cache = {}
 
     def origin(self):
         return BuildingVertex(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
@@ -257,26 +275,24 @@ class LocalBuilding:
     # -- neighbors
 
     def neighbors(self, v, edge_type):
-        key = (v, edge_type)
-        hit = self._nbr_cache.get(key)
-        if hit is not None:
-            return hit
+        """The q^2 + q + 1 neighbors of type edge_type, in coset order; not kept."""
         F, mat = self.F, v.mat
-        cols = [[mat[0][j], mat[1][j], mat[2][j]] for j in range(3)]
+        cols = [(mat[0][j], mat[1][j], mat[2][j]) for j in range(3)]
         avals = [len(mat[j][j]) - 1 for j in range(3)]  # pivots are exactly t^a_j
+        # the columns times t, and the constant multiples of the entries that
+        # steps add, are the same for every step: take them once
+        scaled = [cols, [tuple(pshift(e, 1) for e in col) for col in cols]]
+        added = (cols[0][0], cols[1][0], cols[1][1])  # entry (i, k) at k + i
+        times = [None] + [[pmul(F, (c,), e) for e in added] for c in range(1, self.q)]
         out = []
         for scale, adds in self._steps[edge_type]:
-            new = [
-                [pshift(e, 1) for e in col] if s else list(col)
-                for col, s in zip(cols, scale)
-            ]
+            new = [list(scaled[s][j]) for j, s in enumerate(scale)]
             for k, j, c in adds:
                 for i in range(k + 1):
-                    new[j][i] = padd(F, new[j][i], pmul(F, c, cols[k][i]))
+                    new[j][i] = padd(F, new[j][i], times[c][k + i])
             out.append(_hermite_reduce(F, new, [a + s for a, s in zip(avals, scale)]))
         if len(set(out)) != self.q**2 + self.q + 1:
             raise SingularInput("coset representatives collapsed")
-        self._nbr_cache[key] = out
         return out
 
     # -- relative position
@@ -444,6 +460,10 @@ def verify_geodesic_criterion(q, n, r):
     and the pivot exponents sum to e_1 + e_2 + e_3 = n.  Then the endpoints
     are all of S(n, 0).  r is only checked to be at least n.  Every endpoint
     is held at once, so |S(n, 0)| over DEFAULT_VERTEX_CAP raises ResourceLimit.
+
+    Each vertex of depth below n asks for its type-1 list once, when it is
+    expanded; at depth n - 2 or less it also takes its type-2 list as a set
+    then, and pushes it with its successors, whose steps it blocks.
     """
     if r < n:
         raise BallTooSmall(f"need r >= n = {n}, got {r}")
@@ -451,18 +471,18 @@ def verify_geodesic_criterion(q, n, r):
     size = (q * q + q + 1) * q ** (2 * n - 2) if n else 1
     if size > DEFAULT_VERTEX_CAP:
         raise ResourceLimit(f"|S({n}, 0)| = {size} exceeds the cap {DEFAULT_VERTEX_CAP}")
-    base = B.origin()
     endpoints = []
-    stack = [(base, base, 0)]
+    stack = [(B.origin(), 0, ())]
     while stack:
-        prev, cur, length = stack.pop()
+        cur, length, blocked = stack.pop()
         if length == n:
             endpoints.append(cur)
             continue
-        blocked = set(B.neighbors(prev, 2)) if length >= 1 else ()
+        # cur's type-2 neighbors block its successors' steps
+        nxt = set(B.neighbors(cur, 2)) if length < n - 1 else ()
         for w in B.neighbors(cur, 1):
             if w not in blocked:
-                stack.append((cur, w, length + 1))
+                stack.append((w, length + 1, nxt))
     distinct = set(endpoints)
     return len(distinct) == len(endpoints) == size and all(_at_n0(B.F, v, n) for v in distinct)
 

@@ -14,6 +14,7 @@ the chain to match its own logarithmic-derivative form (the check here
 recomputes both sides independently, which is how the slip shows up).
 """
 
+import functools
 from fractions import Fraction
 
 from .polyint import Series
@@ -91,12 +92,16 @@ ZERO = SymPoly()
 ONE = SymPoly.scalar(1)
 
 
+@functools.cache
 def sigma(k, kind):
     """The three symmetric degree-k sums.
 
     kind 1: z1^k + z2^k + z3^k
     kind 2: sum over 1 <= a <= k-1 of z1^a z2^(k-a) + z2^a z3^(k-a) + z3^a z1^(k-a)
     kind 3: sum over a, b, c >= 1, a+b+c = k of z1^a z2^b z3^c
+
+    Each value is made once per process and shared: no SymPoly operation
+    changes its operands.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -12,11 +12,12 @@ and the determinant identity under test is
     (1 - u^3)^chi * PE * PE2  ==  Dvertex * PB.
 
 Every operator here shifts the Z/3 grading by a fixed amount (LE by 1, LB
-by 2, and the vertex pencil mixes shifts 0, 1, 2), so each determinant is a
-polynomial in u^3.  For LE and LB, with M the restriction of L^3 to the
-type-0 indices, det(I - L u) = det(I - u^3 M), an N x N determinant in
-place of a 3N x 3N one.  M is never formed: type0_orbit_rows takes the rows
-it needs by stepping them all together through L's successor arrays
+by 2, and the vertex pencil's block companion by 1 on a grading of its
+own), so each determinant is a polynomial in u^3.  With M the restriction
+of L^3 to the grade-0 indices, det(I - L u) = det(I - u^3 M), an N x N
+determinant in place of a 3N x 3N one.  vertex_determinant forms its
+V-square M.  For LE and LB M is never formed: type0_orbit_rows takes the
+rows it needs by stepping them all together through L's successor arrays
 (operators.edge_successors and chamber_successors), three steps of one
 type class each.
 
@@ -77,6 +78,7 @@ from .polyint import (
     det_i_minus_pencil,
     hadamard_bound,
     one_minus_power,
+    _block_companion,
     _max_row_norm2,
     _product_mod,
     orbit_blocks,
@@ -286,16 +288,27 @@ class ZetaBundle:
 
 
 def vertex_determinant(cx):
-    """det(I - A1 u + q A2 u^2 - q^3 u^3 I), exact."""
+    """det(I - A1 u + q A2 u^2 - q^3 u^3 I), exact, on a complex whose edges
+    raise the type by one (validate's type_increment).
+
+    It is det(I - u C) for the 3V-square block companion C of the pencil.
+    Give C's index (b, v), block b and vertex v, the grade type(v) - b
+    (mod 3).  A1 raises the type by one and A2 by two, so every block of C
+    raises the grade by one, and det(I - u C) = det(I - u^3 M) with M the
+    V-square grade-0 block of C^3: the product of C's blocks from grade 0
+    to 1, 1 to 2 and 2 to 0.  The product of their largest absolute row
+    sums bounds every partial sum of it, so it is formed in int64, and
+    A2ZetaError is raised up front unless that bound is below 2^63.
+    """
     A1, A2 = vertex_hecke(cx)
-    q = cx.q
-    return det_i_minus_pencil(
-        [
-            A1.to_dense(),
-            -q * A2.to_dense(),
-            q**3 * np.eye(cx.n_vertices, dtype=np.int64),
-        ]
-    )
+    q, V = cx.q, cx.n_vertices
+    c = _block_companion([A1.to_dense(), -q * A2.to_dense(), q**3 * np.eye(V, dtype=np.int64)])
+    grade = (np.tile(cx.vertex_types, 3) - np.repeat(np.arange(3), V)) % 3
+    cls = [np.flatnonzero(grade == g) for g in range(3)]
+    blocks = [c[np.ix_(cls[g], cls[(g + 1) % 3])] for g in range(3)]
+    if prod(int(np.abs(b).sum(axis=1).max()) for b in blocks) >= 2**63:
+        raise A2ZetaError("an entry of the vertex pencil's C^3 does not fit in int64")
+    return det_i_minus_pencil([blocks[0] @ blocks[1] @ blocks[2]]).substitute_power(3)
 
 
 def zeta_bundle(cx):

@@ -14,10 +14,10 @@ from a2zeta.building import (
     DEFAULT_VERTEX_CAP,
     ONE,
     ZERO,
+    BuildingVertex,
     LocalBuilding,
     RelativePosition,
     _delta_image,
-    _hermite_reduce,
     ball,
 )
 from a2zeta.complexes import Check
@@ -252,10 +252,27 @@ def punit_inverse(F, u, n):
     return ptrim(out)
 
 
+def hermite_reduce(F, cols, avals):
+    """The canonical vertex of upper triangular columns with pivots t^avals,
+    by plain column operations: divide by the least entry valuation, then
+    subtract (x_ij div t^a_i) times column i from column j, for i = j-1 down
+    to 0, with the whole pivot column multiplied out."""
+    shift = min(pval(e) for col in cols for e in col if e)
+    cols = [[pfloordiv_tpow(e, shift) for e in col] for col in cols]
+    avals = [a - shift for a in avals]
+    for j in (1, 2):
+        for k in range(j - 1, -1, -1):
+            h = pfloordiv_tpow(cols[j][k], avals[k])
+            if h:
+                cols[j] = [psub(F, x, pmul(F, h, y)) for x, y in zip(cols[j], cols[k])]
+    return BuildingVertex(tuple(tuple(cols[j][i] for j in range(3)) for i in range(3)))
+
+
 def canonicalize(B, mat):
     """The canonical vertex of the lattice spanned by mat's columns, by
     triangularizing any nonsingular matrix: the reference for the column
-    steps of LocalBuilding.neighbors.
+    steps of LocalBuilding.neighbors and, by hermite_reduce, for their
+    reduction by truncation.
 
     Exact unimodular column operations triangularize bottom-up; the one
     power-series inversion (the unit part of each pivot) is truncated
@@ -292,7 +309,7 @@ def canonicalize(B, mat):
         unit_inv = punit_inverse(F, pfloordiv_tpow(cols[j][j], a), prec)
         cols[j] = [pmod_tpow(pmul(F, cols[j][i], unit_inv), prec) for i in range(3)]
         cols[j][j] = pshift(ONE, a)
-    return _hermite_reduce(F, cols, avals)
+    return hermite_reduce(F, cols, avals)
 
 
 def pconst(c):

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from a2zeta import building, cli
@@ -135,6 +136,40 @@ def test_neighbors_are_coset_representative_products(q, r):
         for edge_type in (1, 2):
             want = [canonicalize(B, _mat_mul(B.F, v.mat, rep)) for rep in reps[edge_type]]
             assert B.neighbors(v, edge_type) == want
+
+
+WALK_BUILDINGS = {q: LocalBuilding(q) for q in (2, 3, 4, 5, 8, 9)}
+# type 1 by the last coset, diag(1, 1, t), then type 2 by diag(t, t, 1): t I,
+# whose reduction divides by the least valuation
+SHIFT_WALK = [(1, -1), (2, 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from(sorted(WALK_BUILDINGS)),
+    walk=st.lists(st.tuples(st.sampled_from((1, 2)), st.integers(0, 10**6)), max_size=6),
+)
+@example(q=2, walk=SHIFT_WALK)
+@example(q=9, walk=SHIFT_WALK * 3)
+def test_neighbors_match_canonicalize_along_random_walks(q, walk):
+    """Along a walk of up to 6 steps from the origin, every neighbor list
+    taken is the canonical forms of v.mat * rep, in coset order."""
+    B = WALK_BUILDINGS[q]
+    reps = {1: type1_reps(q), 2: type2_reps(q)}
+    v = B.origin()
+    for edge_type, pick in walk:
+        nbrs = B.neighbors(v, edge_type)
+        assert nbrs == [canonicalize(B, _mat_mul(B.F, v.mat, r)) for r in reps[edge_type]]
+        v = nbrs[pick % len(nbrs)]
+
+
+def test_the_shift_walk_divides_by_t():
+    """SHIFT_WALK reaches t I before the reduction: it covers the shift."""
+    B = WALK_BUILDINGS[2]
+    v = B.neighbors(B.origin(), 1)[-1]
+    product = _mat_mul(B.F, v.mat, type2_reps(2)[0])
+    assert min(pval(e) for row in product for e in row if e) == 1
+    assert B.neighbors(v, 2)[0] == B.origin()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -270,6 +305,29 @@ def test_geodesic_criterion_refuses_past_the_vertex_cap(monkeypatch):
     for q, n in ((2, 10), (3, 6)):
         with pytest.raises(AssertionError, match="the search started"):
             verify_geodesic_criterion(q, n, n)
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 4), (3, 3)])
+def test_geodesic_search_asks_for_each_neighbor_list_once(monkeypatch, q, n):
+    """Each interior vertex's type-1 list is asked for once, and its type-2
+    list once at depth n - 2 or less and never deeper."""
+    full = LocalBuilding.neighbors
+    asked = Counter()
+
+    def neighbors(self, v, edge_type):
+        asked[v, edge_type] += 1
+        return full(self, v, edge_type)
+
+    monkeypatch.setattr(LocalBuilding, "neighbors", neighbors)
+    assert verify_geodesic_criterion(q, n, n)
+    assert set(asked.values()) == {1}
+    # interior vertices are the (k, 0) sphere points, k < n, depth k = sum a_i
+    depth = Counter((_pivot_exponent_sum(v.mat), t) for v, t in asked)
+    sphere = [(q * q + q + 1) * q ** (2 * k - 2) if k else 1 for k in range(n)]
+    assert depth == Counter(
+        {(k, 1): s for k, s in enumerate(sphere)}
+        | {(k, 2): s for k, s in enumerate(sphere) if k <= n - 2}
+    )
 
 
 def _drop_last_type1(monkeypatch):

@@ -155,6 +155,20 @@ def test_recursion_42_runs_on_python_ints(q, monkeypatch):
     assert all(int_coeffs(r) for r in residuals)
 
 
+def test_cached_sigma_is_unchanged_by_the_checks():
+    """sigma's values are shared across calls; the checks that read them
+    leave every one equal to a fresh computation, and the same object."""
+    keys = [(k, kind) for k in range(1, 10) for kind in (1, 2, 3)]
+    before = {key: sigma(*key) for key in keys}
+    fresh = {key: SymPoly(dict(v.terms)) for key, v in before.items()}
+    for q in (2, 3, 5):
+        assert verify_recursion_42(q, 9)[0]
+    assert verify_sigma3_identity(9)[0]
+    for key in keys:
+        assert sigma(*key) is before[key]
+        assert sigma(*key) == fresh[key] == sigma.__wrapped__(*key)
+
+
 def test_unit_inverse_is_an_int_when_exact():
     assert (1 / SymPoly.monomial(1, 0, 0, -1)).terms == {(-1, 0): -1}
     assert type((1 / SymPoly.scalar(Fraction(1, 2))).terms[(0, 0)]) is int

@@ -125,6 +125,36 @@ def test_block_reduction_matches_direct_determinants(corpus, q4_cx):
         assert b.pb == det_i_minus_pencil([-chamber_operator(cx).to_dense()])
 
 
+def disjoint_union(a, b):
+    """Two complexes side by side, with b's ids after a's."""
+    nv, ne = a.n_vertices, a.n_edges
+    edges = list(a.edges) + [(s + nv, d + nv) for s, d in b.edges]
+    chambers = list(a.chambers) + [tuple(e + ne for e in tri) for tri in b.chambers]
+    return TypedComplex(a.q, a.vertex_types + b.vertex_types, edges, chambers)
+
+
+def test_dvertex_from_the_grade0_block_is_the_pencil_determinant(corpus, q4_cx):
+    """Dvertex from the V-square grade-0 block of C^3 equals the 3V-square
+    pencil determinant, also relabeled and on a 6-vertex union of two q=2
+    complexes, where the vertex types are not in order."""
+    rnd = random.Random(5)
+    union = disjoint_union(corpus[0], relabeled(corpus[2], rnd))
+    for cx in corpus + [q4_cx, relabeled(q4_cx, rnd), union]:
+        a1, a2 = (op.to_dense() for op in vertex_hecke(cx))
+        eye = np.eye(cx.n_vertices, dtype=np.int64)
+        want = det_i_minus_pencil([a1, -cx.q * a2, cx.q**3 * eye])
+        assert zeta.vertex_determinant(cx) == want
+    parts = zeta.vertex_determinant(corpus[0]) * zeta.vertex_determinant(corpus[2])
+    assert zeta.vertex_determinant(union) == parts
+
+
+def test_dvertex_refuses_a_cube_past_int64(bundled_cx):
+    """At q = 2^20 the row-sum bound on C^3 is past 2^63: refused up front."""
+    big = TypedComplex(2**20, bundled_cx.vertex_types, bundled_cx.edges, bundled_cx.chambers)
+    with pytest.raises(A2ZetaError, match="int64"):
+        zeta.vertex_determinant(big)
+
+
 @pytest.fixture(scope="module")
 def singer_bundles(bundled_cx, q3_cx, q4_cx):
     return [(cx, zeta_bundle(cx)) for cx in (bundled_cx, q3_cx, q4_cx)]
