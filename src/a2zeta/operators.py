@@ -16,13 +16,13 @@ Neighbor rules on a validated complex:
   LB[(C,e)][(C',e')]  1 when C' != C shares the edge following e in C's
              cycle, and e' is the edge following that shared edge in C'.
 
-LE and LB are built once, by edge_successors and chamber_successors, as
-Successors: int64 CSR arrays taken from the edge and chamber arrays with
-numpy.  edge_operator and chamber_operator are SparseOperator views of
-them, and zeta's type0_orbit_rows steps through them directly.
+edge_operator and chamber_operator count LE's and LB's entries from the
+edge and chamber arrays with numpy, for the operator export and the test
+oracles.  The identity never forms them: edge_step and chamber_step take
+a batch of rows through LE or LB from the incidences alone, at O(E + 3C)
+work a row, and zeta's type0_orbit_rows takes the rows of their cubes
+from three steps.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +41,6 @@ class SparseOperator:
                 raise A2ZetaError(f"entry ({r},{c}) outside dimension {dim}")
             if v < 0:
                 raise A2ZetaError("negative multiplicity")
-
-    @classmethod
-    def view(cls, space, successors):
-        """The operator whose rows are the given Successors."""
-        indptr, indices, weights = successors
-        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        entries = zip(zip(rows.tolist(), indices.tolist()), weights.tolist())
-        return cls(space, len(indptr) - 1, entries)
 
     def row_sums(self):
         sums = [0] * self.dim
@@ -112,44 +104,21 @@ def vertex_hecke(cx):
 
 def edge_operator(cx):
     """Adjacency of type-1 edges under the chamber-exclusion rule."""
-    return SparseOperator.view("edges1", edge_successors(cx))
-
-
-def chamber_operator(cx):
-    """Adjacency of directed chambers."""
-    return SparseOperator.view("directedChambers", chamber_successors(cx))
-
-
-class Successors(NamedTuple):
-    """An operator's rows as int64 CSR arrays: the successors of index r
-    are indices[indptr[r] : indptr[r + 1]], ascending, with their weights."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-
-
-def edge_successors(cx):
-    """LE's Successors: f follows e when dst(e) = src(f) and no chamber
-    contains both."""
     n, edges, tri = cx.n_edges, cx.edge_array, cx.chamber_array
     e, f = _matches(edges[:, 1], edges[:, 0], cx.n_vertices)
     shared = (tri[:, :, None] * n + tri[:, None, :]).ravel()  # e * n + f in one chamber
     keep = ~np.isin(e * n + f, shared)
-    return _successors(n, e[keep], f[keep])
+    return _counted("edges1", n, e[keep], f[keep])
 
 
-def chamber_successors(cx):
-    """LB's Successors: for (C, e) with edge cycle e = e1, e2, e3, the
-    (C', e') with C' one of the q chambers other than C containing e2, and
-    e' the edge following e2 in C'.
-    """
+def chamber_operator(cx):
+    """Adjacency of directed chambers."""
     tri = cx.chamber_array
     # other: each directed chamber 3 C' + slot whose edge tri[C', slot] is e2
     row, other = _matches(tri[:, [1, 2, 0]].ravel(), tri.ravel(), cx.n_edges)
     keep = other // 3 != row // 3
-    other = other[keep]
-    return _successors(len(tri) * 3, row[keep], other - other % 3 + (other + 1) % 3)
+    row, other = row[keep], other[keep]
+    return _counted("directedChambers", 3 * len(tri), row, other - other % 3 + (other + 1) % 3)
 
 
 def _matches(wanted, values, size):
@@ -162,8 +131,72 @@ def _matches(wanted, values, size):
     return np.repeat(np.arange(len(wanted)), counts), by_value[j]
 
 
-def _successors(dim, rows, cols):
-    """The Successors of the pairs (rows[i], cols[i]); a pair's weight is
-    the number of times it occurs."""
-    keys, weights = np.unique(rows * dim + cols, return_counts=True)
-    return Successors(np.searchsorted(keys, np.arange(dim + 1) * dim), keys % dim, weights)
+def _counted(space, dim, rows, cols):
+    """The operator whose (r, c) entry counts the i with (rows[i], cols[i]) = (r, c)."""
+    keys, counts = np.unique(rows * dim + cols, return_counts=True)
+    pairs = zip((keys // dim).tolist(), (keys % dim).tolist())
+    return SparseOperator(space, dim, zip(pairs, counts.tolist()))
+
+
+def edge_step(cx):
+    """x -> x LE on a batch x of nonnegative int64 rows, from the incidences:
+
+        (x LE)[f] = sum of x[e] over dst(e) = src(f)
+                    - sum of x[e] over the chambers in which f follows e,
+
+    the first sum one scatter onto the vertices and one gather back.  It is
+    LE only if no pair (e, f) lies in two chambers, repeating f on the line
+    e of the link at dst(e): validate's link_condition refuses that, as
+    plane_defect counts a point repeated on a line against it.
+    """
+    src, dst = cx.edge_array.T
+    tri = cx.chamber_array
+    e, f = tri.ravel(), tri[:, [1, 2, 0]].ravel()  # f follows e in a chamber
+
+    def step(x):
+        _check_totals(x, cx.q**2)
+        return _scatter(x, dst, cx.n_vertices)[:, src] - _scatter(x[:, e], f, cx.n_edges)
+
+    return step
+
+
+def chamber_step(cx):
+    """x -> x LB on a batch x of nonnegative int64 rows, from the incidences:
+
+        (x LB)[3C' + t] = T[tri[C', t - 1]] - x[3C' + t - 2],  slots mod 3,
+        T[e] = sum of x[3C + s] over the (C, s) with tri[C, s + 1] = e,
+
+    the subtraction taking out C' itself.  That is one term only if the three
+    edges of C' are distinct: validate's type_increment and chamber_chaining
+    give them three different source types.
+    """
+    tri = cx.chamber_array
+    follows, before = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+
+    def step(x):
+        _check_totals(x, cx.q)
+        y = _scatter(x, follows, cx.n_edges)[:, before]
+        for t in range(3):
+            y[:, t::3] -= x[:, (t + 1) % 3 :: 3]  # x[3C' + t - 2]
+        return y
+
+    return step
+
+
+def _check_totals(x, rho):
+    """Raise A2ZetaError unless rho times x's largest row sum is below 2^63.
+
+    rho is the operator's row sum on a valid complex, q^2 for LE and q for
+    LB.  With x >= 0 every total a step forms is at most x's row sum, and
+    the result's rows, the next step's input, sum to rho times x's.
+    """
+    if rho * int(x.sum(axis=1).max(initial=0)) >= 2**63:
+        raise A2ZetaError("a step of LE or LB does not fit in int64")
+
+
+def _scatter(x, index, size):
+    """out[:, i] = the sum of x[:, j] over the j with index[j] = i."""
+    out = np.zeros((len(x), size), dtype=np.int64)
+    for row, values in zip(out, x):
+        np.add.at(row, index, values)
+    return out

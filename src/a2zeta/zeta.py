@@ -17,9 +17,9 @@ own), so each determinant is a polynomial in u^3.  With M the restriction
 of L^3 to the grade-0 indices, det(I - L u) = det(I - u^3 M), an N x N
 determinant in place of a 3N x 3N one.  vertex_determinant forms its
 V-square M.  For LE and LB M is never formed: type0_orbit_rows takes the
-rows it needs by stepping them all together through L's successor arrays
-(operators.edge_successors and chamber_successors), three steps of one
-type class each.
+rows it needs as unit rows taken three times through L by a step
+(operators.edge_step and chamber_step), which acts from the incidences
+of edges and chambers alone.
 
 A search-built complex also carries the Singer shift of PG(2, q), a free
 action of Z/n, n = q^2 + q + 1, on its edges and directed chambers;
@@ -68,7 +68,7 @@ import numpy as np
 from .complexes import euler_characteristic, require_valid
 from .enumeration import free_orbits
 from .errors import A2ZetaError, IdentityFailure
-from .operators import chamber_successors, edge_successors, vertex_hecke
+from .operators import chamber_step, edge_step, vertex_hecke
 from .polyint import (
     IntPoly,
     RationalFunction,
@@ -96,10 +96,11 @@ ONE = IntPoly.const(1)
 # the type-0 rows of a block-cyclic operator
 
 
-def type0_orbit_rows(successors, types, images):
+def type0_orbit_rows(step, types, images):
     """The rows of M = Op^3 on the type-0 indices, one per orbit, and the orbits.
 
-    successors is Op's operators.Successors, and types[i] is the type of
+    step takes a batch of nonnegative int64 rows x to x Op (operators'
+    edge_step and chamber_step for LE and LB), and types[i] is the type of
     index i; the type-0 indices are numbered by their position in their
     class.  images is the action on the indices, an int sequence from
     singer_action, or None for the trivial group; its orbits on type 0 must
@@ -110,54 +111,19 @@ def type0_orbit_rows(successors, types, images):
     complex, and LE and LB are defined from edges and chambers alone).
     Returns (rows, orbits) as det_i_minus_rows takes them.
 
-    The rows step through Op together, out of one type class at a time, in
-    blocks of at most _STEP_ENTRIES products a step.  A2ZetaError is
-    raised up front unless the product over the classes of their longest
-    row times their largest weight, a bound on every partial sum of a row
-    of Op^3, is below 2^63.
+    The unit rows at the orbits' representatives take the three steps in one
+    batch, three times the rows returned; the steps guard their int64 totals.
     """
-    indptr, indices, weights = successors
     types = np.asarray(types)
-    degree = indptr[1:] - indptr[:-1]
-    src = np.repeat(np.arange(len(types)), degree)
-    # the entries out of class t are ends[t]:ends[t + 1] of these, by column
-    order = np.argsort(types[src] * len(types) + indices)
-    src, cols, weights = src[order], indices[order], weights[order]
-    ends = np.searchsorted(types[src], np.arange(4)).tolist()
-    change = np.ones(len(cols), dtype=bool)
-    change[1:] = cols[1:] != cols[:-1]
-    first = np.flatnonzero(change)  # of each column
-    groups = np.searchsorted(first, ends).tolist()
-    longest, heaviest = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
-    np.maximum.at(longest, types, degree)
-    np.maximum.at(heaviest, types[src], weights)
-    if prod(d * w for d, w in zip(longest.tolist(), heaviest.tolist())) >= 2**63:
-        raise A2ZetaError("an entry of Op^3 does not fit in int64")
     zero = np.flatnonzero(types == 0)
     pos = np.cumsum(types == 0) - 1  # of each type-0 index in its class
     sigma = np.arange(len(zero)) if images is None else pos[np.asarray(images)[zero]]
     orbits = np.array(free_orbits(sigma.tolist()), dtype=np.int64)
-    rows = np.zeros((len(orbits), len(zero)), dtype=np.int64)
-    block = max(1, _STEP_ENTRIES // max(1, len(src)))
-    for a in range(0, len(orbits), block):
-        reps = zero[orbits[a : a + block, 0]]
-        x = np.zeros((len(reps), len(types)), dtype=np.int64)
-        x[np.arange(len(reps)), reps] = 1
-        t = 0
-        for _ in range(3):
-            lo, hi = ends[t], ends[t + 1]
-            starts = first[groups[t] : groups[t + 1]]
-            after = np.zeros_like(x)
-            if hi > lo:
-                product = x[:, src[lo:hi]] * weights[lo:hi]
-                after[:, cols[starts]] = np.add.reduceat(product, starts - lo, axis=1)
-                t = int(types[cols[lo]])
-            x = after
-        rows[a : a + block] = x[:, zero]
-    return rows, orbits
-
-
-_STEP_ENTRIES = 2**22
+    x = np.zeros((len(orbits), len(types)), dtype=np.int64)
+    x[np.arange(len(orbits)), zero[orbits[:, 0]]] = 1
+    for _ in range(3):
+        x = step(x)
+    return x[:, zero], orbits
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +292,8 @@ def zeta_bundle(cx):
     edge_types = np.array(cx.vertex_types)[cx.edge_array[:, 0]]
     chamber_types = edge_types[cx.chamber_array.ravel()]
     edge_images, chamber_images = singer_action(cx) or (None, None)
-    me, edge_orbits = type0_orbit_rows(edge_successors(cx), edge_types, edge_images)
-    mb, chamber_orbits = type0_orbit_rows(chamber_successors(cx), chamber_types, chamber_images)
+    me, edge_orbits = type0_orbit_rows(edge_step(cx), edge_types, edge_images)
+    mb, chamber_orbits = type0_orbit_rows(chamber_step(cx), chamber_types, chamber_images)
     pe, proof, failure = character_relations(chi, dvertex, me, edge_orbits, mb, chamber_orbits)
     if failure is not None:
         raise IdentityFailure(*failure)

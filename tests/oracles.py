@@ -23,7 +23,6 @@ from a2zeta.building import (
 from a2zeta.complexes import Check
 from a2zeta.errors import A2ZetaError, BallTooSmall, SingularInput
 from a2zeta.gf import GF, pfloordiv_tpow, pmul, pshift, psub, ptrim, pval
-from a2zeta.operators import Successors
 from a2zeta.polyint import IntPoly, Series, one_minus_power, poly_log_derivative
 from a2zeta.satake import sigma
 
@@ -402,16 +401,6 @@ def trace_power_by_multiplication(op, n):
             for row in power
         ]
     return sum(power[i][i] for i in range(op.dim))
-
-
-def successors_of(op):
-    """A SparseOperator's rows as operators.Successors arrays, by sorting
-    its entries: what a test hands type0_orbit_rows, or injects in place of
-    edge_successors or chamber_successors."""
-    keys = sorted(op.entries)
-    indptr = np.searchsorted(np.array([r for r, _ in keys], dtype=np.int64), np.arange(op.dim + 1))
-    indices = np.array([c for _, c in keys], dtype=np.int64)
-    return Successors(indptr, indices, np.array([op.entries[k] for k in keys], dtype=np.int64))
 
 
 def transform_a1(q):

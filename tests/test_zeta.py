@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 
 from a2zeta import cli, complexes, planes, polyint, presentations, zeta
 from a2zeta.complexes import TypedComplex, validate
-from a2zeta.errors import A2ZetaError, IdentityFailure, ResourceLimit
+from a2zeta.errors import A2ZetaError, IdentityFailure, ResourceLimit, ValidationFailure
 from a2zeta.fileio import parse_complex, serialize_complex
 from a2zeta.gf import GF
 from a2zeta.operators import (
     SparseOperator,
     chamber_operator,
-    chamber_successors,
+    chamber_step,
     edge_operator,
-    edge_successors,
+    edge_step,
     vertex_hecke,
 )
 from a2zeta.planes import _primitive_cubic, build_plane
@@ -55,7 +55,6 @@ from oracles import (
     product_identity_residual,
     series_log_derivative,
     squarefree_decomposition,
-    successors_of,
 )
 
 ONE = IntPoly.const(1)
@@ -177,23 +176,52 @@ def source_types(cx):
     return edge_types, [edge_types[e] for tri in cx.chambers for e in tri]
 
 
-def test_type0_orbit_rows_are_rows_of_the_dense_cube(corpus, q4_cx):
+@pytest.fixture(scope="module")
+def q16_cx():
+    tp = search_triangle_presentations(build_plane(16), limit=1, seed=0)[0]
+    return complex_from_presentation(tp)
+
+
+def cube_rows(op, reps):
+    """The rows of L^3 at reps, each summed over Python ints from the
+    operator's entries, as int64 rows."""
+    succ = [[] for _ in range(op.dim)]
+    for (r, c), w in op.entries.items():
+        succ[r].append((c, w))
+    rows = np.zeros((len(reps), op.dim), dtype=np.int64)
+    for row, rep in zip(rows, reps):
+        x = {rep: 1}
+        for _ in range(3):
+            y = Counter()
+            for r, v in x.items():
+                for c, w in succ[r]:
+                    y[c] += v * w
+            x = y
+        for c, v in x.items():
+            row[c] = v
+    return rows
+
+
+def test_type0_orbit_rows_are_rows_of_the_dense_cube(corpus, q3_cx, q4_cx, q16_cx):
     """Each row is the row of L^3 at its orbit's representative, restricted
-    to type 0, and the orbits partition the type-0 indices into equal parts."""
-    for cx in corpus + [q4_cx, relabeled(q4_cx, random.Random(1))]:
+    to type 0, and the orbits partition the type-0 indices into equal parts.
+    L^3's rows come from edge_operator's and chamber_operator's entries, a
+    route apart from the steps; the inputs include seed-0 q=16 and a
+    disjoint union of two q=3 complexes, as the steps need no connectivity."""
+    union = disjoint_union(q3_cx, relabeled(q3_cx, random.Random(2)))
+    for cx in corpus + [q4_cx, relabeled(q4_cx, random.Random(1)), q16_cx, union]:
         edge_types, chamber_types = source_types(cx)
         images = singer_action(cx) or (None, None)
-        for op, successors, types, sigma in (
-            (edge_operator(cx), edge_successors(cx), edge_types, images[0]),
-            (chamber_operator(cx), chamber_successors(cx), chamber_types, images[1]),
+        for op, step, types, sigma in (
+            (edge_operator(cx), edge_step(cx), edge_types, images[0]),
+            (chamber_operator(cx), chamber_step(cx), chamber_types, images[1]),
         ):
-            rows, orbits = type0_orbit_rows(successors, types, sigma)
+            rows, orbits = type0_orbit_rows(step, types, sigma)
             zero = [i for i, t in enumerate(types) if t == 0]
-            dense = op.to_dense()  # row sums at most q^2: L^3 is at most q^6
-            cube = (dense @ dense @ dense)[np.ix_(zero, zero)]
+            cube = cube_rows(op, [zero[i] for i in orbits[:, 0]])
             assert sorted(orbits.ravel().tolist()) == list(range(len(zero)))
             assert orbits.shape[1] == (1 if sigma is None else cx.q**2 + cx.q + 1)
-            assert rows.tolist() == cube[orbits[:, 0]].tolist()
+            assert rows.tolist() == cube[:, zero].tolist()
 
 
 def test_operators_shift_types_and_commute_with_the_singer_action(
@@ -223,24 +251,42 @@ def test_operators_shift_types_and_commute_with_the_singer_action(
             assert np.array_equal(dense[np.ix_(images, images)], dense)
 
 
-@pytest.mark.parametrize(
-    "types, entries",
-    [
-        # the entry (0, 0) of Op^3 is 2^63
-        ((0, 1, 2), {(0, 1): 2**21, (1, 2): 2**21, (2, 0): 2**21}),
-    ],
-    ids=["overflowing_multiplicities"],
-)
-def test_type0_orbit_rows_rejects_bad_operators(types, entries):
-    op = SparseOperator("test", len(types), entries)
-    with pytest.raises(A2ZetaError):
-        type0_orbit_rows(successors_of(op), types, None)
+def test_steps_refuse_totals_past_int64(q3_cx):
+    """The int64 guard at its edge: every total a step forms is at most its
+    input's row sum s, and its result's rows sum to rho s, rho = q^2 for LE
+    and q for LB.  The largest s with rho s < 2^63 is stepped exactly, as
+    s times a row of L; one more, spread over two entries, is refused."""
+    for step, op in ((edge_step, edge_operator), (chamber_step, chamber_operator)):
+        dense = op(q3_cx).to_dense()
+        s = (2**63 - 1) // int(dense.sum(axis=1).max())
+        x = np.zeros((1, len(dense)), dtype=np.int64)
+        x[0, 0] = s
+        assert step(q3_cx)(x).tolist() == [[s * int(v) for v in dense[0]]]
+        x[0, 1] = 1
+        with pytest.raises(A2ZetaError, match="int64"):
+            step(q3_cx)(x)
 
 
-def test_type0_orbit_rows_hold_the_int64_maximum():
-    op = SparseOperator("test", 3, {(0, 1): 2**63 - 1, (1, 2): 1, (2, 0): 1})
-    rows, orbits = type0_orbit_rows(successors_of(op), (0, 1, 2), None)
-    assert rows.tolist() == [[2**63 - 1]] and orbits.tolist() == [[0]]
+def test_steps_run_only_on_what_validate_passes(q3_cx, monkeypatch):
+    """The steps are LE and LB only if each consecutive edge pair lies in at
+    most one chamber and each chamber's three edges are distinct.  Broken
+    on a copy of q=3, by a duplicated chamber and by a chamber with a
+    repeated edge, the checks that give them fail, and zeta_bundle
+    refuses the copy before any step is made."""
+    made = []
+    monkeypatch.setattr(zeta, "edge_step", made.append)
+    monkeypatch.setattr(zeta, "chamber_step", made.append)
+    cx = q3_cx
+    (a, b, _), *rest = cx.chambers
+    for chambers, check in (
+        (cx.chambers + cx.chambers[:1], "link_condition"),
+        ([(a, a, b)] + rest, "chamber_chaining"),
+    ):
+        broken = TypedComplex(cx.q, cx.vertex_types, cx.edges, chambers)
+        assert check in [c.name for c in validate(broken) if not c.passed]
+        with pytest.raises(ValidationFailure):
+            zeta_bundle(broken)
+    assert made == []
 
 
 def test_main_identity_pass(bundle):
@@ -523,15 +569,14 @@ def test_singer_action_is_none_without_the_symmetry(q3_cx):
     assert singer_action(TypedComplex(6, (0, 1, 2), edges, [])) is None
 
 
-def test_q16_complex_has_the_singer_action():
-    tp = search_triangle_presentations(build_plane(16), limit=1, seed=0)[0]
-    cx = complex_from_presentation(tp)
+def test_q16_complex_has_the_singer_action(q16_cx):
+    cx = q16_cx
     assert validate(cx).passed
     action = singer_action(cx)
     assert action is not None
     le = edge_operator(cx)
     edge_types = [cx.vertex_types[s] for s, _ in cx.edges]
-    me, orbits = type0_orbit_rows(edge_successors(cx), edge_types, action[0])
+    me, orbits = type0_orbit_rows(edge_step(cx), edge_types, action[0])
     assert len(orbits) == 1  # the type-0 edges form one Singer orbit
     pe = det_i_minus_rows(me, orbits).substitute_power(3)
     # PE = det(I - u^3 ME), ME = LE^3 on type 0, one of three equal-trace blocks
@@ -553,7 +598,7 @@ def test_q7_relabeled_exact_classes_exit_0(q7_cx, tmp_path, monkeypatch, capsys)
     relabeled complex's ME: every type-0 row, each its own orbit."""
     cx = relabeled(q7_cx, random.Random(0))
     edge_types, _ = source_types(cx)
-    me = type0_orbit_rows(edge_successors(cx), edge_types, None)
+    me = type0_orbit_rows(edge_step(cx), edge_types, None)
     assert me[1].shape == (57, 1)
     n1 = dataclasses.replace(zeta_bundle(q7_cx), me=me)
     monkeypatch.setattr(zeta, "zeta_bundle", lambda cx: n1)
@@ -581,8 +626,8 @@ def orbit_rows_of(cx):
     """(me, edge orbits, mb, chamber orbits) of a complex under its Singer action."""
     edge_types, chamber_types = source_types(cx)
     edge_images, chamber_images = singer_action(cx)
-    me, edge_orbits = type0_orbit_rows(edge_successors(cx), edge_types, edge_images)
-    mb, chamber_orbits = type0_orbit_rows(chamber_successors(cx), chamber_types, chamber_images)
+    me, edge_orbits = type0_orbit_rows(edge_step(cx), edge_types, edge_images)
+    mb, chamber_orbits = type0_orbit_rows(chamber_step(cx), chamber_types, chamber_images)
     return me, edge_orbits, mb, chamber_orbits
 
 
@@ -759,6 +804,16 @@ def perturbed_orbit(op, images):
     return SparseOperator(op.space, op.dim, entries)
 
 
+def perturbed_step(p):
+    """In place of zeta.chamber_step: LB's step plus p, each step adding x @ p."""
+
+    def make(cx):
+        step = chamber_step(cx)
+        return lambda x: step(x) + x @ p
+
+    return make
+
+
 def test_perturbed_lb_orbit_names_a_character_and_exits_1(q3_cx, tmp_path, monkeypatch, capsys):
     """A sigma-invariant change to LB keeps the action, so the character
     check runs and fails, and names the character and the prime."""
@@ -766,7 +821,8 @@ def test_perturbed_lb_orbit_names_a_character_and_exits_1(q3_cx, tmp_path, monke
     lb = perturbed_orbit(chamber_operator(q3_cx), chamber_images)
     changed = sum(lb.entries[key] != v for key, v in chamber_operator(q3_cx).entries.items())
     assert changed == 13
-    monkeypatch.setattr(zeta, "chamber_successors", lambda cx: successors_of(lb))
+    p = lb.to_dense() - chamber_operator(q3_cx).to_dense()
+    monkeypatch.setattr(zeta, "chamber_step", perturbed_step(p))
     with pytest.raises(IdentityFailure) as failure:
         zeta_bundle(q3_cx)
     j, p = failure.value.j, failure.value.p
@@ -787,7 +843,8 @@ def test_perturbed_lb_entry_fails_the_trivial_group_relation(q3_cx, tmp_path, mo
     entries = dict(lb.entries)
     entries[min(entries)] += 1
     perturbed = SparseOperator(lb.space, lb.dim, entries)
-    monkeypatch.setattr(zeta, "chamber_successors", lambda cx: successors_of(perturbed))
+    p = perturbed.to_dense() - lb.to_dense()
+    monkeypatch.setattr(zeta, "chamber_step", perturbed_step(p))
     path = tmp_path / "q3r.cx3"
     path.write_text(serialize_complex(cx))
     assert cli.main(["check", "identity", str(path), "--format", "records"]) == 1
@@ -804,8 +861,8 @@ def test_perturbed_lb_entry_fails_the_trivial_group_relation(q3_cx, tmp_path, mo
 def trivial_group_rows_of(cx):
     """(me, edge orbits, mb, chamber orbits) of a complex under the trivial group."""
     edge_types, chamber_types = source_types(cx)
-    me, edge_orbits = type0_orbit_rows(edge_successors(cx), edge_types, None)
-    mb, chamber_orbits = type0_orbit_rows(chamber_successors(cx), chamber_types, None)
+    me, edge_orbits = type0_orbit_rows(edge_step(cx), edge_types, None)
+    mb, chamber_orbits = type0_orbit_rows(chamber_step(cx), chamber_types, None)
     return me, edge_orbits, mb, chamber_orbits
 
 
