@@ -21,7 +21,8 @@ edge and chamber arrays with numpy, for the operator export and the test
 oracles.  The identity never forms them: edge_step and chamber_step take
 a batch of rows through LE or LB from the incidences alone, at O(E + 3C)
 work a row, and zeta's type0_orbit_rows takes the rows of their cubes
-from three steps.
+from three steps.  SparseOperator.step is the same map for any operator
+given by its entries.
 """
 
 import numpy as np
@@ -76,6 +77,24 @@ class SparseOperator:
         dtype = np.float64 if rho**n < 2**53 else object
         power = np.linalg.matrix_power(self.to_dense().astype(dtype), n)
         return sum(int(x) for x in power.diagonal())
+
+    def step(self):
+        """x -> x A on a batch x of nonnegative int64 rows, from the entries:
+        what type0_orbit_rows takes for an operator given entry by entry.
+
+        With A >= 0 every partial sum in a row of x A is at most that row's
+        total, x times A's row sums; A2ZetaError is raised unless every
+        total, taken over Python ints, is below 2^63.
+        """
+        dense = self.to_dense()
+        sums = np.array(self.row_sums(), dtype=object)
+
+        def step(x):
+            if max((x.astype(object) @ sums).tolist(), default=0) >= 2**63:
+                raise A2ZetaError(f"a step of {self.space} does not fit in int64")
+            return x @ dense
+
+        return step
 
     def __eq__(self, other):
         return (

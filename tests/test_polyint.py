@@ -234,9 +234,9 @@ def test_pencil_rejects_bad_actions(case):
     on type 0 have lengths 2 and 1."""
     entries = {(i, (i + 3) % 9): 1 for i in range(9)}
     types = [0] * 3 + [1] * 3 + [2] * 3
-    dense = SparseOperator("test", len(types), entries).to_dense()
+    op = SparseOperator("test", len(types), entries)
     with pytest.raises(A2ZetaError, match="orbits"):
-        type0_orbit_rows(lambda x: x @ dense, types, [1, 0, 2, 4, 3, 5, 7, 6, 8])
+        type0_orbit_rows(op.step(), types, [1, 0, 2, 4, 3, 5, 7, 6, 8])
 
 
 @pytest.mark.parametrize(

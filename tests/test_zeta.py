@@ -251,6 +251,26 @@ def test_operators_shift_types_and_commute_with_the_singer_action(
             assert np.array_equal(dense[np.ix_(images, images)], dense)
 
 
+@pytest.mark.parametrize(
+    "types, entries",
+    [
+        # the entry (0, 0) of Op^3 is 2^63
+        ((0, 1, 2), {(0, 1): 2**21, (1, 2): 2**21, (2, 0): 2**21}),
+    ],
+    ids=["overflowing_multiplicities"],
+)
+def test_type0_orbit_rows_rejects_bad_operators(types, entries):
+    op = SparseOperator("test", len(types), entries)
+    with pytest.raises(A2ZetaError, match="int64"):
+        type0_orbit_rows(op.step(), types, None)
+
+
+def test_type0_orbit_rows_hold_the_int64_maximum():
+    op = SparseOperator("test", 3, {(0, 1): 2**63 - 1, (1, 2): 1, (2, 0): 1})
+    rows, orbits = type0_orbit_rows(op.step(), (0, 1, 2), None)
+    assert rows.tolist() == [[2**63 - 1]] and orbits.tolist() == [[0]]
+
+
 def test_steps_refuse_totals_past_int64(q3_cx):
     """The int64 guard at its edge: every total a step forms is at most its
     input's row sum s, and its result's rows sum to rho s, rho = q^2 for LE
